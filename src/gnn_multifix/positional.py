@@ -1,15 +1,16 @@
 """Positional node embeddings from truncated random walks.
 
 Walks are generated per start node with independent RNG substreams, so the
-corpus content is the same no matter how generation is scheduled. Embeddings
-are trained with skip-gram and negative sampling over (center, context)
-pairs inside a sliding window; negatives are drawn from the corpus unigram
-distribution raised to 0.75. Only the input-side embeddings are kept.
+corpus content is the same no matter how generation is scheduled. The corpus
+is one 2-D int64 array with a row per walk and a length per row; all walks
+advance together, one vectorised step per position. Embeddings are trained
+with skip-gram and negative sampling over (center, context) pairs inside a
+sliding window; negatives are drawn from the corpus unigram distribution
+raised to 0.75. Only the input-side embeddings are kept.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,15 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class WalkCorpus:
-    walks: list
+    """Walks as rows of a (walks_per_node * n, walk_len) int64 array.
+
+    Row ``r`` holds ``lengths[r]`` nodes followed by -1 padding. In an
+    undirected graph a walk only stops early at a start node with no
+    neighbors, so every length is either ``walk_len`` or 1.
+    """
+
+    walks: np.ndarray
+    lengths: np.ndarray
     walk_len: int
     walks_per_node: int
 
@@ -36,56 +45,63 @@ def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) 
     """Uniform random walks, walks_per_node of them from every node.
 
     A walk stops early at a node with no neighbors, so isolated nodes yield
-    length-1 walks. Each start node draws from its own substream; the corpus
-    lists pass 0 for all nodes (in a seeded shuffled order), then pass 1, ...
+    length-1 walks. Each start node draws all of its step variates from its
+    own substream, walk after walk; the corpus lists pass 0 for all nodes
+    (in a seeded shuffled order), then pass 1, ...
     """
     if walk_len < 1 or walks_per_node < 1:
         raise ValueError("walk_len and walks_per_node must be >= 1")
     n = graph.n
-    per_node: list[list[np.ndarray]] = []
+    steps = np.empty((n, walks_per_node, walk_len - 1), dtype=np.float64)
     for v in range(n):
-        rng = substream(seed, "walks", v)
-        walks_v = []
-        for _ in range(walks_per_node):
-            steps = rng.random(walk_len - 1)
-            walk = [v]
-            cur = v
-            for u in steps:
-                nb = graph.neighbors(cur)
-                if len(nb) == 0:
-                    break
-                cur = int(nb[int(u * len(nb))])
-                walk.append(cur)
-            walks_v.append(np.asarray(walk, dtype=np.int64))
-        per_node.append(walks_v)
-    walks = []
-    for p in range(walks_per_node):
-        order = substream(seed, "walk-order", p).permutation(n)
-        walks.extend(per_node[v][p] for v in order)
-    return WalkCorpus(walks=walks, walk_len=walk_len, walks_per_node=walks_per_node)
+        steps[v] = substream(seed, "walks", v).random((walks_per_node, walk_len - 1))
+    starts = np.concatenate(
+        [substream(seed, "walk-order", p).permutation(n) for p in range(walks_per_node)]
+    )
+    passes = np.repeat(np.arange(walks_per_node), n)
+
+    degree = graph.deg
+    lengths = np.where(degree[starts] > 0, walk_len, 1)
+    walks = np.full((len(starts), walk_len), -1, dtype=np.int64)
+    walks[:, 0] = starts
+    moving = np.flatnonzero(lengths > 1)
+    cur = starts[moving]
+    draws = steps[cur, passes[moving]].T
+    for t, u in enumerate(draws, start=1):
+        cur = graph.col_idx[graph.row_ptr[cur] + (u * degree[cur]).astype(np.int64)]
+        walks[moving, t] = cur
+    return WalkCorpus(
+        walks=walks, lengths=lengths, walk_len=walk_len, walks_per_node=walks_per_node
+    )
 
 
 def corpus_pairs(corpus: WalkCorpus, window: int) -> np.ndarray:
-    """All (center, context) pairs within the window, as an (m, 2) array."""
-    chunks = []
-    for walk in corpus.walks:
-        L = len(walk)
-        if L < 2:
-            continue
-        for off in range(1, min(window, L - 1) + 1):
-            a, b = walk[:-off], walk[off:]
-            chunks.append(np.column_stack([a, b]))
-            chunks.append(np.column_stack([b, a]))
-    if not chunks:
+    """All (center, context) pairs within the window, as an (m, 2) array.
+
+    Walk by walk, offset by offset: the forward pairs (walk[:-off],
+    walk[off:]) and then the same pairs reversed.
+    """
+    L = corpus.walk_len
+    full = corpus.walks[corpus.lengths >= 2]
+    if len(full) == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+    offsets = range(1, min(window, L - 1) + 1)
+    per_walk = 2 * sum(L - off for off in offsets)
+    out = np.empty((len(full), per_walk, 2), dtype=np.int64)
+    pos = 0
+    for off in offsets:
+        a, b = full[:, :-off], full[:, off:]
+        for center, context in ((a, b), (b, a)):
+            out[:, pos : pos + L - off, 0] = center
+            out[:, pos : pos + L - off, 1] = context
+            pos += L - off
+    return out.reshape(-1, 2)
 
 
 def unigram_table(corpus: WalkCorpus, n: int, power: float = 0.75) -> np.ndarray:
     """Negative-sampling distribution: corpus occurrence counts ** power."""
-    counts = np.zeros(n, dtype=np.float64)
-    for walk in corpus.walks:
-        np.add.at(counts, walk, 1.0)
+    nodes = corpus.walks[corpus.walks >= 0]
+    counts = np.bincount(nodes, minlength=n).astype(np.float64)
     weights = counts**power
     total = weights.sum()
     if total == 0:
@@ -126,22 +142,22 @@ def train_skipgram(
     lr: float,
     seed: int,
     batch_size: int = 4096,
-    workers: int = 1,
     return_trace: bool = False,
 ):
     """Train skip-gram embeddings with negative sampling over the corpus.
 
     Minibatched SGD with a linearly decaying learning rate; deterministic
-    given the seed when workers == 1. With workers > 1 batches are applied
-    concurrently without ordering guarantees (no determinism). Returns the
-    input embeddings; with return_trace=True also returns a dict holding the
-    discarded output embeddings and loss before/after training on a fixed
-    evaluation sample.
+    given the seed. Returns the input embeddings; with return_trace=True also
+    returns a dict holding the discarded output embeddings and the loss
+    before/after training on a fixed evaluation sample, which is only drawn
+    and scored when the trace is asked for.
     """
     if dim < 1 or window < 1 or neg_samples < 1:
         raise ValueError("dim, window, and neg_samples must be >= 1")
-    if not corpus.walks:
+    if len(corpus.lengths) == 0:
         raise ValueError("empty corpus")
+    if corpus.walks.max() >= n:
+        raise ValueError(f"corpus holds node ids >= n ({n})")
     # batched updates accumulate every pair that touches a node; keep the
     # per-node step bounded by sizing batches relative to the vocabulary
     batch_size = max(64, min(batch_size, 4 * n))
@@ -155,68 +171,96 @@ def train_skipgram(
         cdf = np.cumsum(noise)
         cdf[-1] = 1.0
 
-        eval_rng = substream(seed, "sgns-eval")
-        m_eval = min(len(pairs), 20000)
-        eval_neg = _sample_negatives(eval_rng, cdf, (m_eval, neg_samples))
-        trace["initial_loss"] = _pair_loss(
-            emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg
-        )
+        if return_trace:
+            # the evaluation sample has its own substream, so skipping it
+            # leaves every other draw, and the embeddings, unchanged
+            eval_rng = substream(seed, "sgns-eval")
+            m_eval = min(len(pairs), 20000)
+            eval_neg = _sample_negatives(eval_rng, cdf, (m_eval, neg_samples))
+            trace["initial_loss"] = _pair_loss(
+                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg
+            )
 
         n_batches_per_epoch = (len(pairs) + batch_size - 1) // batch_size
         total_batches = max(1, epochs * n_batches_per_epoch)
+        work = _batch_workspace(batch_size, neg_samples, dim)
         done = 0
         for epoch in range(epochs):
             order = substream(seed, "sgns-order", epoch).permutation(len(pairs))
             neg_rng = substream(seed, "sgns-neg", epoch)
-            batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
-            rates = [
-                max(lr * (1.0 - (done + j) / total_batches), lr * 1e-3)
-                for j in range(len(batches))
-            ]
-            done += len(batches)
-            if workers <= 1:
-                for batch, rate in zip(batches, rates):
-                    negs = _sample_negatives(neg_rng, cdf, (len(batch), neg_samples))
-                    _apply_batch(emb_in, emb_out, pairs[batch], negs, rate)
-            else:
-                negs_all = [
-                    _sample_negatives(neg_rng, cdf, (len(b), neg_samples)) for b in batches
-                ]
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(
-                        pool.map(
-                            lambda bnr: _apply_batch(emb_in, emb_out, pairs[bnr[0]], bnr[1], bnr[2]),
-                            zip(batches, negs_all, rates),
-                        )
-                    )
+            for j, i in enumerate(range(0, len(order), batch_size)):
+                batch = order[i : i + batch_size]
+                rate = max(lr * (1.0 - (done + j) / total_batches), lr * 1e-3)
+                negs = _sample_negatives(neg_rng, cdf, (len(batch), neg_samples))
+                _apply_batch(emb_in, emb_out, pairs[batch], negs, rate, work)
+            done += n_batches_per_epoch
 
-        trace["final_loss"] = _pair_loss(
-            emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg
-        )
+        if return_trace:
+            trace["final_loss"] = _pair_loss(
+                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg
+            )
     trace["emb_out"] = emb_out
     trace["n_pairs"] = int(len(pairs))
     embedding = PositionalEmbedding(vectors=emb_in, dim=dim)
     return (embedding, trace) if return_trace else embedding
 
 
-def _apply_batch(emb_in, emb_out, batch_pairs, negatives, lr):
+def _batch_workspace(batch_size, neg_samples, dim):
+    """Buffers for every batch-sized array of _apply_batch, made once.
+
+    Fresh arrays of these sizes on each batch may be mapped and unmapped by
+    the allocator every time, a page fault per page; whether they are
+    depends on malloc's heuristics and on what ran before.
+    """
+    rows = (batch_size, dim)
+    negs = (batch_size, neg_samples, dim)
+    work = {name: np.empty(rows) for name in ("vc", "ux", "grad_vc", "grad_ux", "neg_sum")}
+    work.update(uz=np.empty(negs), grad_uz=np.empty(negs))
+    work["idx"] = np.empty((batch_size * neg_samples, dim), dtype=np.int64)
+    return work
+
+
+def _scatter_add(table, rows, updates, idx):
+    """table[rows[i]] += updates[i] for each i in order, as one flat np.add.at.
+
+    Every cell receives its updates in the same order as a 2-D
+    np.add.at(table, rows, updates), so the sums are bit-identical; a
+    bincount would sum in a different order and is not. ``idx`` is a
+    (len(rows), d) int64 buffer for the flat cell indices.
+    """
+    d = table.shape[1]
+    np.multiply(rows[:, None], d, out=idx)
+    idx += np.arange(d)
+    np.add.at(table.reshape(-1), idx.reshape(-1), updates.reshape(-1))
+
+
+def _apply_batch(emb_in, emb_out, batch_pairs, negatives, lr, work):
+    m = len(negatives)
+    w = {name: buf[:m] for name, buf in work.items()}
     c = batch_pairs[:, 0]
     x = batch_pairs[:, 1]
-    vc = emb_in[c]
-    ux = emb_out[x]
-    uz = emb_out[negatives]
+    # mode="clip" lets take write straight into its buffer; it never clips,
+    # since train_skipgram checks that every node id is below n
+    vc = np.take(emb_in, c, axis=0, out=w["vc"], mode="clip")
+    ux = np.take(emb_out, x, axis=0, out=w["ux"], mode="clip")
+    uz = np.take(emb_out, negatives, axis=0, out=w["uz"], mode="clip")
 
     s_pos = _sigmoid(np.einsum("ij,ij->i", vc, ux))
     s_neg = _sigmoid(np.einsum("ij,ikj->ik", vc, uz))
 
     g_pos = s_pos - 1.0
-    grad_vc = g_pos[:, None] * ux + np.einsum("ik,ikj->ij", s_neg, uz)
-    grad_ux = g_pos[:, None] * vc
-    grad_uz = s_neg[:, :, None] * vc[:, None, :]
+    grad_vc = np.multiply(g_pos[:, None], ux, out=w["grad_vc"])
+    grad_vc += np.einsum("ik,ikj->ij", s_neg, uz, out=w["neg_sum"])
+    grad_ux = np.multiply(g_pos[:, None], vc, out=w["grad_ux"])
+    grad_uz = np.multiply(s_neg[:, :, None], vc[:, None, :], out=w["grad_uz"])
 
-    np.add.at(emb_in, c, -lr * grad_vc)
-    np.add.at(emb_out, x, -lr * grad_ux)
-    np.add.at(emb_out, negatives.ravel(), -lr * grad_uz.reshape(-1, emb_out.shape[1]))
+    # scale in place, so the gradients stay in their buffers
+    for grad in (grad_vc, grad_ux, grad_uz):
+        np.multiply(grad, -lr, out=grad)
+    idx = work["idx"]
+    _scatter_add(emb_in, c, grad_vc, idx[:m])
+    _scatter_add(emb_out, x, grad_ux, idx[:m])
+    _scatter_add(emb_out, negatives.ravel(), grad_uz, idx[: negatives.size])
 
 
 def positional_distinguishability(graph: Graph, emb: PositionalEmbedding, u: int, v: int) -> float:

@@ -13,7 +13,16 @@ from gnn_multifix import (
     save_embedding_csv,
     train_skipgram,
 )
-from gnn_multifix.positional import corpus_pairs, initial_embedding
+from gnn_multifix.positional import (
+    WalkCorpus,
+    _apply_batch,
+    _batch_workspace,
+    _sigmoid,
+    corpus_pairs,
+    initial_embedding,
+    unigram_table,
+)
+from gnn_multifix.rng import substream
 
 from conftest import build_random_graph
 
@@ -22,16 +31,21 @@ def clique_edges(nodes):
     return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
 
 
+def walk_lists(corpus):
+    """Each walk of the corpus as a list, without its padding."""
+    return [row[:length].tolist() for row, length in zip(corpus.walks, corpus.lengths)]
+
+
 def test_isolated_node_walk_has_length_one():
     g = Graph.from_edges(1, [])
     corpus = generate_walks(g, walk_len=10, walks_per_node=1, seed=0)
-    assert [w.tolist() for w in corpus.walks] == [[0]]
+    assert walk_lists(corpus) == [[0]]
 
 
 def test_path_walk_is_forced():
     g = Graph.from_edges(2, [(0, 1)])
     corpus = generate_walks(g, walk_len=3, walks_per_node=1, seed=0)
-    by_start = {w[0]: w.tolist() for w in corpus.walks}
+    by_start = {w[0]: w for w in walk_lists(corpus)}
     assert by_start[0] == [0, 1, 0]
     assert by_start[1] == [1, 0, 1]
 
@@ -39,7 +53,7 @@ def test_path_walk_is_forced():
 def test_triangle_second_step_is_uniform():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     corpus = generate_walks(g, walk_len=2, walks_per_node=10_000, seed=3)
-    seconds = [int(w[1]) for w in corpus.walks if w[0] == 0]
+    seconds = corpus.walks[corpus.walks[:, 0] == 0, 1].tolist()
     freq = collections.Counter(seconds)
     assert len(seconds) == 10_000
     for nxt in (1, 2):
@@ -54,7 +68,7 @@ def test_walk_steps_are_edges(seed):
     g = build_random_graph(n, 2 * n, seed)
     corpus = generate_walks(g, walk_len=8, walks_per_node=2, seed=seed)
     assert len(corpus.walks) == 2 * n
-    for walk in corpus.walks:
+    for walk in walk_lists(corpus):
         for a, b in zip(walk[:-1], walk[1:]):
             assert g.has_edge(int(a), int(b))
 
@@ -63,17 +77,24 @@ def test_walks_and_embeddings_are_deterministic():
     g = build_random_graph(20, 50, seed=4)
     c1 = generate_walks(g, 10, 5, seed=9)
     c2 = generate_walks(g, 10, 5, seed=9)
-    assert all(np.array_equal(a, b) for a, b in zip(c1.walks, c2.walks))
+    assert np.array_equal(c1.walks, c2.walks)
+    assert np.array_equal(c1.lengths, c2.lengths)
     e1 = train_skipgram(c1, 20, 8, 5, 5, 2, 0.025, seed=9)
     e2 = train_skipgram(c2, 20, 8, 5, 5, 2, 0.025, seed=9)
     assert np.array_equal(e1.vectors, e2.vectors)
 
 
 def test_empty_corpus_rejected():
-    from gnn_multifix.positional import WalkCorpus
-
+    empty = WalkCorpus(np.empty((0, 10), dtype=np.int64), np.empty(0, dtype=np.int64), 10, 1)
     with pytest.raises(ValueError):
-        train_skipgram(WalkCorpus([], 10, 1), 5, 8, 5, 5, 1, 0.025, seed=0)
+        train_skipgram(empty, 5, 8, 5, 5, 1, 0.025, seed=0)
+
+
+def test_corpus_with_nodes_beyond_n_rejected():
+    g = build_random_graph(6, 12, seed=1)
+    corpus = generate_walks(g, walk_len=4, walks_per_node=1, seed=1)
+    with pytest.raises(ValueError):
+        train_skipgram(corpus, 3, 8, 5, 5, 1, 0.025, seed=1)
 
 
 def test_single_length_one_walk_keeps_initialization():
@@ -173,3 +194,114 @@ def test_embedding_csv_round_trip(tmp_path):
     back = load_embedding_csv(path)
     assert back.dim == emb.dim
     assert np.array_equal(back.vectors, emb.vectors)
+
+
+# Reference implementations: the per-walk walker and the row-wise 2-D
+# np.add.at scatter that the array corpus and the flat scatter replace.
+# The package must reproduce them bit for bit.
+
+
+def reference_walks(graph, walk_len, walks_per_node, seed):
+    per_node = []
+    for v in range(graph.n):
+        rng = substream(seed, "walks", v)
+        walks_v = []
+        for _ in range(walks_per_node):
+            steps = rng.random(walk_len - 1)
+            walk = [v]
+            cur = v
+            for u in steps:
+                nb = graph.neighbors(cur)
+                if len(nb) == 0:
+                    break
+                cur = int(nb[int(u * len(nb))])
+                walk.append(cur)
+            walks_v.append(np.asarray(walk, dtype=np.int64))
+        per_node.append(walks_v)
+    walks = []
+    for p in range(walks_per_node):
+        order = substream(seed, "walk-order", p).permutation(graph.n)
+        walks.extend(per_node[v][p] for v in order)
+    return walks
+
+
+def reference_pairs(walks, window):
+    chunks = []
+    for walk in walks:
+        L = len(walk)
+        if L < 2:
+            continue
+        for off in range(1, min(window, L - 1) + 1):
+            a, b = walk[:-off], walk[off:]
+            chunks.append(np.column_stack([a, b]))
+            chunks.append(np.column_stack([b, a]))
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.concatenate(chunks)
+
+
+def reference_unigram(walks, n, power=0.75):
+    counts = np.zeros(n, dtype=np.float64)
+    for walk in walks:
+        np.add.at(counts, walk, 1.0)
+    weights = counts**power
+    return weights / weights.sum()
+
+
+def reference_apply_batch(emb_in, emb_out, batch_pairs, negatives, lr):
+    c = batch_pairs[:, 0]
+    x = batch_pairs[:, 1]
+    vc = emb_in[c]
+    ux = emb_out[x]
+    uz = emb_out[negatives]
+
+    s_pos = _sigmoid(np.einsum("ij,ij->i", vc, ux))
+    s_neg = _sigmoid(np.einsum("ij,ikj->ik", vc, uz))
+
+    g_pos = s_pos - 1.0
+    grad_vc = g_pos[:, None] * ux + np.einsum("ik,ikj->ij", s_neg, uz)
+    grad_ux = g_pos[:, None] * vc
+    grad_uz = s_neg[:, :, None] * vc[:, None, :]
+
+    np.add.at(emb_in, c, -lr * grad_vc)
+    np.add.at(emb_out, x, -lr * grad_ux)
+    np.add.at(emb_out, negatives.ravel(), -lr * grad_uz.reshape(-1, emb_out.shape[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_walk_corpus_matches_per_walk_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    # few edges, so isolated nodes are common
+    g = build_random_graph(n, int(rng.integers(0, 2 * n)), seed)
+    walk_len = int(rng.integers(1, 9))
+    walks_per_node = int(rng.integers(1, 4))
+    corpus = generate_walks(g, walk_len, walks_per_node, seed)
+    ref = reference_walks(g, walk_len, walks_per_node, seed)
+
+    assert corpus.walks.shape == (n * walks_per_node, walk_len)
+    assert corpus.lengths.tolist() == [len(w) for w in ref]
+    assert walk_lists(corpus) == [w.tolist() for w in ref]
+    assert (corpus.walks[np.arange(walk_len) >= corpus.lengths[:, None]] == -1).all()
+    for window in (1, 3, 5):
+        assert np.array_equal(corpus_pairs(corpus, window), reference_pairs(ref, window))
+    assert np.array_equal(unigram_table(corpus, n), reference_unigram(ref, n))
+
+
+def test_batch_update_matches_row_wise_scatter():
+    # a 7-node vocabulary, so every row takes many updates per batch and
+    # the order in which they are summed shows in the bits
+    n, dim, k, batch_size = 7, 8, 5, 64
+    rng = np.random.default_rng(5)
+    emb_in = (rng.random((n, dim)) - 0.5) / dim
+    emb_out = rng.random((n, dim)) * 0.1
+    ref_in, ref_out = emb_in.copy(), emb_out.copy()
+    work = _batch_workspace(batch_size, k, dim)
+    for m, lr in ((64, 0.025), (64, 0.02), (23, 0.015), (64, 0.01)):
+        pairs = rng.integers(0, n, (m, 2))
+        negs = rng.integers(0, n, (m, k))
+        _apply_batch(emb_in, emb_out, pairs, negs, lr, work)
+        reference_apply_batch(ref_in, ref_out, pairs, negs, lr)
+    assert np.array_equal(emb_in, ref_in)
+    assert np.array_equal(emb_out, ref_out)
