@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from gnn_multifix import ModelConfig, evaluate, generate_position_benchmark, predict, train
+from gnn_multifix import (
+    ModelConfig,
+    compute_representations,
+    evaluate,
+    generate_position_benchmark,
+    predict,
+    train,
+)
 
 
 ABLATIONS = {
@@ -46,8 +53,9 @@ def main():
         aps = []
         for seed in args.seeds:
             cfg = replace(base, seed=seed, **flags)
-            model, _, _ = train(dataset, cfg)
-            aps.append(evaluate(predict(model, dataset), dataset, "test").ap_samples)
+            reps = compute_representations(dataset, cfg)
+            model, _, _ = train(dataset, cfg, reps=reps)
+            aps.append(evaluate(predict(model, dataset, reps=reps), dataset, "test").ap_samples)
         results[name] = {"mean": float(np.mean(aps)), "std": float(np.std(aps))}
         print(f"{name:>8} {results[name]['mean']:>10.3f}")
     (out_dir / "ablation.json").write_text(json.dumps(results, indent=2))

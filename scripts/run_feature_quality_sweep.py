@@ -16,7 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from gnn_multifix import ModelConfig, evaluate, generate_dataset, make_splits, mlp_baseline, predict, train
+from gnn_multifix import (
+    ModelConfig,
+    compute_representations,
+    evaluate,
+    generate_dataset,
+    make_splits,
+    mlp_baseline,
+    predict,
+    train,
+)
 from gnn_multifix.synthgen import SynthSpec
 
 
@@ -41,8 +50,9 @@ def main():
             ds = make_splits(dataset, 0.6, 0.2, seed)
             cfg = replace(base, seed=seed)
             mlp_aps.append(evaluate(mlp_baseline(ds, cfg).probs, ds, "test").ap_samples)
-            model, _, _ = train(ds, cfg)
-            model_aps.append(evaluate(predict(model, ds), ds, "test").ap_samples)
+            reps = compute_representations(ds, cfg)
+            model, _, _ = train(ds, cfg, reps=reps)
+            model_aps.append(evaluate(predict(model, ds, reps=reps), ds, "test").ap_samples)
         record = {
             "r_ori_feat": r,
             "mlp": {"mean": float(np.mean(mlp_aps)), "std": float(np.std(mlp_aps))},

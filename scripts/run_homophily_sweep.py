@@ -17,6 +17,7 @@ import numpy as np
 
 from gnn_multifix import (
     ModelConfig,
+    compute_representations,
     evaluate,
     generate_dataset,
     majority_vote,
@@ -36,8 +37,9 @@ def run_level(target, n, variant, seeds, out_dir):
         rows["majority_vote"].append(evaluate(majority_vote(ds).probs, ds, "test").ap_samples)
         cfg = ModelConfig(variant=variant, hidden_dim=64, pe_dim=32, max_epochs=400,
                           patience=60, walks_per_node=5, pe_epochs=3, seed=seed)
-        model, _, _ = train(ds, cfg)
-        rows["model"].append(evaluate(predict(model, ds), ds, "test").ap_samples)
+        reps = compute_representations(ds, cfg)
+        model, _, _ = train(ds, cfg, reps=reps)
+        rows["model"].append(evaluate(predict(model, ds, reps=reps), ds, "test").ap_samples)
     record = {
         "target_homophily": target,
         "achieved_homophily": meta["achieved_homophily"],

@@ -46,7 +46,9 @@ from .io import load_dataset, read_probability_csv, save_dataset, write_probabil
 from .model import (
     ModelConfig,
     MultiFixModel,
+    Representations,
     bce_loss,
+    compute_representations,
     export_fusion_weights,
     forward,
     load_model,
@@ -67,7 +69,6 @@ from .positional import (
 from .propagation import (
     FeatureRep,
     LabelRep,
-    dense_propagation_oracle,
     init_label_matrix,
     propagate_features,
     propagate_labels,
@@ -93,6 +94,7 @@ __all__ = [
     "ModelConfig",
     "MultiFixModel",
     "PositionalEmbedding",
+    "Representations",
     "SparseMatrix",
     "SynthSpec",
     "WalkCorpus",
@@ -101,8 +103,8 @@ __all__ = [
     "bce_loss",
     "checkpoint_epochs",
     "clustering_coefficient",
+    "compute_representations",
     "deepwalk_baseline",
-    "dense_propagation_oracle",
     "evaluate",
     "export_dynamics",
     "export_fusion_weights",

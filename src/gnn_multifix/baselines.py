@@ -67,13 +67,14 @@ def majority_vote(dataset: Dataset) -> BaselineOutput:
 def mlp_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
     """Feature-only classifier: the readout trained on raw X (K = 0)."""
     cfg = replace(config, enable_fr=True, enable_lr=False, enable_pe=False, K=0)
-    model, _, _ = train(dataset, cfg)
-    return BaselineOutput(probs=predict(model, dataset), method="mlp")
+    reps = compute_representations(dataset, cfg)
+    model, _, _ = train(dataset, cfg, reps=reps)
+    return BaselineOutput(probs=predict(model, dataset, reps=reps), method="mlp")
 
 
 def deepwalk_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
     """Structure-only classifier: the readout trained on walk embeddings."""
     cfg = replace(config, enable_fr=False, enable_lr=False, enable_pe=True)
-    _, _, pe, _ = compute_representations(dataset, cfg)
-    model, _, _ = train(dataset, cfg, pe=pe)
-    return BaselineOutput(probs=predict(model, dataset, pe=pe), method="deepwalk")
+    reps = compute_representations(dataset, cfg)
+    model, _, _ = train(dataset, cfg, reps=reps)
+    return BaselineOutput(probs=predict(model, dataset, reps=reps), method="deepwalk")

@@ -155,19 +155,19 @@ def _split_for_run(dataset, cfg, seed):
     return make_splits(dataset, cfg["train_frac"], cfg["val_frac"], seed)
 
 
-def _cached_embedding(cfg, dataset, run_cfg, split_index):
-    """Walk embedding for one split, cached under cfg['pe_cache'] if set."""
-    if not run_cfg.enable_pe:
-        return None
-    cache_dir = cfg.get("pe_cache")
+def _split_representations(cfg, dataset, run_cfg, split_index):
+    """Representations for one split.
+
+    The walk embedding is cached under cfg['pe_cache'] if that is set.
+    """
+    cache_dir = cfg.get("pe_cache") if run_cfg.enable_pe else None
     cache = Path(cache_dir) / f"embedding_split_{split_index}.csv" if cache_dir else None
-    if cache is not None and cache.exists():
-        return load_embedding_csv(cache)
-    _, _, pe, _ = compute_representations(dataset, run_cfg)
-    if cache is not None:
+    cached = load_embedding_csv(cache) if cache is not None and cache.exists() else None
+    reps = compute_representations(dataset, run_cfg, pe=cached)
+    if cache is not None and cached is None:
         cache.parent.mkdir(parents=True, exist_ok=True)
-        save_embedding_csv(pe, cache)
-    return pe
+        save_embedding_csv(reps.pe, cache)
+    return reps
 
 
 def cmd_train(cfg) -> int:
@@ -183,14 +183,14 @@ def cmd_train(cfg) -> int:
         run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
         ds = _split_for_run(dataset, cfg, seed)
         try:
-            pe = _cached_embedding(cfg, ds, run_cfg, i)
+            reps = _split_representations(cfg, ds, run_cfg, i)
             model, log, best_val_ap = train(
-                ds, run_cfg, pe=pe, metrics_path=split_dir / "metrics.jsonl"
+                ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl"
             )
         except TrainingDivergedError as err:
             print(f"split {i}: {err}", file=sys.stderr)
             return 1
-        probs = predict(model, ds, pe=pe)
+        probs = predict(model, ds, reps=reps)
         report = {
             "best_val_ap": best_val_ap,
             "val": evaluate(probs, ds, "val").to_dict(),

@@ -53,6 +53,25 @@ def _binary_ap(scores: np.ndarray, truth: np.ndarray) -> float | None:
     return float(precision_at_hits.mean())
 
 
+def _row_aps(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """:func:`_binary_ap` of every row with a positive, in row order.
+
+    Bit-identical to calling it row by row: each row is ranked by the same
+    stable argsort, and the rows with p positives are averaged as one
+    C-contiguous (rows, p) array, whose row means sum like the 1-D mean of
+    a single row.
+    """
+    order = np.argsort(-scores, axis=1, kind="stable")
+    hits = np.take_along_axis(truth, order, axis=1).astype(bool)
+    n_pos = hits.sum(axis=1)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, scores.shape[1] + 1)
+    aps = np.empty(len(scores))
+    for p in np.unique(n_pos[n_pos > 0]):
+        rows = np.flatnonzero(n_pos == p)
+        aps[rows] = precision[rows][hits[rows]].reshape(len(rows), p).mean(axis=1)
+    return aps[n_pos > 0]
+
+
 def average_precision(scores: np.ndarray, truth: np.ndarray, mode: str = "samples") -> float:
     """AP over an (m, C) score matrix against binary truth.
 
@@ -76,9 +95,8 @@ def average_precision(scores: np.ndarray, truth: np.ndarray, mode: str = "sample
             raise UndefinedMetricError("macro AP undefined: no label has a positive")
         return float(np.mean(vals))
     if mode == "samples":
-        per_row = [_binary_ap(scores[i], truth[i]) for i in range(scores.shape[0])]
-        vals = [a for a in per_row if a is not None]
-        if not vals:
+        vals = _row_aps(scores, truth)
+        if len(vals) == 0:
             raise UndefinedMetricError("samples AP undefined: no row has a positive")
         return float(np.mean(vals))
     raise ValueError(f"unknown AP mode {mode!r}")

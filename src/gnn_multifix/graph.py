@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ShapeError, UndefinedMetricError
 from .rng import substream
 
+# byte cap on the nnz x block temporary of SparseMatrix.matmul_dense
+_MATMUL_TMP_BYTES = 2 << 20
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -112,14 +115,19 @@ class SparseMatrix:
             raise ShapeError(f"operand has {X.shape[0]} rows, expected {self.cols}")
         out = np.zeros((self.rows, X.shape[1]), dtype=np.float64)
         if self.nnz:
-            contrib = self.values[:, None] * X[self.col_idx]
             counts = np.diff(self.row_ptr)
-            if np.all(counts > 0):
-                out[:] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=0)
-            else:
-                # reduceat cannot express empty segments; scatter-add instead
-                rows = np.repeat(np.arange(self.rows), counts)
-                np.add.at(out, rows, contrib)
+            # reduceat cannot express empty segments; scatter-add instead
+            rows = None if np.all(counts > 0) else np.repeat(np.arange(self.rows), counts)
+            # column blocks keep the nnz x block products under the byte cap;
+            # every output cell still sums its products in row-pointer order
+            width = max(1, _MATMUL_TMP_BYTES // (8 * self.nnz))
+            for j in range(0, X.shape[1], width):
+                block = slice(j, j + width)
+                contrib = self.values[:, None] * X[self.col_idx, block]
+                if rows is None:
+                    out[:, block] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=0)
+                else:
+                    np.add.at(out[:, block], rows, contrib)
         return out[:, 0] if squeeze else out
 
     def to_dense(self) -> np.ndarray:
@@ -243,17 +251,12 @@ def substitute_features(dataset: Dataset, policy: str) -> Dataset:
 def _with_self_loops(graph: Graph):
     """Column indices of A+I, row by row (neighbors plus the node itself)."""
     n = graph.n
-    counts = graph.deg + 1
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    row_ptr[1:] = np.cumsum(counts)
-    col = np.empty(row_ptr[-1], dtype=np.int64)
-    for v in range(n):
-        nb = graph.neighbors(v)
-        i = int(np.searchsorted(nb, v))
-        s = row_ptr[v]
-        col[s : s + i] = nb[:i]
-        col[s + i] = v
-        col[s + i + 1 : s + len(nb) + 1] = nb[i:]
+    row_ptr[1:] = np.cumsum(graph.deg + 1)
+    nodes = np.arange(n)
+    rows = np.concatenate([np.repeat(nodes, graph.deg), nodes])
+    cols = np.concatenate([graph.col_idx, nodes])
+    col = cols[np.lexsort((cols, rows))]
     return row_ptr, col
 
 

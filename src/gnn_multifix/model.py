@@ -12,13 +12,20 @@ readout trained with binary cross entropy. Variants:
   mlp3    as mlp1 but with a three-layer ReLU readout.
 
 Disabled blocks are absent from the concatenation (the readout narrows).
+
+The representations are fitted once per dataset split by
+:func:`compute_representations` into a frozen :class:`Representations`
+value, which :func:`train` and :func:`predict` both take. Within training,
+everything that does not depend on trainable parameters is built once, and
+each epoch runs one readout: the post-step probabilities of epoch t are the
+pre-step ones of epoch t+1.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,7 +42,6 @@ from .propagation import (
     FeatureRep,
     LabelRep,
     init_label_matrix,
-    padding_vector,
     propagate_features,
     propagate_labels,
 )
@@ -141,10 +147,16 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-out))
 
 
-def _assemble_input(model: MultiFixModel, H_f, H_l, pe):
-    """Concatenate enabled blocks; returns (Z, cache) for backprop."""
+def _constant_input(model: MultiFixModel, H_f, H_l, pe):
+    """Check the enabled blocks and build the parts of the input that never train.
+
+    Returns (F, blocks). F is the operand of the trainable feature transform
+    (the mlp variants with the feature block on), else None. blocks are the
+    constant blocks that follow the transform's output; when F is None they
+    are one block, the whole readout input Z.
+    """
     c = model.config
-    cache = {}
+    F = None
     blocks = []
     if c.enable_fr:
         if H_f is None:
@@ -153,13 +165,8 @@ def _assemble_input(model: MultiFixModel, H_f, H_l, pe):
         if F.shape[1] != model.feature_dim:
             raise ShapeError(f"feature width {F.shape[1]} != model feature_dim {model.feature_dim}")
         if c.variant == "linear":
-            B = F @ model.frozen["feat_proj"]
-        else:
-            pre = F @ model.params["ft_W"] + model.params["ft_b"]
-            B = np.maximum(pre, 0.0)
-            cache["ft_in"] = F
-            cache["ft_mask"] = pre > 0
-        blocks.append(B)
+            blocks.append(F @ model.frozen["feat_proj"])
+            F = None
     if c.enable_lr:
         if H_l is None:
             raise ShapeError("label block enabled but no label representation given")
@@ -175,16 +182,30 @@ def _assemble_input(model: MultiFixModel, H_f, H_l, pe):
             raise ShapeError(f"embedding width {P.shape[1]} != pe_dim {c.pe_dim}")
         blocks.append(P)
     ns = {b.shape[0] for b in blocks}
+    if F is not None:
+        ns.add(F.shape[0])
     if len(ns) != 1:
         raise ShapeError(f"enabled blocks disagree on node count: {sorted(ns)}")
-    Z = np.hstack(blocks)
-    return Z, cache
+    if F is None:
+        return None, [np.hstack(blocks)]
+    return F, blocks
 
 
-def _readout(model: MultiFixModel, Z):
-    """Logits of the readout stack; returns (logits, cache)."""
+def _assemble_input(model: MultiFixModel, const):
+    """The readout input Z from the constant parts; returns (Z, cache) for backprop."""
+    F, blocks = const
+    if F is None:
+        return blocks[0], {}
+    pre = F @ model.params["ft_W"] + model.params["ft_b"]
+    B = np.maximum(pre, 0.0)
+    return np.hstack([B, *blocks]), {"ft_in": F, "ft_mask": pre > 0}
+
+
+def _readout(model: MultiFixModel, const):
+    """One pass from the constant input to the logits; returns (logits, cache)."""
+    Z, cache = _assemble_input(model, const)
     p = model.params
-    cache = {"Z": Z}
+    cache["Z"] = Z
     if model.config.variant == "mlp3":
         pre1 = Z @ p["hid1_W"] + p["hid1_b"]
         a1 = np.maximum(pre1, 0.0)
@@ -197,10 +218,44 @@ def _readout(model: MultiFixModel, Z):
     return logits, cache
 
 
+def _backward(model: MultiFixModel, cache, probs, truth, node_mask, n_masked):
+    """Gradients of the mean masked BCE for every trainable parameter.
+
+    probs is the unclipped sigmoid of the logits that ``cache`` came with.
+    """
+    d_logits = np.zeros_like(probs)
+    d_logits[node_mask] = (probs[node_mask] - truth[node_mask]) / n_masked
+
+    grads = {}
+    p = model.params
+    Z = cache["Z"]
+    if model.config.variant == "mlp3":
+        a2, a1 = cache["a2"], cache["a1"]
+        grads["out_W"] = a2.T @ d_logits
+        grads["out_b"] = d_logits.sum(axis=0)
+        d_a2 = (d_logits @ p["out_W"].T) * cache["m2"]
+        grads["hid2_W"] = a1.T @ d_a2
+        grads["hid2_b"] = d_a2.sum(axis=0)
+        d_a1 = (d_a2 @ p["hid2_W"].T) * cache["m1"]
+        grads["hid1_W"] = Z.T @ d_a1
+        grads["hid1_b"] = d_a1.sum(axis=0)
+        d_Z = d_a1 @ p["hid1_W"].T
+    else:
+        grads["out_W"] = Z.T @ d_logits
+        grads["out_b"] = d_logits.sum(axis=0)
+        d_Z = d_logits @ p["out_W"].T
+
+    if "ft_in" in cache:
+        width = model.config.hidden_dim
+        d_B = d_Z[:, :width] * cache["ft_mask"]
+        grads["ft_W"] = cache["ft_in"].T @ d_B
+        grads["ft_b"] = d_B.sum(axis=0)
+    return grads
+
+
 def forward(model: MultiFixModel, H_f=None, H_l=None, pe=None) -> np.ndarray:
     """Full-graph label probabilities, clamped inside (0, 1)."""
-    Z, _ = _assemble_input(model, H_f, H_l, pe)
-    logits, _ = _readout(model, Z)
+    logits, _ = _readout(model, _constant_input(model, H_f, H_l, pe))
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -231,44 +286,19 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
     the analytic gradient of the full objective. With weight_decay > 0 the
     objective includes 0.5 * wd * ||W||^2 over weight matrices (not biases),
     so the gradients can be checked against finite differences directly.
+    The readout and the backward pass are the ones :func:`train` runs.
     """
     truth = np.asarray(truth, dtype=np.float64)
     node_mask = np.asarray(node_mask, dtype=bool)
     n_masked = int(node_mask.sum())
     if n_masked == 0:
         raise ValueError("node mask selects no rows")
-    Z, in_cache = _assemble_input(model, H_f, H_l, pe)
-    logits, ro_cache = _readout(model, Z)
+    logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe))
     probs = _sigmoid(logits)
     loss, _ = bce_loss(probs, truth, node_mask)
+    grads = _backward(model, cache, probs, truth, node_mask, n_masked)
 
-    d_logits = np.zeros_like(logits)
-    d_logits[node_mask] = (probs[node_mask] - truth[node_mask]) / n_masked
-
-    grads = {}
     p = model.params
-    if model.config.variant == "mlp3":
-        a2, a1 = ro_cache["a2"], ro_cache["a1"]
-        grads["out_W"] = a2.T @ d_logits
-        grads["out_b"] = d_logits.sum(axis=0)
-        d_a2 = (d_logits @ p["out_W"].T) * ro_cache["m2"]
-        grads["hid2_W"] = a1.T @ d_a2
-        grads["hid2_b"] = d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ p["hid2_W"].T) * ro_cache["m1"]
-        grads["hid1_W"] = Z.T @ d_a1
-        grads["hid1_b"] = d_a1.sum(axis=0)
-        d_Z = d_a1 @ p["hid1_W"].T
-    else:
-        grads["out_W"] = Z.T @ d_logits
-        grads["out_b"] = d_logits.sum(axis=0)
-        d_Z = d_logits @ p["out_W"].T
-
-    if model.config.enable_fr and model.config.variant != "linear":
-        width = model.config.hidden_dim
-        d_B = d_Z[:, :width] * in_cache["ft_mask"]
-        grads["ft_W"] = in_cache["ft_in"].T @ d_B
-        grads["ft_b"] = d_B.sum(axis=0)
-
     if weight_decay > 0.0:
         for k in p:
             if k.endswith("_W"):
@@ -301,10 +331,23 @@ class AdamState:
                 params[k] -= self.lr * self.weight_decay * params[k]
 
 
-def compute_representations(dataset: Dataset, config: ModelConfig, pe=None):
-    """Precompute the enabled representations for a dataset.
+@dataclass(frozen=True)
+class Representations:
+    """The fitted inputs of the readout for one dataset split.
 
-    Returns (H_f, H_l, pe, feature_dim); disabled blocks come back as None.
+    Disabled blocks are None; feature_dim is the width of the (substituted)
+    raw features, 0 when the feature block is off.
+    """
+
+    H_f: FeatureRep | None
+    H_l: LabelRep | None
+    pe: PositionalEmbedding | None
+    feature_dim: int
+
+
+def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> Representations:
+    """Fit the enabled representations for a dataset, once per split.
+
     The walk embedding is retrained deterministically from config.seed
     unless one is passed in (e.g. cached from a previous run).
     """
@@ -321,7 +364,6 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None):
     if config.enable_lr:
         H0 = init_label_matrix(dataset, config.padding)
         H_l = propagate_labels(adj, H0, config.N)
-        H_l = replace(H_l, padding=padding_vector(dataset.n_labels, config.padding))
     if config.enable_pe:
         if pe is None:
             corpus = generate_walks(
@@ -339,17 +381,21 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None):
             )
     else:
         pe = None
-    return H_f, H_l, pe, feature_dim
+    return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim)
 
 
-def train(dataset: Dataset, config: ModelConfig, pe=None, metrics_path=None):
+def train(dataset: Dataset, config: ModelConfig, reps=None, metrics_path=None):
     """Train the readout (and feature transform) on the train-node BCE.
 
-    Representations are precomputed once. Early stopping tracks the
-    validation samples-AP with the configured patience and the returned
-    model carries the weights of the best validation epoch. Per-node train
-    losses are recorded every epoch and subsampled into the returned
-    DynamicsLog (exactly 30 checkpoints for runs of >= 30 epochs).
+    ``reps`` are the split's fitted representations; they are computed with
+    :func:`compute_representations` when not given. The input blocks that do
+    not train are built once, and each epoch runs one readout, whose
+    probabilities serve both the epoch's metrics and the next epoch's
+    gradient step. Early stopping tracks the validation samples-AP with the
+    configured patience and the returned model carries the weights of the
+    best validation epoch. Per-node train losses are recorded every epoch
+    and subsampled into the returned DynamicsLog (exactly 30 checkpoints for
+    runs of >= 30 epochs).
 
     Returns (model, dynamics_log, best_val_ap).
     """
@@ -357,29 +403,38 @@ def train(dataset: Dataset, config: ModelConfig, pe=None, metrics_path=None):
         raise ValueError("no train nodes")
     if not dataset.val_mask.any():
         raise ValueError("no validation nodes (needed for early stopping)")
-    H_f, H_l, pe, feature_dim = compute_representations(dataset, config, pe)
-    model = init_model(config, dataset.n, dataset.n_labels, feature_dim)
+    if reps is None:
+        reps = compute_representations(dataset, config)
+    model = init_model(config, dataset.n, dataset.n_labels, reps.feature_dim)
     opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
+    const = _constant_input(model, reps.H_f, reps.H_l, reps.pe)
 
     truth = dataset.labels.astype(np.float64)
     train_mask, val_mask = dataset.train_mask, dataset.val_mask
+    n_train = int(train_mask.sum())
     per_epoch_losses = []
     best_ap, best_epoch, best_params = -np.inf, 0, None
     last_epoch = 0
 
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
+        # readout of the current parameters: the pre-step state of epoch 1,
+        # then after each step the post-step state of that epoch and the
+        # pre-step state of the next
+        logits, cache = _readout(model, const)
+        probs = _sigmoid(logits)
+        if not np.isfinite(bce_loss(probs, truth, train_mask)[0]):
+            raise TrainingDivergedError(1)
         for epoch in range(1, config.max_epochs + 1):
-            loss, grads = model_loss_and_grads(model, H_f, H_l, pe, truth, train_mask)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            opt.step(model.params, grads)
+            opt.step(model.params, _backward(model, cache, probs, truth, train_mask, n_train))
 
-            probs = forward(model, H_f, H_l, pe)
-            train_loss, per_node = bce_loss(probs, truth, train_mask)
+            logits, cache = _readout(model, const)
+            probs = _sigmoid(logits)
+            clamped = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+            train_loss, per_node = bce_loss(clamped, truth, train_mask)
             if not np.isfinite(train_loss):
                 raise TrainingDivergedError(epoch)
-            val_ap = average_precision(probs[val_mask], truth[val_mask], "samples")
+            val_ap = average_precision(clamped[val_mask], truth[val_mask], "samples")
             per_epoch_losses.append(per_node)
             last_epoch = epoch
             if metrics_fh:
@@ -416,25 +471,26 @@ def train(dataset: Dataset, config: ModelConfig, pe=None, metrics_path=None):
     return model, log, float(best_ap)
 
 
-def predict(model: MultiFixModel, dataset: Dataset, pe=None) -> np.ndarray:
+def predict(model: MultiFixModel, dataset: Dataset, reps=None) -> np.ndarray:
     """Transductive inference: full-graph probabilities for the dataset.
 
-    Representations are recomputed from the dataset and the model's config,
-    so a model trained on this dataset reproduces its training-time inputs.
+    ``reps`` should be the representations the model was trained on. Without
+    them they are recomputed from the dataset and the model's config, which
+    reproduces the training-time inputs of a model trained on this dataset
+    but repeats the propagation and the skip-gram training.
     """
     if dataset.n_labels != model.n_labels:
         raise CompatibilityError(
             f"model predicts {model.n_labels} labels, dataset has {dataset.n_labels}"
         )
-    if model.config.enable_fr:
-        data = substitute_features(dataset, model.config.feature_policy)
-        if data.features.shape[1] != model.feature_dim:
-            raise CompatibilityError(
-                f"model expects {model.feature_dim}-dim features, dataset provides "
-                f"{data.features.shape[1]}"
-            )
-    H_f, H_l, pe, _ = compute_representations(dataset, model.config, pe)
-    return forward(model, H_f, H_l, pe)
+    if reps is None:
+        reps = compute_representations(dataset, model.config)
+    if model.config.enable_fr and reps.feature_dim != model.feature_dim:
+        raise CompatibilityError(
+            f"model expects {model.feature_dim}-dim features, dataset provides "
+            f"{reps.feature_dim}"
+        )
+    return forward(model, reps.H_f, reps.H_l, reps.pe)
 
 
 def export_fusion_weights(model: MultiFixModel, out_path):

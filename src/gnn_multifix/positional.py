@@ -115,11 +115,20 @@ def initial_embedding(n: int, dim: int, seed: int) -> np.ndarray:
     return (rng.random((n, dim)) - 0.5) / dim
 
 
-def _pair_loss(emb_in, emb_out, centers, contexts, negatives):
-    pos = _sigmoid(np.einsum("ij,ij->i", emb_in[centers], emb_out[contexts]))
-    neg = _sigmoid(-np.einsum("ij,ikj->ik", emb_in[centers], emb_out[negatives]))
+def _pair_loss(emb_in, emb_out, centers, contexts, negatives, chunk):
+    """Mean SGNS loss of the pairs, scored ``chunk`` pairs at a time.
+
+    Chunking bounds the (chunk, neg_samples, dim) gather of the negatives.
+    """
     eps = 1e-12
-    return float(-(np.log(pos + eps).sum() + np.log(neg + eps).sum()) / len(centers))
+    total = 0.0
+    for i in range(0, len(centers), chunk):
+        part = slice(i, i + chunk)
+        vc = emb_in[centers[part]]
+        pos = _sigmoid(np.einsum("ij,ij->i", vc, emb_out[contexts[part]]))
+        neg = _sigmoid(-np.einsum("ij,ikj->ik", vc, emb_out[negatives[part]]))
+        total += np.log(pos + eps).sum() + np.log(neg + eps).sum()
+    return float(-total / len(centers))
 
 
 def _sigmoid(x):
@@ -178,7 +187,7 @@ def train_skipgram(
             m_eval = min(len(pairs), 20000)
             eval_neg = _sample_negatives(eval_rng, cdf, (m_eval, neg_samples))
             trace["initial_loss"] = _pair_loss(
-                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg
+                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg, batch_size
             )
 
         n_batches_per_epoch = (len(pairs) + batch_size - 1) // batch_size
@@ -197,7 +206,7 @@ def train_skipgram(
 
         if return_trace:
             trace["final_loss"] = _pair_loss(
-                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg
+                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg, batch_size
             )
     trace["emb_out"] = emb_out
     trace["n_pairs"] = int(len(pairs))

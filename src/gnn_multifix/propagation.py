@@ -28,11 +28,10 @@ class FeatureRep:
 
 @dataclass(frozen=True)
 class LabelRep:
-    """Propagated label matrix (n x C), its depth, and the padding row used."""
+    """Propagated label matrix (n x C) and the depth that produced it."""
 
     H_l: np.ndarray
     N: int
-    padding: np.ndarray
 
 
 def _check_operand(op: SparseMatrix, X: np.ndarray):
@@ -78,14 +77,6 @@ def init_label_matrix(dataset: Dataset, padding: str = "zero") -> np.ndarray:
     return H0
 
 
-def padding_vector(n_labels: int, padding: str) -> np.ndarray:
-    if padding == "zero":
-        return np.zeros(n_labels)
-    if padding == "uniform":
-        return np.full(n_labels, 1.0 / n_labels)
-    raise ValueError(f"unknown padding {padding!r}")
-
-
 def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int, transform="identity") -> LabelRep:
     """Apply N aggregation rounds to an initial label matrix, reset-free.
 
@@ -107,20 +98,5 @@ def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int, transform="
         H = adj_norm.matmul_dense(H)
         if step is not None:
             H = step(H)
-    return LabelRep(H_l=H, N=N, padding=np.zeros(H.shape[1]))
+    return LabelRep(H_l=H, N=N)
 
-
-def dense_propagation_oracle(P: SparseMatrix, Y_padded: np.ndarray, N: int) -> np.ndarray:
-    """Reference result P^N @ Y by dense repeated multiplication.
-
-    Independent check for the sparse propagation path: with a row-stochastic
-    P and zero rows for unlabeled nodes, every output row is a convex
-    combination of training-node label rows reachable within N hops.
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    dense = P.to_dense()
-    out = np.asarray(Y_padded, dtype=np.float64).copy()
-    for _ in range(N):
-        out = dense @ out
-    return out

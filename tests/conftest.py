@@ -4,6 +4,22 @@ import pytest
 from gnn_multifix import Graph, make_dataset, make_splits
 
 
+def dense_propagation_oracle(P, Y_padded, N):
+    """Reference result P^N @ Y by dense repeated multiplication.
+
+    Independent check for the sparse propagation path: with a row-stochastic
+    P and zero rows for unlabeled nodes, every output row is a convex
+    combination of training-node label rows reachable within N hops.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    dense = P.to_dense()
+    out = np.asarray(Y_padded, dtype=np.float64).copy()
+    for _ in range(N):
+        out = dense @ out
+    return out
+
+
 def build_random_graph(n, n_edges, seed):
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, n, size=(n_edges, 2))

@@ -15,7 +15,7 @@ from gnn_multifix import (
     ModelConfig,
     average_precision,
     clustering_coefficient,
-    dense_propagation_oracle,
+    compute_representations,
     evaluate,
     generate_dataset,
     generate_position_benchmark,
@@ -36,10 +36,10 @@ from gnn_multifix import (
     train_skipgram,
 )
 from gnn_multifix.cli import main as cli_main
-from gnn_multifix.model import compute_representations, init_model
+from gnn_multifix.model import init_model
 from gnn_multifix.synthgen import SynthSpec
 
-from conftest import build_random_graph, build_twin_path_dataset
+from conftest import build_random_graph, build_twin_path_dataset, dense_propagation_oracle
 from test_evaluation import brute_force_ap
 from test_graph import _brute_force_homophily
 
@@ -209,7 +209,7 @@ def test_criterion_05_twin_node_expressiveness():
     # (b) propagated labels split the twins: differently-labeled train
     # nodes sit inside their 1-hop neighborhoods
     cfg_lr = replace(cfg_fr, enable_lr=True, N=1)
-    _, H_l, _, _ = compute_representations(ds, cfg_lr)
+    H_l = compute_representations(ds, cfg_lr).H_l
     gap_lr = float(np.abs(H_l.H_l[1] - H_l.H_l[3]).max())
     ok_b = gap_lr > 0.01
 
@@ -275,10 +275,12 @@ def test_criterion_06c_positional_ablation_direction():
     wins = 0
     rows = []
     for seed in range(3):
-        m_full, _, _ = train(ds, replace(base, seed=seed))
-        ap_full = evaluate(predict(m_full, ds), ds, "test").ap_samples
-        m_nope, _, _ = train(ds, replace(base, seed=seed, enable_pe=False))
-        ap_nope = evaluate(predict(m_nope, ds), ds, "test").ap_samples
+        aps = []
+        for cfg in (replace(base, seed=seed), replace(base, seed=seed, enable_pe=False)):
+            reps = compute_representations(ds, cfg)
+            model, _, _ = train(ds, cfg, reps=reps)
+            aps.append(evaluate(predict(model, ds, reps=reps), ds, "test").ap_samples)
+        ap_full, ap_nope = aps
         wins += ap_full > ap_nope
         rows.append((round(ap_full, 3), round(ap_nope, 3)))
     elapsed = time.monotonic() - start
@@ -294,8 +296,10 @@ def test_criterion_07_homophily_recovery():
     for seed in range(5):
         ds, _ = generate_dataset(SynthSpec(n=1000, target_homophily=0.8, seed=seed))
         ds = make_splits(ds, 0.6, 0.2, seed)
-        model, _, _ = train(ds, replace(cfg, seed=seed))
-        recovered.append(homophily_recovery(predict(model, ds), ds.graph, 0.5))
+        run_cfg = replace(cfg, seed=seed)
+        reps = compute_representations(ds, run_cfg)
+        model, _, _ = train(ds, run_cfg, reps=reps)
+        recovered.append(homophily_recovery(predict(model, ds, reps=reps), ds.graph, 0.5))
     mean = float(np.mean(recovered))
     elapsed = time.monotonic() - start
     report(7, "thresholded predictions recover target homophily 0.8",
@@ -348,8 +352,10 @@ def test_criterion_09_real_dataset_numbers():
     aps = []
     for seed in range(3):
         split = make_splits(ds, 0.6, 0.2, seed)
-        model, _, _ = train(split, replace(cfg, seed=seed))
-        aps.append(evaluate(predict(model, split), split, "test").ap_samples)
+        run_cfg = replace(cfg, seed=seed)
+        reps = compute_representations(split, run_cfg)
+        model, _, _ = train(split, run_cfg, reps=reps)
+        aps.append(evaluate(predict(model, split, reps=reps), split, "test").ap_samples)
     mean_ap = float(np.mean(aps))
     report(9, "real-dataset statistics and model quality",
            ok_stats and mean_ap >= 0.90,

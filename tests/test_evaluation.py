@@ -15,6 +15,7 @@ from gnn_multifix import (
     make_splits,
 )
 from gnn_multifix.errors import UndefinedMetricError
+from gnn_multifix.evaluation import _binary_ap
 from gnn_multifix.graph import Graph
 
 from conftest import build_random_dataset
@@ -93,6 +94,32 @@ def test_ap_matches_brute_force(seed):
                 average_precision(scores, truth, mode)
         else:
             assert average_precision(scores, truth, mode) == pytest.approx(expected, abs=1e-12)
+
+
+def per_row_samples_ap(scores, truth):
+    """Samples-AP as a Python loop of per-row _binary_ap calls, then np.mean."""
+    vals = [_binary_ap(scores[i], truth[i]) for i in range(scores.shape[0])]
+    vals = [a for a in vals if a is not None]
+    return float(np.mean(vals)) if vals else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 100_000), many=st.booleans())
+def test_samples_ap_is_bit_identical_to_per_row_loop(seed, many):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    c = int(rng.integers(12, 41)) if many else int(rng.integers(1, 12))
+    scores = np.round(rng.random((m, c)), int(rng.integers(1, 3)))  # score ties
+    truth = (rng.random((m, c)) < (0.7 if many else 0.3)).astype(np.int8)
+    truth[rng.random(m) < 0.2] = 0  # rows without positives
+    if many:
+        truth[0, :8] = 1  # at least one row with >= 8 positives
+    expected = per_row_samples_ap(scores, truth)
+    if expected is None:
+        with pytest.raises(UndefinedMetricError):
+            average_precision(scores, truth, "samples")
+    else:
+        assert average_precision(scores, truth, "samples") == expected
 
 
 def test_ap_invariant_under_monotone_transform():

@@ -14,7 +14,9 @@ from gnn_multifix import (
     substitute_features,
     sym_norm_adjacency,
 )
+from gnn_multifix import graph as graph_module
 from gnn_multifix.errors import UndefinedMetricError
+from gnn_multifix.graph import SparseMatrix, _with_self_loops
 
 from conftest import build_random_dataset, build_random_graph
 
@@ -172,6 +174,69 @@ def test_sparse_matmul_matches_dense_with_empty_rows():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(4, 3))
     assert np.allclose(m.matmul_dense(X), m.to_dense() @ X)
+
+
+def one_block_matmul(m, X):
+    """m @ X with the whole nnz x width product built at once."""
+    out = np.zeros((m.rows, X.shape[1]))
+    contrib = m.values[:, None] * X[m.col_idx]
+    counts = np.diff(m.row_ptr)
+    if np.all(counts > 0):
+        out[:] = np.add.reduceat(contrib, m.row_ptr[:-1], axis=0)
+    else:
+        np.add.at(out, np.repeat(np.arange(m.rows), counts), contrib)
+    return out
+
+
+@pytest.mark.parametrize("empty_rows", [False, True])
+def test_matmul_dense_column_blocks_are_bit_identical(empty_rows):
+    n = 61
+    op = sym_norm_adjacency(build_random_graph(n, 400, seed=3))
+    if empty_rows:
+        # drop every third row, the last one included
+        rows = np.repeat(np.arange(n), np.diff(op.row_ptr))
+        keep = rows % 3 != 0
+        row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+        op = SparseMatrix(n, n, row_ptr, op.col_idx[keep], op.values[keep])
+    block = graph_module._MATMUL_TMP_BYTES // (8 * op.nnz)
+    width = 3 * block + 5  # several blocks and a short last one
+    X = np.random.default_rng(4).normal(size=(n, width))
+    assert np.array_equal(op.matmul_dense(X), one_block_matmul(op, X))
+    assert np.array_equal(op.matmul_dense(X[:, 0]), one_block_matmul(op, X[:, :1])[:, 0])
+
+
+def self_loops_row_by_row(graph):
+    """Column indices of A+I, built with a Python loop over the nodes."""
+    n = graph.n
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    row_ptr[1:] = np.cumsum(graph.deg + 1)
+    col = np.empty(row_ptr[-1], dtype=np.int64)
+    for v in range(n):
+        nb = graph.neighbors(v)
+        i = int(np.searchsorted(nb, v))
+        s = row_ptr[v]
+        col[s : s + i] = nb[:i]
+        col[s + i] = v
+        col[s + i + 1 : s + len(nb) + 1] = nb[i:]
+    return row_ptr, col
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    n_edges=st.integers(0, 120),
+    lead=st.integers(0, 3),
+    trail=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_self_loop_pattern_matches_row_by_row_reference(n, n_edges, lead, trail, seed):
+    # lead and trail add isolated nodes before and after the random part
+    inner = build_random_graph(n, n_edges, seed)
+    graph = Graph.from_edges(lead + n + trail, inner.edge_array() + lead)
+    row_ptr, col = _with_self_loops(graph)
+    ref_ptr, ref_col = self_loops_row_by_row(graph)
+    assert np.array_equal(row_ptr, ref_ptr) and row_ptr.dtype == ref_ptr.dtype
+    assert np.array_equal(col, ref_col) and col.dtype == ref_col.dtype
 
 
 def test_make_splits_sizes_and_determinism():

@@ -7,7 +7,9 @@ import pytest
 from gnn_multifix import (
     Graph,
     ModelConfig,
+    average_precision,
     bce_loss,
+    compute_representations,
     evaluate,
     export_fusion_weights,
     forward,
@@ -20,9 +22,9 @@ from gnn_multifix import (
     train,
 )
 from gnn_multifix.errors import CompatibilityError, TrainingDivergedError, UnsupportedExportError
-from gnn_multifix.model import init_model, load_fusion_weights, _sigmoid
+from gnn_multifix.model import AdamState, init_model, load_fusion_weights, _sigmoid
 
-from conftest import build_twin_path_dataset
+from conftest import build_random_dataset, build_twin_path_dataset
 
 
 def small_config(**kw):
@@ -177,6 +179,51 @@ def test_train_constant_labels_matches_constant_predictor(two_clique_split):
     assert report.ap_samples == pytest.approx(constant.ap_samples)
 
 
+def two_pass_train(dataset, config, reps):
+    """The epoch loop with two readouts per epoch, through the public functions.
+
+    Each epoch takes its gradients from model_loss_and_grads, steps, then
+    scores the stepped weights with forward. Returns the best-epoch params,
+    the per-epoch train losses and the best validation AP.
+    """
+    model = init_model(config, dataset.n, dataset.n_labels, reps.feature_dim)
+    opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
+    truth = dataset.labels.astype(np.float64)
+    train_mask, val_mask = dataset.train_mask, dataset.val_mask
+    losses = []
+    best_ap, best_epoch, best_params = -np.inf, 0, None
+    for epoch in range(1, config.max_epochs + 1):
+        _, grads = model_loss_and_grads(model, reps.H_f, reps.H_l, reps.pe, truth, train_mask)
+        opt.step(model.params, grads)
+        probs = forward(model, reps.H_f, reps.H_l, reps.pe)
+        losses.append(bce_loss(probs, truth, train_mask)[1])
+        val_ap = average_precision(probs[val_mask], truth[val_mask], "samples")
+        if val_ap > best_ap:
+            best_ap, best_epoch = val_ap, epoch
+            best_params = {k: v.copy() for k, v in model.params.items()}
+        elif val_ap == best_ap:
+            best_params = {k: v.copy() for k, v in model.params.items()}
+            if epoch - best_epoch >= config.patience:
+                break
+        elif epoch - best_epoch >= config.patience:
+            break
+    return best_params, losses, best_ap
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp1", "mlp3"])
+def test_train_matches_two_pass_reference_loop(variant):
+    ds = make_splits(build_random_dataset(40, 3, seed=2), 0.5, 0.25, seed=2)
+    cfg = small_config(variant=variant, max_epochs=80, patience=30)
+    reps = compute_representations(ds, cfg)
+    model, log, best_val = train(ds, cfg, reps=reps)
+    ref_params, ref_losses, ref_best = two_pass_train(ds, cfg, reps)
+    assert best_val == ref_best
+    assert model.params.keys() == ref_params.keys()
+    assert all(np.array_equal(model.params[k], ref_params[k]) for k in ref_params)
+    assert log.epochs[-1] == len(ref_losses)
+    assert np.array_equal(log.losses, np.stack([ref_losses[e - 1] for e in log.epochs]))
+
+
 def test_train_requires_masks(two_clique_split):
     ds = two_clique_split.with_masks(
         np.zeros(two_clique_split.n, bool),
@@ -322,5 +369,5 @@ def test_twin_path_label_rows_differ_after_training():
     )
     from gnn_multifix.model import compute_representations
 
-    H_f, H_l, pe, _ = compute_representations(ds, cfg)
+    H_l = compute_representations(ds, cfg).H_l
     assert np.abs(H_l.H_l[1] - H_l.H_l[3]).max() > 0.01

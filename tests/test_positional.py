@@ -17,6 +17,7 @@ from gnn_multifix.positional import (
     WalkCorpus,
     _apply_batch,
     _batch_workspace,
+    _pair_loss,
     _sigmoid,
     corpus_pairs,
     initial_embedding,
@@ -305,3 +306,18 @@ def test_batch_update_matches_row_wise_scatter():
         reference_apply_batch(ref_in, ref_out, pairs, negs, lr)
     assert np.array_equal(emb_in, ref_in)
     assert np.array_equal(emb_out, ref_out)
+
+
+def test_chunked_pair_loss_matches_one_pass_formula():
+    n, dim, k, m = 30, 8, 5, 1000
+    rng = np.random.default_rng(8)
+    emb_in = rng.normal(size=(n, dim)) * 0.3
+    emb_out = rng.normal(size=(n, dim)) * 0.3
+    centers, contexts = rng.integers(0, n, m), rng.integers(0, n, m)
+    negatives = rng.integers(0, n, (m, k))
+    pos = _sigmoid(np.einsum("ij,ij->i", emb_in[centers], emb_out[contexts]))
+    neg = _sigmoid(-np.einsum("ij,ikj->ik", emb_in[centers], emb_out[negatives]))
+    expected = -(np.log(pos + 1e-12).sum() + np.log(neg + 1e-12).sum()) / m
+    for chunk in (1, 7, 64, 999, 1000, 4096):
+        got = _pair_loss(emb_in, emb_out, centers, contexts, negatives, chunk)
+        assert abs(got - expected) < 1e-12

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gnn_multifix import (
     Graph,
-    dense_propagation_oracle,
     init_label_matrix,
     make_dataset,
     propagate_features,
@@ -15,7 +14,7 @@ from gnn_multifix import (
 )
 from gnn_multifix.errors import ShapeError
 
-from conftest import build_random_graph, build_twin_path_dataset
+from conftest import build_random_graph, build_twin_path_dataset, dense_propagation_oracle
 
 
 def path_operator():
