@@ -233,9 +233,12 @@ def make_splits(dataset: Dataset, train_frac: float, val_frac: float, seed: int)
 def substitute_features(dataset: Dataset, policy: str) -> Dataset:
     """Fill in features for a featureless dataset.
 
-    "identity" assigns one-hot identity rows (D = n); "degree" assigns the
-    node degree as a single column; "none" refuses substitution. Datasets
-    that already carry features are returned unchanged.
+    "identity" assigns one-hot identity rows (D = n, an n x n array);
+    "degree" assigns the node degree as a single column; "none" refuses
+    substitution. Datasets that already carry features are returned
+    unchanged. The linear model never calls this for "identity": it
+    propagates its frozen projection instead (see
+    ``model.compute_representations``).
     """
     if dataset.features is not None:
         return dataset

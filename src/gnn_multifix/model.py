@@ -7,6 +7,8 @@ readout trained with binary cross entropy. Variants:
   linear  propagation with identity activation, a frozen seeded projection
           of the propagated features to hidden width, one affine readout
           layer; the whole map from representations to logits is linear.
+          For identity features it propagates the projection itself, since
+          A^K · I · P = A^K · P, so the n x n identity is never built.
   mlp1    ReLU feature propagation, trainable affine+ReLU feature transform,
           one affine readout layer.
   mlp3    as mlp1 but with a three-layer ReLU readout.
@@ -49,6 +51,7 @@ from .rng import substream
 
 PROB_EPS = 1e-7
 VARIANTS = ("linear", "mlp1", "mlp3")
+FEATURE_POLICIES = ("identity", "degree", "none")
 
 
 @dataclass
@@ -84,6 +87,8 @@ class ModelConfig:
             raise ValueError("patience must be >= 1")
         if self.padding not in ("zero", "uniform"):
             raise ValueError(f"unknown padding {self.padding!r}")
+        if self.feature_policy not in FEATURE_POLICIES:
+            raise ValueError(f"unknown feature policy {self.feature_policy!r}")
 
 
 @dataclass
@@ -110,6 +115,11 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def _feature_projection(config: ModelConfig, feature_dim: int) -> np.ndarray:
+    """The linear variant's frozen, seeded projection (feature_dim x hidden_dim)."""
+    return _glorot(substream(config.seed, "feat-proj"), feature_dim, config.hidden_dim)
+
+
 def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: int) -> MultiFixModel:
     """Seeded parameter initialization for the given dimensions."""
     model = MultiFixModel(
@@ -118,8 +128,7 @@ def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: in
     c = config
     if c.enable_fr:
         if c.variant == "linear":
-            rng = substream(c.seed, "feat-proj")
-            model.frozen["feat_proj"] = _glorot(rng, feature_dim, c.hidden_dim)
+            model.frozen["feat_proj"] = _feature_projection(c, feature_dim)
         else:
             rng = substream(c.seed, "init", "ft")
             model.params["ft_W"] = _glorot(rng, feature_dim, c.hidden_dim)
@@ -147,13 +156,27 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-out))
 
 
+@dataclass(frozen=True)
+class ProjectedFeatureRep:
+    """The linear variant's feature block, already through the frozen projection.
+
+    H_f is the n x hidden_dim product A^K · X · P, which the readout takes as
+    it is; K is the propagation depth.
+    """
+
+    H_f: np.ndarray
+    K: int
+
+
 def _constant_input(model: MultiFixModel, H_f, H_l, pe):
     """Check the enabled blocks and build the parts of the input that never train.
 
-    Returns (F, blocks). F is the operand of the trainable feature transform
-    (the mlp variants with the feature block on), else None. blocks are the
-    constant blocks that follow the transform's output; when F is None they
-    are one block, the whole readout input Z.
+    H_f is raw propagated features (n x feature_dim), or for the linear
+    variant a ProjectedFeatureRep. Returns (F, blocks). F is the operand of
+    the trainable feature transform (the mlp variants with the feature block
+    on), else None. blocks are the constant blocks that follow the
+    transform's output; when F is None they are one block, the whole readout
+    input Z.
     """
     c = model.config
     F = None
@@ -161,12 +184,19 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe):
     if c.enable_fr:
         if H_f is None:
             raise ShapeError("feature block enabled but no feature representation given")
-        F = H_f.H_f if isinstance(H_f, FeatureRep) else np.asarray(H_f, np.float64)
-        if F.shape[1] != model.feature_dim:
-            raise ShapeError(f"feature width {F.shape[1]} != model feature_dim {model.feature_dim}")
-        if c.variant == "linear":
-            blocks.append(F @ model.frozen["feat_proj"])
-            F = None
+        if isinstance(H_f, ProjectedFeatureRep):
+            if c.variant != "linear":
+                raise ShapeError(f"projected features feed only the linear variant, not {c.variant}")
+            if H_f.H_f.shape[1] != c.hidden_dim:
+                raise ShapeError(f"projected width {H_f.H_f.shape[1]} != hidden_dim {c.hidden_dim}")
+            blocks.append(H_f.H_f)
+        else:
+            F = H_f.H_f if isinstance(H_f, FeatureRep) else np.asarray(H_f, np.float64)
+            if F.shape[1] != model.feature_dim:
+                raise ShapeError(f"feature width {F.shape[1]} != model feature_dim {model.feature_dim}")
+            if c.variant == "linear":
+                blocks.append(F @ model.frozen["feat_proj"])
+                F = None
     if c.enable_lr:
         if H_l is None:
             raise ShapeError("label block enabled but no label representation given")
@@ -336,10 +366,12 @@ class Representations:
     """The fitted inputs of the readout for one dataset split.
 
     Disabled blocks are None; feature_dim is the width of the (substituted)
-    raw features, 0 when the feature block is off.
+    raw features, 0 when the feature block is off. H_f is a
+    ProjectedFeatureRep for the linear variant on identity features, else
+    the propagated raw features.
     """
 
-    H_f: FeatureRep | None
+    H_f: FeatureRep | ProjectedFeatureRep | None
     H_l: LabelRep | None
     pe: PositionalEmbedding | None
     feature_dim: int
@@ -348,6 +380,10 @@ class Representations:
 def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> Representations:
     """Fit the enabled representations for a dataset, once per split.
 
+    Features are substituted by config.feature_policy when the dataset has
+    none. For the linear variant with the identity policy, the frozen
+    projection P is propagated instead of the n x n identity: A^K · I · P =
+    A^K · P, so the feature block takes n x hidden_dim memory, not n x n.
     The walk embedding is retrained deterministically from config.seed
     unless one is passed in (e.g. cached from a previous run).
     """
@@ -357,10 +393,16 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
     if config.enable_fr or config.enable_lr:
         adj = sym_norm_adjacency(dataset.graph)
     if config.enable_fr:
-        data = substitute_features(dataset, config.feature_policy)
-        activation = "identity" if config.variant == "linear" else "relu"
-        H_f = propagate_features(adj, data.features, config.K, activation)
-        feature_dim = data.features.shape[1]
+        identity = dataset.features is None and config.feature_policy == "identity"
+        if config.variant == "linear" and identity:
+            feature_dim = dataset.n
+            proj = propagate_features(adj, _feature_projection(config, feature_dim), config.K)
+            H_f = ProjectedFeatureRep(H_f=proj.H_f, K=proj.K)
+        else:
+            data = substitute_features(dataset, config.feature_policy)
+            activation = "identity" if config.variant == "linear" else "relu"
+            H_f = propagate_features(adj, data.features, config.K, activation)
+            feature_dim = data.features.shape[1]
     if config.enable_lr:
         H0 = init_label_matrix(dataset, config.padding)
         H_l = propagate_labels(adj, H0, config.N)

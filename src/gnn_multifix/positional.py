@@ -272,7 +272,7 @@ def _apply_batch(emb_in, emb_out, batch_pairs, negatives, lr, work):
     _scatter_add(emb_out, negatives.ravel(), grad_uz, idx[: negatives.size])
 
 
-def positional_distinguishability(graph: Graph, emb: PositionalEmbedding, u: int, v: int) -> float:
+def positional_distinguishability(emb: PositionalEmbedding, u: int, v: int) -> float:
     """Euclidean distance between the embeddings of two distinct nodes."""
     if u == v:
         raise ValueError("u and v must differ")

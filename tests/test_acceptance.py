@@ -219,7 +219,7 @@ def test_criterion_05_twin_node_expressiveness():
     for seed in range(5):
         corpus = generate_walks(g, 10, 10, seed)
         emb = train_skipgram(corpus, 8, 16, 5, 5, 5, 0.025, seed)
-        wins += positional_distinguishability(g, emb, 3, 7) > 0
+        wins += positional_distinguishability(emb, 3, 7) > 0
     ok_c = wins >= 4
     elapsed = time.monotonic() - start
     report(5, "twin-node expressiveness (feature-only fails, labels and position succeed)",

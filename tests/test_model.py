@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,24 @@ from gnn_multifix import (
     make_splits,
     model_loss_and_grads,
     predict,
+    propagate_features,
     save_model,
+    sym_norm_adjacency,
     train,
 )
-from gnn_multifix.errors import CompatibilityError, TrainingDivergedError, UnsupportedExportError
-from gnn_multifix.model import AdamState, init_model, load_fusion_weights, _sigmoid
+from gnn_multifix.errors import (
+    CompatibilityError,
+    ShapeError,
+    TrainingDivergedError,
+    UnsupportedExportError,
+)
+from gnn_multifix.model import (
+    AdamState,
+    ProjectedFeatureRep,
+    init_model,
+    load_fusion_weights,
+    _sigmoid,
+)
 
 from conftest import build_random_dataset, build_twin_path_dataset
 
@@ -146,6 +160,13 @@ def test_config_requires_some_block():
         ModelConfig(enable_fr=False, enable_lr=False, enable_pe=False)
 
 
+def test_config_rejects_unknown_feature_policy():
+    for policy in ("identity", "degree", "none"):
+        ModelConfig(feature_policy=policy)
+    with pytest.raises(ValueError, match="feature policy"):
+        ModelConfig(feature_policy="idenity")
+
+
 def test_train_two_clique_linear_reaches_perfect_ap(two_clique_split):
     cfg = small_config()
     model, log, best_val = train(two_clique_split, cfg)
@@ -222,6 +243,63 @@ def test_train_matches_two_pass_reference_loop(variant):
     assert all(np.array_equal(model.params[k], ref_params[k]) for k in ref_params)
     assert log.epochs[-1] == len(ref_losses)
     assert np.array_equal(log.losses, np.stack([ref_losses[e - 1] for e in log.epochs]))
+
+
+def featureless_with_isolated_nodes(n, n_isolated, seed):
+    """A featureless split whose last n_isolated nodes have no edges."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n - n_isolated, size=(2 * n, 2))
+    graph = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    labels = (rng.random((n, 3)) < 0.4).astype(np.int8)
+    labels[np.arange(n), rng.integers(0, 3, size=n)] = 1
+    return make_splits(make_dataset(graph, labels), 0.5, 0.25, seed=seed)
+
+
+def unprojected_identity_features(dataset, K):
+    """The reference featureless path: propagate the n x n identity, project later."""
+    return propagate_features(sym_norm_adjacency(dataset.graph), np.eye(dataset.n), K)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_identity_features_project_then_propagate(K):
+    for seed in range(4):
+        ds = featureless_with_isolated_nodes(30 + 7 * seed, 3, seed)
+        assert (ds.graph.deg == 0).sum() >= 3
+        cfg = small_config(K=K, enable_lr=False, enable_pe=False, seed=seed)
+        reps = compute_representations(ds, cfg)
+        assert isinstance(reps.H_f, ProjectedFeatureRep)
+        assert reps.H_f.K == K and reps.feature_dim == ds.n
+        proj = init_model(cfg, ds.n, ds.n_labels, ds.n).frozen["feat_proj"]
+        ref = unprojected_identity_features(ds, K).H_f @ proj
+        assert np.abs(reps.H_f.H_f - ref).max() < 1e-12
+    with pytest.raises(ShapeError):
+        forward(init_model(replace(cfg, variant="mlp1"), ds.n, ds.n_labels, ds.n), reps.H_f)
+
+
+def test_identity_features_train_and_predict_match_unprojected_path():
+    ds = featureless_with_isolated_nodes(60, 4, seed=7)
+    cfg = small_config(max_epochs=80, patience=30)
+    reps = compute_representations(ds, cfg)
+    ref_reps = replace(reps, H_f=unprojected_identity_features(ds, cfg.K))
+    model, _, _ = train(ds, cfg, reps=reps)
+    ref_model, _, _ = train(ds, cfg, reps=ref_reps)
+    assert model.feature_dim == ref_model.feature_dim == ds.n
+    probs = predict(model, ds, reps=reps)
+    assert np.abs(probs - predict(ref_model, ds, reps=ref_reps)).max() < 1e-10
+    assert np.array_equal(predict(model, ds), probs)
+
+
+def test_identity_linear_representations_never_hold_an_n_by_n_array():
+    n = 1500
+    ds = make_splits(build_random_dataset(n, 3, seed=3), 0.6, 0.2, seed=3)
+    cfg = ModelConfig(variant="linear", feature_policy="identity", enable_pe=False)
+    tracemalloc.start()
+    try:
+        compute_representations(ds, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_train_requires_masks(two_clique_split):

@@ -142,7 +142,7 @@ def test_path_leaves_farther_than_adjacent_pairs():
     for seed in range(5):
         corpus = generate_walks(g, 10, 10, seed)
         emb = train_skipgram(corpus, 20, 16, 5, 5, 5, 0.025, seed)
-        leaves = positional_distinguishability(g, emb, 0, 19)
+        leaves = positional_distinguishability(emb, 0, 19)
         adjacent = np.median(
             [np.linalg.norm(emb.vectors[i] - emb.vectors[i + 1]) for i in range(19)]
         )
@@ -175,15 +175,14 @@ def test_cooccurrence_aligns_with_dot_products():
 
 
 def test_distinguishability_values():
-    g = Graph.from_edges(2, [(0, 1)])
     from gnn_multifix.positional import PositionalEmbedding
 
     emb = PositionalEmbedding(vectors=np.array([[1.0, 0.0], [0.0, 1.0]]), dim=2)
-    assert positional_distinguishability(g, emb, 0, 1) == pytest.approx(np.sqrt(2))
+    assert positional_distinguishability(emb, 0, 1) == pytest.approx(np.sqrt(2))
     same = PositionalEmbedding(vectors=np.zeros((2, 2)), dim=2)
-    assert positional_distinguishability(g, same, 0, 1) == 0.0
+    assert positional_distinguishability(same, 0, 1) == 0.0
     with pytest.raises(ValueError):
-        positional_distinguishability(g, emb, 1, 1)
+        positional_distinguishability(emb, 1, 1)
 
 
 def test_embedding_csv_round_trip(tmp_path):
