@@ -46,7 +46,6 @@ from .io import load_dataset, read_probability_csv, save_dataset, write_probabil
 from .model import (
     ModelConfig,
     MultiFixModel,
-    ProjectedFeatureRep,
     Representations,
     bce_loss,
     compute_representations,
@@ -95,7 +94,6 @@ __all__ = [
     "ModelConfig",
     "MultiFixModel",
     "PositionalEmbedding",
-    "ProjectedFeatureRep",
     "Representations",
     "SparseMatrix",
     "SynthSpec",

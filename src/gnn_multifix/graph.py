@@ -236,9 +236,10 @@ def substitute_features(dataset: Dataset, policy: str) -> Dataset:
     "identity" assigns one-hot identity rows (D = n, an n x n array);
     "degree" assigns the node degree as a single column; "none" refuses
     substitution. Datasets that already carry features are returned
-    unchanged. The linear model never calls this for "identity": it
-    propagates its frozen projection instead (see
-    ``model.compute_representations``).
+    unchanged. The linear model never calls this for "identity": its
+    feature block is the propagated projection A^K · P, which
+    ``model.compute_representations`` builds without the identity; the mlp
+    variants still get the n x n identity here.
     """
     if dataset.features is not None:
         return dataset

@@ -4,11 +4,14 @@ Three precomputed node representations (propagated features, reset-free
 propagated labels, walk embeddings) are concatenated and fed to a sigmoid
 readout trained with binary cross entropy. Variants:
 
-  linear  propagation with identity activation, a frozen seeded projection
-          of the propagated features to hidden width, one affine readout
-          layer; the whole map from representations to logits is linear.
-          For identity features it propagates the projection itself, since
-          A^K · I · P = A^K · P, so the n x n identity is never built.
+  linear  propagation with identity activation, a seeded, never-trained
+          projection P of the propagated features to hidden width, one
+          affine readout layer; the whole map from representations to logits
+          is linear. P is part of the representations, not of the model:
+          :func:`compute_representations` applies it (for identity features
+          it propagates P itself, since A^K · I · P = A^K · P, so the n x n
+          identity is never built), and checkpoints hold only trained
+          parameters.
   mlp1    ReLU feature propagation, trainable affine+ReLU feature transform,
           one affine readout layer.
   mlp3    as mlp1 but with a three-layer ReLU readout.
@@ -98,7 +101,6 @@ class MultiFixModel:
     n_labels: int
     feature_dim: int
     params: dict = field(default_factory=dict)
-    frozen: dict = field(default_factory=dict)
 
     @property
     def input_width(self) -> int:
@@ -116,7 +118,7 @@ def _glorot(rng, fan_in, fan_out):
 
 
 def _feature_projection(config: ModelConfig, feature_dim: int) -> np.ndarray:
-    """The linear variant's frozen, seeded projection (feature_dim x hidden_dim)."""
+    """The linear variant's seeded, never-trained projection (feature_dim x hidden_dim)."""
     return _glorot(substream(config.seed, "feat-proj"), feature_dim, config.hidden_dim)
 
 
@@ -126,13 +128,10 @@ def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: in
         config=config, n_nodes=n_nodes, n_labels=n_labels, feature_dim=feature_dim
     )
     c = config
-    if c.enable_fr:
-        if c.variant == "linear":
-            model.frozen["feat_proj"] = _feature_projection(c, feature_dim)
-        else:
-            rng = substream(c.seed, "init", "ft")
-            model.params["ft_W"] = _glorot(rng, feature_dim, c.hidden_dim)
-            model.params["ft_b"] = np.zeros(c.hidden_dim)
+    if c.enable_fr and c.variant != "linear":
+        rng = substream(c.seed, "init", "ft")
+        model.params["ft_W"] = _glorot(rng, feature_dim, c.hidden_dim)
+        model.params["ft_b"] = np.zeros(c.hidden_dim)
     w_in = model.input_width
     if c.variant == "mlp3":
         r1 = substream(c.seed, "init", "hid1")
@@ -156,24 +155,14 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-out))
 
 
-@dataclass(frozen=True)
-class ProjectedFeatureRep:
-    """The linear variant's feature block, already through the frozen projection.
-
-    H_f is the n x hidden_dim product A^K · X · P, which the readout takes as
-    it is; K is the propagation depth.
-    """
-
-    H_f: np.ndarray
-    K: int
-
-
 def _constant_input(model: MultiFixModel, H_f, H_l, pe):
     """Check the enabled blocks and build the parts of the input that never train.
 
-    H_f is raw propagated features (n x feature_dim), or for the linear
-    variant a ProjectedFeatureRep. Returns (F, blocks). F is the operand of
-    the trainable feature transform (the mlp variants with the feature block
+    H_f is the feature block of :func:`compute_representations`: for the
+    linear variant the projected features (n x hidden_dim), which enter the
+    readout as they are; for the mlp variants the propagated raw features
+    (n x feature_dim). Returns (F, blocks). F is the operand of the
+    trainable feature transform (the mlp variants with the feature block
     on), else None. blocks are the constant blocks that follow the
     transform's output; when F is None they are one block, the whole readout
     input Z.
@@ -184,19 +173,14 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe):
     if c.enable_fr:
         if H_f is None:
             raise ShapeError("feature block enabled but no feature representation given")
-        if isinstance(H_f, ProjectedFeatureRep):
-            if c.variant != "linear":
-                raise ShapeError(f"projected features feed only the linear variant, not {c.variant}")
-            if H_f.H_f.shape[1] != c.hidden_dim:
-                raise ShapeError(f"projected width {H_f.H_f.shape[1]} != hidden_dim {c.hidden_dim}")
-            blocks.append(H_f.H_f)
-        else:
-            F = H_f.H_f if isinstance(H_f, FeatureRep) else np.asarray(H_f, np.float64)
-            if F.shape[1] != model.feature_dim:
-                raise ShapeError(f"feature width {F.shape[1]} != model feature_dim {model.feature_dim}")
-            if c.variant == "linear":
-                blocks.append(F @ model.frozen["feat_proj"])
-                F = None
+        F = H_f.H_f if isinstance(H_f, FeatureRep) else np.asarray(H_f, np.float64)
+        if c.variant == "linear":
+            if F.shape[1] != c.hidden_dim:
+                raise ShapeError(f"linear feature width {F.shape[1]} != hidden_dim {c.hidden_dim}")
+            blocks.append(F)
+            F = None
+        elif F.shape[1] != model.feature_dim:
+            raise ShapeError(f"feature width {F.shape[1]} != model feature_dim {model.feature_dim}")
     if c.enable_lr:
         if H_l is None:
             raise ShapeError("label block enabled but no label representation given")
@@ -284,7 +268,12 @@ def _backward(model: MultiFixModel, cache, probs, truth, node_mask, n_masked):
 
 
 def forward(model: MultiFixModel, H_f=None, H_l=None, pe=None) -> np.ndarray:
-    """Full-graph label probabilities, clamped inside (0, 1)."""
+    """Full-graph label probabilities, clamped inside (0, 1).
+
+    The blocks are those of :class:`Representations`: for the linear variant
+    H_f is already projected (n x hidden_dim), for the mlp variants it is
+    the propagated raw features (n x feature_dim).
+    """
     logits, _ = _readout(model, _constant_input(model, H_f, H_l, pe))
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
@@ -316,7 +305,9 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
     the analytic gradient of the full objective. With weight_decay > 0 the
     objective includes 0.5 * wd * ||W||^2 over weight matrices (not biases),
     so the gradients can be checked against finite differences directly.
-    The readout and the backward pass are the ones :func:`train` runs.
+    The readout and the backward pass are the ones :func:`train` runs, and
+    the blocks follow :func:`forward`'s contract (a linear model's H_f is
+    n x hidden_dim).
     """
     truth = np.asarray(truth, dtype=np.float64)
     node_mask = np.asarray(node_mask, dtype=bool)
@@ -366,12 +357,13 @@ class Representations:
     """The fitted inputs of the readout for one dataset split.
 
     Disabled blocks are None; feature_dim is the width of the (substituted)
-    raw features, 0 when the feature block is off. H_f is a
-    ProjectedFeatureRep for the linear variant on identity features, else
-    the propagated raw features.
+    raw features, 0 when the feature block is off. For the linear variant
+    H_f holds the propagated features already through the projection
+    (n x hidden_dim); for the mlp variants it holds the propagated raw
+    features (n x feature_dim).
     """
 
-    H_f: FeatureRep | ProjectedFeatureRep | None
+    H_f: FeatureRep | None
     H_l: LabelRep | None
     pe: PositionalEmbedding | None
     feature_dim: int
@@ -381,28 +373,32 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
     """Fit the enabled representations for a dataset, once per split.
 
     Features are substituted by config.feature_policy when the dataset has
-    none. For the linear variant with the identity policy, the frozen
-    projection P is propagated instead of the n x n identity: A^K · I · P =
-    A^K · P, so the feature block takes n x hidden_dim memory, not n x n.
+    none. The linear variant's feature block is A^K · X · P, with P its
+    seeded projection to hidden_dim; it is computed here and nowhere else.
+    With the identity policy P itself is propagated instead of the n x n
+    identity (A^K · I · P = A^K · P), so the block takes n x hidden_dim
+    memory, not n x n; otherwise X is propagated and then projected.
     The walk embedding is retrained deterministically from config.seed
     unless one is passed in (e.g. cached from a previous run).
     """
-    H_f = H_l = None
+    H_f = H_l = X = P = None
     feature_dim = 0
     adj = None
     if config.enable_fr or config.enable_lr:
         adj = sym_norm_adjacency(dataset.graph)
     if config.enable_fr:
-        identity = dataset.features is None and config.feature_policy == "identity"
-        if config.variant == "linear" and identity:
+        linear = config.variant == "linear"
+        if linear and dataset.features is None and config.feature_policy == "identity":
             feature_dim = dataset.n
-            proj = propagate_features(adj, _feature_projection(config, feature_dim), config.K)
-            H_f = ProjectedFeatureRep(H_f=proj.H_f, K=proj.K)
         else:
-            data = substitute_features(dataset, config.feature_policy)
-            activation = "identity" if config.variant == "linear" else "relu"
-            H_f = propagate_features(adj, data.features, config.K, activation)
-            feature_dim = data.features.shape[1]
+            X = substitute_features(dataset, config.feature_policy).features
+            feature_dim = X.shape[1]
+        if linear:
+            P = _feature_projection(config, feature_dim)
+        activation = "identity" if linear else "relu"
+        H_f = propagate_features(adj, P if X is None else X, config.K, activation)
+        if X is None:
+            P = None  # A^K · I · P = A^K · P is already the projected block
     if config.enable_lr:
         H0 = init_label_matrix(dataset, config.padding)
         H_l = propagate_labels(adj, H0, config.N)
@@ -423,6 +419,10 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
             )
     else:
         pe = None
+    if P is not None:
+        # real features are projected only after the walk embedding: skip-gram's
+        # workspace is the fit's largest transient, and until here the block is n x D
+        H_f = FeatureRep(H_f=H_f.H_f @ P, K=H_f.K)
     return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim)
 
 
@@ -585,13 +585,16 @@ def load_fusion_weights(path) -> dict:
     return blocks
 
 
-CHECKPOINT_MAGIC = b"GMFX1"
+CHECKPOINT_MAGIC = b"GMFX2"
 
 
 def save_model(model: MultiFixModel, path):
-    """Versioned binary checkpoint: magic, JSON header, float64 LE blobs."""
-    manifest = [["params", k, list(v.shape)] for k, v in sorted(model.params.items())]
-    manifest += [["frozen", k, list(v.shape)] for k, v in sorted(model.frozen.items())]
+    """Versioned binary checkpoint: magic, JSON header, float64 LE blobs.
+
+    It holds the trained parameters only; the linear variant's projection is
+    redrawn from the seed by :func:`compute_representations`.
+    """
+    manifest = [[k, list(v.shape)] for k, v in sorted(model.params.items())]
     header = json.dumps(
         {
             "config": asdict(model.config),
@@ -606,9 +609,8 @@ def save_model(model: MultiFixModel, path):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for group, key, _ in manifest:
-            arr = (model.params if group == "params" else model.frozen)[key]
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for key, _ in manifest:
+            fh.write(np.ascontiguousarray(model.params[key], dtype="<f8").tobytes())
 
 
 def load_model(path) -> MultiFixModel:
@@ -624,8 +626,7 @@ def load_model(path) -> MultiFixModel:
             n_labels=header["n_labels"],
             feature_dim=header["feature_dim"],
         )
-        for group, key, shape in header["manifest"]:
+        for key, shape in header["manifest"]:
             count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
-            (model.params if group == "params" else model.frozen)[key] = arr
+            model.params[key] = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
     return model

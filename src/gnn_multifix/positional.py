@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetParseError
 from .graph import Graph
+from .io import _read_node_csv, _write_node_csv
 from .rng import substream
 
 
@@ -280,26 +280,10 @@ def positional_distinguishability(emb: PositionalEmbedding, u: int, v: int) -> f
 
 
 def save_embedding_csv(emb: PositionalEmbedding, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id," + ",".join(f"e_{i}" for i in range(emb.dim)) + "\n")
-        for v, row in enumerate(emb.vectors):
-            fh.write(str(v) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    """Write the embedding as 'node_id,e_0..e_{dim-1}', one row per node."""
+    _write_node_csv(emb.vectors, path, "e_")
 
 
 def load_embedding_csv(path) -> PositionalEmbedding:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("node_id,"):
-            raise DatasetParseError(path, 1, "missing embedding CSV header")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            try:
-                rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
-            except ValueError:
-                raise DatasetParseError(path, line_no, "malformed embedding row") from None
-    rows.sort(key=lambda r: r[0])
-    vectors = np.asarray([r[1] for r in rows], dtype=np.float64)
+    vectors = _read_node_csv(path, "embedding")
     return PositionalEmbedding(vectors=vectors, dim=vectors.shape[1])

@@ -77,26 +77,17 @@ def init_label_matrix(dataset: Dataset, padding: str = "zero") -> np.ndarray:
     return H0
 
 
-def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int, transform="identity") -> LabelRep:
+def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int) -> LabelRep:
     """Apply N aggregation rounds to an initial label matrix, reset-free.
 
-    There is no re-injection of true labels between steps. ``transform`` is
-    applied after each aggregation: "identity", or any callable (the hook by
-    which a learned per-step transform can be plugged in).
+    Each round is one linear aggregation, H <- A_hat @ H, with no
+    re-injection of true labels between steps.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if transform == "identity":
-        step = None
-    elif callable(transform):
-        step = transform
-    else:
-        raise ValueError(f"transform must be 'identity' or a callable, got {transform!r}")
     H = np.asarray(H0, dtype=np.float64)
     _check_operand(adj_norm, H)
     for _ in range(N):
         H = adj_norm.matmul_dense(H)
-        if step is not None:
-            H = step(H)
     return LabelRep(H_l=H, N=N)
 

@@ -36,7 +36,7 @@ from gnn_multifix import (
     train_skipgram,
 )
 from gnn_multifix.cli import main as cli_main
-from gnn_multifix.model import init_model
+from gnn_multifix.model import _feature_projection, init_model
 from gnn_multifix.synthgen import SynthSpec
 
 from conftest import build_random_graph, build_twin_path_dataset, dense_propagation_oracle
@@ -81,7 +81,7 @@ def _relu_kink_margin(model, H_f, H_l, pe):
     blocks = []
     if model.config.enable_fr:
         if model.config.variant == "linear":
-            blocks.append(H_f @ model.frozen["feat_proj"])
+            blocks.append(H_f)
         else:
             pre = H_f @ p["ft_W"] + p["ft_b"]
             margins.append(np.abs(pre).min())
@@ -114,6 +114,8 @@ def test_criterion_02_gradient_check_all_variants():
                               seed=int(rng.integers(1 << 30)))
             model = init_model(cfg, n, C, D)
             H_f = rng.normal(size=(n, D))
+            if variant == "linear":
+                H_f = H_f @ _feature_projection(cfg, D)  # a linear model reads projected features
             H_l = rng.normal(size=(n, C))
             pe = rng.normal(size=(n, 4))
             if _relu_kink_margin(model, H_f, H_l, pe) > 1e-3:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gnn_multifix import (
+    FeatureRep,
     Graph,
     ModelConfig,
     average_precision,
@@ -31,8 +32,9 @@ from gnn_multifix.errors import (
     UnsupportedExportError,
 )
 from gnn_multifix.model import (
+    CHECKPOINT_MAGIC,
     AdamState,
-    ProjectedFeatureRep,
+    _feature_projection,
     init_model,
     load_fusion_weights,
     _sigmoid,
@@ -61,6 +63,8 @@ def random_inputs(variant, seed=0, n=12, C=3, D=4, hidden=5, pe_dim=3):
     cfg = ModelConfig(variant=variant, hidden_dim=hidden, pe_dim=pe_dim, seed=seed)
     model = init_model(cfg, n, C, D)
     H_f = rng.normal(size=(n, D))
+    if variant == "linear":
+        H_f = H_f @ _feature_projection(cfg, D)  # a linear model reads projected features
     H_l = rng.normal(size=(n, C))
     pe = rng.normal(size=(n, pe_dim))
     truth = (rng.random((n, C)) < 0.4).astype(float)
@@ -267,9 +271,9 @@ def test_identity_features_project_then_propagate(K):
         assert (ds.graph.deg == 0).sum() >= 3
         cfg = small_config(K=K, enable_lr=False, enable_pe=False, seed=seed)
         reps = compute_representations(ds, cfg)
-        assert isinstance(reps.H_f, ProjectedFeatureRep)
+        assert isinstance(reps.H_f, FeatureRep)
         assert reps.H_f.K == K and reps.feature_dim == ds.n
-        proj = init_model(cfg, ds.n, ds.n_labels, ds.n).frozen["feat_proj"]
+        proj = _feature_projection(cfg, ds.n)
         ref = unprojected_identity_features(ds, K).H_f @ proj
         assert np.abs(reps.H_f.H_f - ref).max() < 1e-12
     with pytest.raises(ShapeError):
@@ -280,7 +284,8 @@ def test_identity_features_train_and_predict_match_unprojected_path():
     ds = featureless_with_isolated_nodes(60, 4, seed=7)
     cfg = small_config(max_epochs=80, patience=30)
     reps = compute_representations(ds, cfg)
-    ref_reps = replace(reps, H_f=unprojected_identity_features(ds, cfg.K))
+    ref_H_f = unprojected_identity_features(ds, cfg.K).H_f @ _feature_projection(cfg, ds.n)
+    ref_reps = replace(reps, H_f=ref_H_f)
     model, _, _ = train(ds, cfg, reps=reps)
     ref_model, _, _ = train(ds, cfg, reps=ref_reps)
     assert model.feature_dim == ref_model.feature_dim == ds.n
@@ -300,6 +305,45 @@ def test_identity_linear_representations_never_hold_an_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_linear_real_features_are_propagated_then_projected(K):
+    rng = np.random.default_rng(K)
+    base = make_splits(build_random_dataset(40, 3, seed=K), 0.5, 0.25, seed=K)
+    ds = base.with_features(rng.normal(size=(base.n, 6)))
+    adj = sym_norm_adjacency(ds.graph)
+    cfg = small_config(K=K, seed=K)
+    # the config mlp_baseline trains with: feature block only, K = 0
+    baseline_cfg = replace(cfg, enable_lr=False, enable_pe=False, K=0)
+    for c in (cfg, baseline_cfg):
+        reps = compute_representations(ds, c)
+        ref = propagate_features(adj, ds.features, c.K).H_f @ _feature_projection(c, 6)
+        assert reps.feature_dim == 6 and reps.H_f.K == c.K
+        assert np.array_equal(reps.H_f.H_f, ref)
+
+
+def test_featureless_linear_checkpoint_holds_no_projection(tmp_path):
+    n, hidden = 300, 256
+    ds = featureless_with_isolated_nodes(n, 5, seed=4)
+    cfg = small_config(hidden_dim=hidden, enable_pe=False, max_epochs=5)
+    model, _, _ = train(ds, cfg)
+    assert model.feature_dim == n
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    assert path.stat().st_size < n * hidden * 8
+    back = load_model(path)
+    assert np.array_equal(predict(back, ds), predict(model, ds))
+
+
+def test_checkpoint_with_old_magic_is_refused(tmp_path, two_clique_split):
+    model, _, _ = train(two_clique_split, small_config(max_epochs=5))
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"GMFX1" + path.read_bytes()[len(CHECKPOINT_MAGIC):])
+    with pytest.raises(ValueError, match="bad magic"):
+        load_model(old)
 
 
 def test_train_requires_masks(two_clique_split):
@@ -430,13 +474,11 @@ def test_checkpoint_round_trip(tmp_path, two_clique_split):
     model, _, _ = train(two_clique_split, small_config())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
-    assert path.read_bytes()[:5] == b"GMFX1"
+    assert path.read_bytes()[:5] == b"GMFX2"
     back = load_model(path)
     assert back.config == model.config
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
-    for k in model.frozen:
-        assert np.array_equal(back.frozen[k], model.frozen[k])
     assert np.array_equal(predict(back, two_clique_split), predict(model, two_clique_split))
 
 

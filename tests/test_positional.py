@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from gnn_multifix import (
     Graph,
+    PositionalEmbedding,
     generate_walks,
     load_embedding_csv,
     positional_distinguishability,
     save_embedding_csv,
     train_skipgram,
 )
+from gnn_multifix.errors import DatasetParseError
 from gnn_multifix.positional import (
     WalkCorpus,
     _apply_batch,
@@ -194,6 +196,15 @@ def test_embedding_csv_round_trip(tmp_path):
     back = load_embedding_csv(path)
     assert back.dim == emb.dim
     assert np.array_equal(back.vectors, emb.vectors)
+
+
+def test_embedding_csv_with_duplicated_node_id_is_refused(tmp_path):
+    path = tmp_path / "emb.csv"
+    save_embedding_csv(PositionalEmbedding(vectors=np.arange(6.0).reshape(3, 2), dim=2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1], lines[2], "1" + lines[3][1:]]) + "\n")
+    with pytest.raises(DatasetParseError, match="node ids"):
+        load_embedding_csv(path)
 
 
 # Reference implementations: the per-walk walker and the row-wise 2-D
