@@ -280,14 +280,8 @@ def cmd_eval(cfg, probs_path, split: str) -> int:
 def cmd_dynamics(cfg, run_dir, k: int) -> int:
     run = Path(run_dir) if run_dir else Path(cfg["out"])
     if not run.exists():
-        if cfg.get("data"):
-            rc = cmd_train(cfg)
-            if rc != 0:
-                return rc
-            run = Path(cfg["out"])
-        else:
-            print(f"run directory {run} does not exist", file=sys.stderr)
-            return 1
+        print(f"run directory {run} does not exist", file=sys.stderr)
+        return 1
     csvs = sorted(run.glob("split_*/dynamics.csv")) or ([run / "dynamics.csv"] if (run / "dynamics.csv").exists() else [])
     if not csvs:
         print(f"no dynamics.csv found under {run}", file=sys.stderr)
@@ -346,7 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="export atypical-node reports from a run")
     common(p)
-    p.add_argument("--data", help="dataset directory (to trigger training if needed)")
+    p.add_argument("--data", help="unused: dynamics only reads a finished run, it never trains")
     p.add_argument("--run", help="existing training run directory")
     p.add_argument("--k", type=int, default=20)
     return parser

@@ -227,20 +227,30 @@ def _write_node_csv(matrix: np.ndarray, path, prefix: str):
 
 
 def _read_node_csv(path, what: str) -> np.ndarray:
-    """Read a :func:`_write_node_csv` file back; its rows must cover node ids 0..n-1."""
+    """Read a :func:`_write_node_csv` file back.
+
+    Its rows must be as wide as its header and cover node ids 0..n-1.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("node_id,"):
             raise DatasetParseError(path, 1, f"missing {what} CSV header")
+        width = header.count(",") + 1
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
+            if len(parts) != width:
+                raise DatasetParseError(
+                    path, line_no, f"{what} row has {len(parts)} fields, header has {width}"
+                )
             try:
                 rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
             except ValueError:
                 raise DatasetParseError(path, line_no, f"malformed {what} row") from None
+    if not rows:
+        raise DatasetParseError(path, 2, f"{what} CSV has no rows")
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise DatasetParseError(path, 1, f"{what} CSV must cover node ids 0..n-1")

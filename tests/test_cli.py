@@ -174,6 +174,15 @@ def test_dynamics_missing_run_dir_fails(tmp_path, capsys):
     assert rc == 1
 
 
+def test_dynamics_with_data_does_not_train_a_missing_run(tmp_path, capsys):
+    data = write_toy_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(["dynamics", "--run", str(tmp_path / "nope"), "--data", str(data)])
+    assert rc == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_eval_command(tmp_path):
     data = write_toy_dataset(tmp_path)
     out = tmp_path / "run"

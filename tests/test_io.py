@@ -118,3 +118,9 @@ def test_probability_csv_round_trip(tmp_path):
     path = tmp_path / "probs.csv"
     write_probability_csv(probs, path)
     assert np.array_equal(read_probability_csv(path), probs)
+
+
+def test_probability_csv_with_short_row_is_refused(tmp_path):
+    path = write(tmp_path, "probs.csv", "node_id,p_0,p_1\n0,0.1,0.2\n1,0.3\n2,0.5,0.6\n")
+    with pytest.raises(DatasetParseError, match=r"probs\.csv:3:"):
+        read_probability_csv(path)

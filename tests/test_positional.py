@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from gnn_multifix import (
     save_embedding_csv,
     train_skipgram,
 )
+from gnn_multifix import positional
 from gnn_multifix.errors import DatasetParseError
 from gnn_multifix.positional import (
+    SHARED_NEGATIVES,
     WalkCorpus,
     _apply_batch,
     _batch_workspace,
@@ -207,9 +210,16 @@ def test_embedding_csv_with_duplicated_node_id_is_refused(tmp_path):
         load_embedding_csv(path)
 
 
-# Reference implementations: the per-walk walker and the row-wise 2-D
-# np.add.at scatter that the array corpus and the flat scatter replace.
-# The package must reproduce them bit for bit.
+def test_header_only_embedding_csv_is_refused(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("node_id,e_0,e_1\n")
+    with pytest.raises(DatasetParseError, match="no rows"):
+        load_embedding_csv(path)
+
+
+# Reference implementations: the per-walk walker that the array corpus
+# replaces, which the package must reproduce bit for bit, and a pair-by-pair
+# loop of the shared-negative update.
 
 
 def reference_walks(graph, walk_len, walks_per_node, seed):
@@ -259,24 +269,27 @@ def reference_unigram(walks, n, power=0.75):
     return weights / weights.sum()
 
 
-def reference_apply_batch(emb_in, emb_out, batch_pairs, negatives, lr):
-    c = batch_pairs[:, 0]
-    x = batch_pairs[:, 1]
-    vc = emb_in[c]
-    ux = emb_out[x]
-    uz = emb_out[negatives]
+def reference_shared_negative_step(emb_in, emb_out, batch_pairs, negatives, weight, lr):
+    """One step of the shared-negative update, pair by pair and negative by
+    negative, with every gradient taken at the batch's starting point."""
+    in0, out0 = emb_in.copy(), emb_out.copy()
+    for c, x in batch_pairs.tolist():
+        v = in0[c]
+        g = 1.0 / (1.0 + math.exp(-(v @ out0[x]))) - 1.0
+        emb_in[c] -= lr * g * out0[x]
+        emb_out[x] -= lr * g * v
+        for z in negatives.tolist():
+            h = weight / (1.0 + math.exp(-(v @ out0[z])))
+            emb_in[c] -= lr * h * out0[z]
+            emb_out[z] -= lr * h * v
 
-    s_pos = _sigmoid(np.einsum("ij,ij->i", vc, ux))
-    s_neg = _sigmoid(np.einsum("ij,ikj->ik", vc, uz))
 
-    g_pos = s_pos - 1.0
-    grad_vc = g_pos[:, None] * ux + np.einsum("ik,ikj->ij", s_neg, uz)
-    grad_ux = g_pos[:, None] * vc
-    grad_uz = s_neg[:, :, None] * vc[:, None, :]
-
-    np.add.at(emb_in, c, -lr * grad_vc)
-    np.add.at(emb_out, x, -lr * grad_ux)
-    np.add.at(emb_out, negatives.ravel(), -lr * grad_uz.reshape(-1, emb_out.shape[1]))
+def shared_negative_objective(emb_in, emb_out, batch_pairs, negatives, weight):
+    """sum_i [-log σ(v_ci·u_xi) - weight Σ_s log σ(-v_ci·u_s)]."""
+    vc = emb_in[batch_pairs[:, 0]]
+    pos = np.einsum("ij,ij->i", vc, emb_out[batch_pairs[:, 1]])
+    neg = vc @ emb_out[negatives].T
+    return np.logaddexp(0.0, -pos).sum() + weight * np.logaddexp(0.0, neg).sum()
 
 
 @settings(max_examples=30, deadline=None)
@@ -300,22 +313,62 @@ def test_walk_corpus_matches_per_walk_reference(seed):
     assert np.array_equal(unigram_table(corpus, n), reference_unigram(ref, n))
 
 
-def test_batch_update_matches_row_wise_scatter():
-    # a 7-node vocabulary, so every row takes many updates per batch and
-    # the order in which they are summed shows in the bits
-    n, dim, k, batch_size = 7, 8, 5, 64
+def test_shared_negative_update_matches_pair_by_pair_loop():
+    # a 7-node vocabulary, so every row takes many updates per batch, and
+    # the shared negatives repeat and coincide with centers and contexts
+    n, dim, batch_size = 7, 8, 64
+    weight = 5 / SHARED_NEGATIVES
     rng = np.random.default_rng(5)
     emb_in = (rng.random((n, dim)) - 0.5) / dim
     emb_out = rng.random((n, dim)) * 0.1
     ref_in, ref_out = emb_in.copy(), emb_out.copy()
-    work = _batch_workspace(batch_size, k, dim)
+    work = _batch_workspace(batch_size, dim)
     for m, lr in ((64, 0.025), (64, 0.02), (23, 0.015), (64, 0.01)):
         pairs = rng.integers(0, n, (m, 2))
-        negs = rng.integers(0, n, (m, k))
-        _apply_batch(emb_in, emb_out, pairs, negs, lr, work)
-        reference_apply_batch(ref_in, ref_out, pairs, negs, lr)
-    assert np.array_equal(emb_in, ref_in)
-    assert np.array_equal(emb_out, ref_out)
+        negs = rng.integers(0, n, SHARED_NEGATIVES)
+        assert len(np.unique(negs)) < SHARED_NEGATIVES
+        _apply_batch(emb_in, emb_out, pairs, negs, weight, lr, work)
+        reference_shared_negative_step(ref_in, ref_out, pairs, negs, weight, lr)
+        assert np.abs(emb_in - ref_in).max() < 1e-12
+        assert np.abs(emb_out - ref_out).max() < 1e-12
+
+
+def test_shared_negative_update_descends_the_batch_objective():
+    # the step is -lr times the gradient of the batch objective, checked by
+    # central differences in every cell of both tables
+    n, dim, m, lr, h = 7, 4, 23, 0.01, 1e-6
+    weight = 5 / SHARED_NEGATIVES
+    rng = np.random.default_rng(11)
+    emb_in = rng.normal(size=(n, dim)) * 0.5
+    emb_out = rng.normal(size=(n, dim)) * 0.5
+    pairs = rng.integers(0, n, (m, 2))
+    negs = rng.integers(0, n, SHARED_NEGATIVES)
+    new_in, new_out = emb_in.copy(), emb_out.copy()
+    _apply_batch(new_in, new_out, pairs, negs, weight, lr, _batch_workspace(64, dim))
+    for table, updated in ((emb_in, new_in), (emb_out, new_out)):
+        grad = np.zeros_like(table)
+        for idx in np.ndindex(table.shape):
+            saved = table[idx]
+            f = []
+            for step in (h, -h):
+                table[idx] = saved + step
+                f.append(shared_negative_objective(emb_in, emb_out, pairs, negs, weight))
+            table[idx] = saved
+            grad[idx] = (f[0] - f[1]) / (2 * h)
+        np.testing.assert_allclose((updated - table) / -lr, grad, rtol=1e-6, atol=1e-8)
+
+
+def test_int32_pairs_train_the_same_bytes_as_int64(monkeypatch):
+    g = build_random_graph(40, 120, seed=7)
+    corpus = generate_walks(g, 10, 5, seed=7)
+    assert corpus_pairs(corpus, 5).dtype == np.int32
+    narrow = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
+    wide_pairs = positional.corpus_pairs
+    monkeypatch.setattr(
+        positional, "corpus_pairs", lambda c, w: wide_pairs(c, w).astype(np.int64)
+    )
+    wide = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
+    assert narrow.vectors.tobytes() == wide.vectors.tobytes()
 
 
 def test_chunked_pair_loss_matches_one_pass_formula():
