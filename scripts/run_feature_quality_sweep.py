@@ -14,8 +14,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
+# gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
 from gnn_multifix import (
     ModelConfig,
     compute_representations,
@@ -27,6 +26,7 @@ from gnn_multifix import (
     train,
 )
 from gnn_multifix.synthgen import SynthSpec
+import numpy as np
 
 
 def main():

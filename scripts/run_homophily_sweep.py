@@ -13,8 +13,7 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
+# gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
 from gnn_multifix import (
     ModelConfig,
     compute_representations,
@@ -26,6 +25,7 @@ from gnn_multifix import (
     train,
 )
 from gnn_multifix.synthgen import SynthSpec
+import numpy as np
 
 
 def run_level(target, n, variant, seeds, out_dir):

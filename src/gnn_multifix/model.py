@@ -253,14 +253,16 @@ def _backward(model: MultiFixModel, cache, probs, truth, node_mask, n_masked):
         d_a1 = (d_a2 @ p["hid2_W"].T) * cache["m1"]
         grads["hid1_W"] = Z.T @ d_a1
         grads["hid1_b"] = d_a1.sum(axis=0)
-        d_Z = d_a1 @ p["hid1_W"].T
+        d_first, W_first = d_a1, p["hid1_W"]
     else:
         grads["out_W"] = Z.T @ d_logits
         grads["out_b"] = d_logits.sum(axis=0)
-        d_Z = d_logits @ p["out_W"].T
+        d_first, W_first = d_logits, p["out_W"]
 
+    # d_Z flows back through the first layer; only the feature block needs it
     if "ft_in" in cache:
         width = model.config.hidden_dim
+        d_Z = d_first @ W_first.T
         d_B = d_Z[:, :width] * cache["ft_mask"]
         grads["ft_W"] = cache["ft_in"].T @ d_B
         grads["ft_b"] = d_B.sum(axis=0)

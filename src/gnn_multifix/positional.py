@@ -8,8 +8,10 @@ with skip-gram and negative sampling over (center, context) pairs inside a
 sliding window. Negatives are drawn from the corpus unigram distribution
 raised to 0.75 and shared per batch: every pair of a batch scores the same
 SHARED_NEGATIVES (S = 32) nodes, each weighted neg_samples / S, so the
-negative term of a batch is two matrix products. Only the input-side
-embeddings are kept.
+negative term of a batch is two matrix products. The two tables are
+trained in float32, as word2vec and gensim do: a batch step is bound by
+memory and element-wise passes, so half the bytes make it faster. Only the
+input-side embeddings are kept, returned as float64.
 """
 
 from __future__ import annotations
@@ -120,9 +122,13 @@ def unigram_table(corpus: WalkCorpus, n: int, power: float = 0.75) -> np.ndarray
 
 
 def initial_embedding(n: int, dim: int, seed: int) -> np.ndarray:
-    """Input-embedding initialization: uniform in (-0.5, 0.5) / dim."""
+    """Input-embedding initialization: uniform in (-0.5, 0.5) / dim, as float32.
+
+    The variates are drawn in float64 and rounded, so the table is the
+    float64 initialization to float32 precision.
+    """
     rng = substream(seed, "sgns-init")
-    return (rng.random((n, dim)) - 0.5) / dim
+    return ((rng.random((n, dim)) - 0.5) / dim).astype(np.float32)
 
 
 def _pair_loss(emb_in, emb_out, centers, contexts, negatives, chunk):
@@ -142,7 +148,10 @@ def _pair_loss(emb_in, emb_out, centers, contexts, negatives, chunk):
 
 
 def _sigmoid(x, out=None):
-    out = np.clip(x, -500, 500, out=out)
+    # exp of the clip bound must stay finite in x's dtype; float32 exp
+    # overflows above about 88.7
+    bound = 80.0 if x.dtype == np.float32 else 500.0
+    out = np.clip(x, -bound, bound, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -170,9 +179,10 @@ def train_skipgram(
     Minibatched SGD with a linearly decaying learning rate; deterministic
     given the seed. Each batch draws one set of SHARED_NEGATIVES (S = 32)
     negatives that all of its pairs share, each weighted neg_samples / S, so
-    neg_samples stays the expected number of negatives per pair. Returns the
-    input embeddings; with return_trace=True also returns a dict holding the
-    discarded output embeddings and the loss before/after training on a
+    neg_samples stays the expected number of negatives per pair. Both tables
+    are float32 while training. Returns the input embeddings as float64;
+    with return_trace=True also returns a dict holding the discarded
+    (float32) output embeddings and the loss before/after training on a
     fixed evaluation sample, which is only drawn and scored when the trace
     is asked for.
     """
@@ -186,7 +196,7 @@ def train_skipgram(
     # per-node step bounded by sizing batches relative to the vocabulary
     batch_size = max(64, min(batch_size, 4 * n))
     emb_in = initial_embedding(n, dim, seed)
-    emb_out = np.zeros((n, dim), dtype=np.float64)
+    emb_out = np.zeros((n, dim), dtype=emb_in.dtype)
 
     pairs = corpus_pairs(corpus, window)
     trace = {}
@@ -208,7 +218,7 @@ def train_skipgram(
         n_batches_per_epoch = (len(pairs) + batch_size - 1) // batch_size
         total_batches = max(1, epochs * n_batches_per_epoch)
         weight = neg_samples / SHARED_NEGATIVES
-        work = _batch_workspace(batch_size, dim)
+        work = _batch_workspace(batch_size, dim, emb_in.dtype)
         done = 0
         for epoch in range(epochs):
             # shuffling an arange of the pairs' dtype draws the same permutation
@@ -229,20 +239,21 @@ def train_skipgram(
             )
     trace["emb_out"] = emb_out
     trace["n_pairs"] = int(len(pairs))
-    embedding = PositionalEmbedding(vectors=emb_in, dim=dim)
+    embedding = PositionalEmbedding(vectors=emb_in.astype(np.float64), dim=dim)
     return (embedding, trace) if return_trace else embedding
 
 
-def _batch_workspace(batch_size, dim):
-    """Buffers for every batch-sized array of _apply_batch, made once.
+def _batch_workspace(batch_size, dim, dtype=np.float64):
+    """Buffers for every batch-sized array of _apply_batch, made once, in the
+    dtype of the tables they will serve.
 
     Fresh arrays of these sizes on each batch may be mapped and unmapped by
     the allocator every time, a page fault per page; whether they are
     depends on malloc's heuristics and on what ran before.
     """
     rows = (batch_size, dim)
-    work = {name: np.empty(rows) for name in ("vc", "ux", "grad_vc", "grad_ux", "neg_sum")}
-    work["s_neg"] = np.empty((batch_size, SHARED_NEGATIVES))
+    work = {name: np.empty(rows, dtype=dtype) for name in ("vc", "ux", "step_vc")}
+    work["s_neg"] = np.empty((batch_size, SHARED_NEGATIVES), dtype=dtype)
     work["idx"] = np.empty(rows, dtype=np.int64)
     return work
 
@@ -256,8 +267,7 @@ def _scatter_add(table, rows, updates, idx):
     (len(rows), d) int64 buffer for the flat cell indices.
     """
     d = table.shape[1]
-    np.multiply(rows[:, None], d, out=idx, dtype=np.int64)
-    idx += np.arange(d)
+    np.add(np.multiply(rows, d, dtype=np.int64)[:, None], np.arange(d), out=idx)
     np.add.at(table.reshape(-1), idx.reshape(-1), updates.reshape(-1))
 
 
@@ -267,7 +277,9 @@ def _apply_batch(emb_in, emb_out, batch_pairs, negatives, weight, lr, work):
     Descends sum_i [-log σ(v_ci·u_xi) - weight Σ_s log σ(-v_ci·u_s)], with
     every gradient taken before any row moves. With s = weight σ(V_c U_Sᵀ),
     the negative gradients are s U_S for the centers and sᵀ V_c for the S
-    negative rows.
+    negative rows. The step size is folded into the (B,) and (B, S)
+    coefficients, so no pass scales a B x d gradient, and the gathered rows
+    are scaled in place into the positive steps. Works in the tables' dtype.
     """
     m = len(batch_pairs)
     w = {name: buf[:m] for name, buf in work.items()}
@@ -279,22 +291,23 @@ def _apply_batch(emb_in, emb_out, batch_pairs, negatives, weight, lr, work):
     ux = np.take(emb_out, x, axis=0, out=w["ux"], mode="clip")
     us = emb_out[negatives]
 
-    g_pos = _sigmoid(np.einsum("ij,ij->i", vc, ux)) - 1.0
+    # -lr (σ(v·u) - 1) = lr σ(-v·u), which keeps its precision near σ = 1
+    dots = np.einsum("ij,ij->i", vc, ux)
+    g_pos = _sigmoid(np.negative(dots, out=dots), out=dots)
+    g_pos *= lr
     s_neg = _sigmoid(np.matmul(vc, us.T, out=w["s_neg"]), out=w["s_neg"])
-    s_neg *= weight
+    s_neg *= -lr * weight
 
-    grad_vc = np.multiply(g_pos[:, None], ux, out=w["grad_vc"])
-    grad_vc += np.matmul(s_neg, us, out=w["neg_sum"])
-    grad_ux = np.multiply(g_pos[:, None], vc, out=w["grad_ux"])
-    grad_us = s_neg.T @ vc
-
-    # scale in place, so the gradients stay in their buffers
-    for grad in (grad_vc, grad_ux, grad_us):
-        np.multiply(grad, -lr, out=grad)
+    # the negative-row step reads vc before vc becomes the context step
+    step_us = s_neg.T @ vc
+    step_vc = np.matmul(s_neg, us, out=w["step_vc"])
+    ux *= g_pos[:, None]
+    step_vc += ux
+    vc *= g_pos[:, None]
     idx = work["idx"]
-    _scatter_add(emb_in, c, grad_vc, idx[:m])
-    _scatter_add(emb_out, x, grad_ux, idx[:m])
-    _scatter_add(emb_out, negatives, grad_us, idx[: len(negatives)])
+    _scatter_add(emb_in, c, step_vc, idx[:m])
+    _scatter_add(emb_out, x, vc, idx[:m])
+    _scatter_add(emb_out, negatives, step_us, idx[: len(negatives)])
 
 
 def positional_distinguishability(emb: PositionalEmbedding, u: int, v: int) -> float:

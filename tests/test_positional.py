@@ -23,6 +23,7 @@ from gnn_multifix.positional import (
     _apply_batch,
     _batch_workspace,
     _pair_loss,
+    _scatter_add,
     _sigmoid,
     corpus_pairs,
     initial_embedding,
@@ -331,6 +332,64 @@ def test_shared_negative_update_matches_pair_by_pair_loop():
         reference_shared_negative_step(ref_in, ref_out, pairs, negs, weight, lr)
         assert np.abs(emb_in - ref_in).max() < 1e-12
         assert np.abs(emb_out - ref_out).max() < 1e-12
+
+
+def test_float32_shared_negative_update_matches_pair_by_pair_loop():
+    # the float64 oracle, started from the float32 tables, against the
+    # float32 step. The tables stay below 0.25 in magnitude, so 8 float32
+    # epsilons (about 1e-6) allow a few dozen roundings of each cell over the
+    # four steps, while one step moves cells by about 1e-3.
+    n, dim, batch_size = 7, 8, 64
+    weight = 5 / SHARED_NEGATIVES
+    bound = 8 * np.finfo(np.float32).eps
+    rng = np.random.default_rng(5)
+    emb_in = ((rng.random((n, dim)) - 0.5) / dim).astype(np.float32)
+    emb_out = (rng.random((n, dim)) * 0.1).astype(np.float32)
+    ref_in, ref_out = emb_in.astype(np.float64), emb_out.astype(np.float64)
+    work = _batch_workspace(batch_size, dim, np.float32)
+    for m, lr in ((64, 0.025), (64, 0.02), (23, 0.015), (64, 0.01)):
+        pairs = rng.integers(0, n, (m, 2))
+        negs = rng.integers(0, n, SHARED_NEGATIVES)
+        _apply_batch(emb_in, emb_out, pairs, negs, weight, lr, work)
+        reference_shared_negative_step(ref_in, ref_out, pairs, negs, weight, lr)
+        assert emb_in.dtype == emb_out.dtype == np.float32
+        assert np.abs(emb_in - ref_in).max() < bound
+        assert np.abs(emb_out - ref_out).max() < bound
+
+
+def test_skipgram_trains_float32_and_returns_float64():
+    g = build_random_graph(30, 90, seed=6)
+    corpus = generate_walks(g, 10, 5, seed=6)
+    emb, trace = train_skipgram(corpus, 30, 16, 5, 5, 2, 0.025, seed=6, return_trace=True)
+    assert emb.vectors.dtype == np.float64
+    assert trace["emb_out"].dtype == np.float32
+    assert np.array_equal(emb.vectors.astype(np.float32).astype(np.float64), emb.vectors)
+    assert not np.array_equal(emb.vectors, initial_embedding(30, 16, seed=6))
+
+
+def test_float32_sigmoid_saturates_without_overflow():
+    x = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=np.float32)
+    with np.errstate(over="raise"):
+        y = _sigmoid(x)
+    assert y.dtype == np.float32
+    assert ((y >= 0) & (y <= 1)).all()
+    assert y[2] == 0.5 and y[-1] == 1.0 and y[0] < 1e-30
+
+
+def test_one_pass_scatter_index_matches_two_pass():
+    rng = np.random.default_rng(3)
+    for dtype in (np.float64, np.float32):
+        table = rng.normal(size=(9, 5)).astype(dtype)
+        rows = rng.integers(0, 9, 40).astype(np.int32)
+        updates = rng.normal(size=(40, 5)).astype(dtype)
+        two_pass = table.copy()
+        idx = np.empty((40, 5), dtype=np.int64)
+        np.multiply(rows[:, None], 5, out=idx, dtype=np.int64)
+        idx += np.arange(5)
+        np.add.at(two_pass.reshape(-1), idx.reshape(-1), updates.reshape(-1))
+        one_pass = table.copy()
+        _scatter_add(one_pass, rows, updates, np.empty((40, 5), dtype=np.int64))
+        assert one_pass.tobytes() == two_pass.tobytes()
 
 
 def test_shared_negative_update_descends_the_batch_objective():
