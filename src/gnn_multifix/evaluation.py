@@ -169,9 +169,13 @@ def export_dynamics(log: DynamicsLog, out_path):
     summary_path = out_path.with_name(out_path.stem + "_summary" + out_path.suffix)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("checkpoint_index,epoch,node_id,loss\n")
+        # one write per checkpoint; tolist() yields the same floats as float(x)
+        nodes = [int(node) for node in log.node_ids]
+        losses = np.asarray(log.losses, dtype=np.float64)
         for i, epoch in enumerate(log.epochs):
-            for j, node in enumerate(log.node_ids):
-                fh.write(f"{i},{int(epoch)},{int(node)},{repr(float(log.losses[i, j]))}\n")
+            head = f"{i},{int(epoch)},"
+            rows = zip(nodes, losses[i].tolist())
+            fh.write("".join(f"{head}{node},{loss!r}\n" for node, loss in rows))
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("checkpoint_index,epoch,q1,median,q3,max\n")
         for i, epoch in enumerate(log.epochs):

@@ -20,10 +20,12 @@ Disabled blocks are absent from the concatenation (the readout narrows).
 
 The representations are fitted once per dataset split by
 :func:`compute_representations` into a frozen :class:`Representations`
-value, which :func:`train` and :func:`predict` both take. Within training,
-everything that does not depend on trainable parameters is built once, and
-each epoch runs one readout: the post-step probabilities of epoch t are the
-pre-step ones of epoch t+1.
+value, which :func:`train` and :func:`predict` both take. Training reads
+only the rows it needs: the BCE and its gradient read the train nodes and
+early stopping reads the validation nodes, so :func:`train` builds the
+constant input once for each of those row sets, and each epoch runs one
+readout of each. The post-step train readout of epoch t is the pre-step one
+of epoch t+1. Only :func:`predict` computes every row.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-out))
 
 
-def _constant_input(model: MultiFixModel, H_f, H_l, pe):
+def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
     """Check the enabled blocks and build the parts of the input that never train.
 
     H_f is the feature block of :func:`compute_representations`: for the
@@ -165,7 +167,8 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe):
     trainable feature transform (the mlp variants with the feature block
     on), else None. blocks are the constant blocks that follow the
     transform's output; when F is None they are one block, the whole readout
-    input Z.
+    input Z. With ``rows``, a boolean node mask, every part holds only the
+    masked rows, sliced before the blocks are joined.
     """
     c = model.config
     F = None
@@ -200,6 +203,11 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe):
         ns.add(F.shape[0])
     if len(ns) != 1:
         raise ShapeError(f"enabled blocks disagree on node count: {sorted(ns)}")
+    if rows is not None:
+        if rows.shape != (ns.pop(),):
+            raise ShapeError("node mask length does not match the blocks' node count")
+        blocks = [b[rows] for b in blocks]
+        F = None if F is None else F[rows]
     if F is None:
         return None, [np.hstack(blocks)]
     return F, blocks
@@ -232,13 +240,13 @@ def _readout(model: MultiFixModel, const):
     return logits, cache
 
 
-def _backward(model: MultiFixModel, cache, probs, truth, node_mask, n_masked):
-    """Gradients of the mean masked BCE for every trainable parameter.
+def _backward(model: MultiFixModel, cache, probs, truth):
+    """Gradients of the mean BCE over the readout's rows for every trainable parameter.
 
-    probs is the unclipped sigmoid of the logits that ``cache`` came with.
+    probs is the unclipped sigmoid of the logits that ``cache`` came with,
+    and truth holds the labels of the same rows.
     """
-    d_logits = np.zeros_like(probs)
-    d_logits[node_mask] = (probs[node_mask] - truth[node_mask]) / n_masked
+    d_logits = (probs - truth) / len(probs)
 
     grads = {}
     p = model.params
@@ -307,19 +315,21 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
     the analytic gradient of the full objective. With weight_decay > 0 the
     objective includes 0.5 * wd * ||W||^2 over weight matrices (not biases),
     so the gradients can be checked against finite differences directly.
-    The readout and the backward pass are the ones :func:`train` runs, and
-    the blocks follow :func:`forward`'s contract (a linear model's H_f is
-    n x hidden_dim).
+    The readout and the backward pass are the ones :func:`train` runs, on
+    the masked rows only, and the blocks follow :func:`forward`'s contract
+    (a linear model's H_f is n x hidden_dim).
     """
     truth = np.asarray(truth, dtype=np.float64)
     node_mask = np.asarray(node_mask, dtype=bool)
-    n_masked = int(node_mask.sum())
-    if n_masked == 0:
+    if truth.shape[:1] != node_mask.shape:
+        raise ShapeError("node mask length does not match truth rows")
+    if not node_mask.any():
         raise ValueError("node mask selects no rows")
-    logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe))
+    logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe, rows=node_mask))
     probs = _sigmoid(logits)
-    loss, _ = bce_loss(probs, truth, node_mask)
-    grads = _backward(model, cache, probs, truth, node_mask, n_masked)
+    rows_truth = truth[node_mask]
+    loss, _ = bce_loss(probs, rows_truth, np.ones(len(probs), dtype=bool))
+    grads = _backward(model, cache, probs, rows_truth)
 
     p = model.params
     if weight_decay > 0.0:
@@ -433,13 +443,14 @@ def train(dataset: Dataset, config: ModelConfig, reps=None, metrics_path=None):
 
     ``reps`` are the split's fitted representations; they are computed with
     :func:`compute_representations` when not given. The input blocks that do
-    not train are built once, and each epoch runs one readout, whose
-    probabilities serve both the epoch's metrics and the next epoch's
-    gradient step. Early stopping tracks the validation samples-AP with the
-    configured patience and the returned model carries the weights of the
-    best validation epoch. Per-node train losses are recorded every epoch
-    and subsampled into the returned DynamicsLog (exactly 30 checkpoints for
-    runs of >= 30 epochs).
+    not train are built once for the train rows and once for the validation
+    rows; no other row is read. Each epoch runs one readout of each: the
+    train readout gives the epoch's train losses and the next epoch's
+    gradient step, the validation readout its samples-AP. Early stopping
+    tracks that AP with the configured patience and the returned model
+    carries the weights of the best validation epoch. Per-node train losses
+    are recorded every epoch and subsampled into the returned DynamicsLog
+    (exactly 30 checkpoints for runs of >= 30 epochs).
 
     Returns (model, dynamics_log, best_val_ap).
     """
@@ -451,34 +462,38 @@ def train(dataset: Dataset, config: ModelConfig, reps=None, metrics_path=None):
         reps = compute_representations(dataset, config)
     model = init_model(config, dataset.n, dataset.n_labels, reps.feature_dim)
     opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
-    const = _constant_input(model, reps.H_f, reps.H_l, reps.pe)
+    train_mask, val_mask = dataset.train_mask, dataset.val_mask
+    train_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=train_mask)
+    val_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=val_mask)
 
     truth = dataset.labels.astype(np.float64)
-    train_mask, val_mask = dataset.train_mask, dataset.val_mask
-    n_train = int(train_mask.sum())
+    train_truth, val_truth = truth[train_mask], truth[val_mask]
+    every_train_row = np.ones(len(train_truth), dtype=bool)
     per_epoch_losses = []
     best_ap, best_epoch, best_params = -np.inf, 0, None
     last_epoch = 0
 
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
-        # readout of the current parameters: the pre-step state of epoch 1,
-        # then after each step the post-step state of that epoch and the
-        # pre-step state of the next
-        logits, cache = _readout(model, const)
+        # train readout of the current parameters: the pre-step state of
+        # epoch 1, then after each step the post-step state of that epoch
+        # and the pre-step state of the next
+        logits, cache = _readout(model, train_const)
         probs = _sigmoid(logits)
-        if not np.isfinite(bce_loss(probs, truth, train_mask)[0]):
+        if not np.isfinite(bce_loss(probs, train_truth, every_train_row)[0]):
             raise TrainingDivergedError(1)
         for epoch in range(1, config.max_epochs + 1):
-            opt.step(model.params, _backward(model, cache, probs, truth, train_mask, n_train))
+            opt.step(model.params, _backward(model, cache, probs, train_truth))
 
-            logits, cache = _readout(model, const)
+            logits, cache = _readout(model, train_const)
             probs = _sigmoid(logits)
-            clamped = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-            train_loss, per_node = bce_loss(clamped, truth, train_mask)
+            train_loss, per_node = bce_loss(probs, train_truth, every_train_row)
             if not np.isfinite(train_loss):
                 raise TrainingDivergedError(epoch)
-            val_ap = average_precision(clamped[val_mask], truth[val_mask], "samples")
+            val_probs = _sigmoid(_readout(model, val_const)[0])
+            val_ap = average_precision(
+                np.clip(val_probs, PROB_EPS, 1.0 - PROB_EPS), val_truth, "samples"
+            )
             per_epoch_losses.append(per_node)
             last_epoch = epoch
             if metrics_fh:

@@ -243,6 +243,17 @@ def train_skipgram(
     return (embedding, trace) if return_trace else embedding
 
 
+# a complex addition is two real additions, so a pair of adjacent columns
+# can be scattered as one complex cell with the same sums
+_PAIR_DTYPES = {np.dtype(np.float32): np.complex64, np.dtype(np.float64): np.complex128}
+
+
+def _cell_width(dim):
+    """The cells per row that _scatter_add indexes: dim // 2 column pairs
+    when dim is even, else dim single columns."""
+    return dim // 2 if dim % 2 == 0 else dim
+
+
 def _batch_workspace(batch_size, dim, dtype=np.float64):
     """Buffers for every batch-sized array of _apply_batch, made once, in the
     dtype of the tables they will serve.
@@ -254,7 +265,7 @@ def _batch_workspace(batch_size, dim, dtype=np.float64):
     rows = (batch_size, dim)
     work = {name: np.empty(rows, dtype=dtype) for name in ("vc", "ux", "step_vc")}
     work["s_neg"] = np.empty((batch_size, SHARED_NEGATIVES), dtype=dtype)
-    work["idx"] = np.empty(rows, dtype=np.int64)
+    work["idx"] = np.empty(batch_size * _cell_width(dim), dtype=np.int64)
     return work
 
 
@@ -263,11 +274,19 @@ def _scatter_add(table, rows, updates, idx):
 
     Every cell receives its updates in the same order as a 2-D
     np.add.at(table, rows, updates), so the sums are bit-identical; a
-    bincount would sum in a different order and is not. ``idx`` is a
-    (len(rows), d) int64 buffer for the flat cell indices.
+    bincount would sum in a different order and is not. With an even width
+    the cells are column pairs, viewed as complex numbers, which halves the
+    indices and the scattered elements. The tables are float32 or float64.
+    ``idx`` is an int64 buffer with at least len(rows) * _cell_width(d)
+    elements, for the flat cell indices.
     """
     d = table.shape[1]
-    np.add(np.multiply(rows, d, dtype=np.int64)[:, None], np.arange(d), out=idx)
+    cells = _cell_width(d)
+    if cells != d:
+        pair = _PAIR_DTYPES[table.dtype]
+        table, updates = table.view(pair), updates.view(pair)
+    idx = idx.reshape(-1)[: len(rows) * cells].reshape(len(rows), cells)
+    np.add(np.multiply(rows, cells, dtype=np.int64)[:, None], np.arange(cells), out=idx)
     np.add.at(table.reshape(-1), idx.reshape(-1), updates.reshape(-1))
 
 
@@ -304,10 +323,9 @@ def _apply_batch(emb_in, emb_out, batch_pairs, negatives, weight, lr, work):
     ux *= g_pos[:, None]
     step_vc += ux
     vc *= g_pos[:, None]
-    idx = work["idx"]
-    _scatter_add(emb_in, c, step_vc, idx[:m])
-    _scatter_add(emb_out, x, vc, idx[:m])
-    _scatter_add(emb_out, negatives, step_us, idx[: len(negatives)])
+    _scatter_add(emb_in, c, step_vc, work["idx"])
+    _scatter_add(emb_out, x, vc, work["idx"])
+    _scatter_add(emb_out, negatives, step_us, work["idx"])
 
 
 def positional_distinguishability(emb: PositionalEmbedding, u: int, v: int) -> float:

@@ -232,6 +232,29 @@ def test_export_medians_match_recompute(tmp_path):
         assert medians[i] == pytest.approx(float(np.median(back.losses[i])), abs=1e-9)
 
 
+def per_line_dynamics_csv(log):
+    """The dynamics data CSV written one row at a time, as the reference."""
+    lines = ["checkpoint_index,epoch,node_id,loss\n"]
+    for i, epoch in enumerate(log.epochs):
+        for j, node in enumerate(log.node_ids):
+            lines.append(f"{i},{int(epoch)},{int(node)},{repr(float(log.losses[i, j]))}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_export_matches_per_line_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    losses = rng.random((30, 100))
+    losses[0, :4] = [0.0, 1e-300, 123456.789, 2.0 / 3.0]
+    log = DynamicsLog(
+        node_ids=np.flatnonzero(rng.random(300) < 0.5)[:100],
+        epochs=checkpoint_epochs(300),
+        losses=losses,
+    )
+    out = tmp_path / "dyn.csv"
+    export_dynamics(log, out)
+    assert out.read_bytes() == per_line_dynamics_csv(log)
+
+
 def test_export_round_trip_and_determinism(tmp_path):
     log = make_log(seed=4)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

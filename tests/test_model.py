@@ -31,10 +31,13 @@ from gnn_multifix.errors import (
     TrainingDivergedError,
     UnsupportedExportError,
 )
+from gnn_multifix import model as model_module
 from gnn_multifix.model import (
     CHECKPOINT_MAGIC,
     AdamState,
+    _constant_input,
     _feature_projection,
+    _readout,
     init_model,
     load_fusion_weights,
     _sigmoid,
@@ -247,6 +250,84 @@ def test_train_matches_two_pass_reference_loop(variant):
     assert all(np.array_equal(model.params[k], ref_params[k]) for k in ref_params)
     assert log.epochs[-1] == len(ref_losses)
     assert np.array_equal(log.losses, np.stack([ref_losses[e - 1] for e in log.epochs]))
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp1", "mlp3"])
+def test_train_readouts_see_only_train_or_val_rows(variant, monkeypatch):
+    ds = make_splits(build_random_dataset(40, 3, seed=2), 0.5, 0.25, seed=2)
+    n_train, n_val = int(ds.train_mask.sum()), int(ds.val_mask.sum())
+    assert len({ds.n, n_train, n_val}) == 3
+    cfg = small_config(variant=variant, max_epochs=20, patience=20)
+    reps = compute_representations(ds, cfg)
+    seen = []
+
+    def recording_readout(model, const):
+        logits, cache = _readout(model, const)
+        seen.append(len(logits))
+        return logits, cache
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "_readout", recording_readout)
+        train(ds, cfg, reps=reps)
+    assert set(seen) == {n_train, n_val}
+    assert seen.count(n_train) == cfg.max_epochs + 1 and seen.count(n_val) == cfg.max_epochs
+
+
+def masked_backward(model, cache, probs, truth, node_mask, n_masked):
+    """Backward pass over a full-row readout: d_logits is zero off the mask."""
+    d_logits = np.zeros_like(probs)
+    d_logits[node_mask] = (probs[node_mask] - truth[node_mask]) / n_masked
+    grads = {}
+    p = model.params
+    Z = cache["Z"]
+    if model.config.variant == "mlp3":
+        a2, a1 = cache["a2"], cache["a1"]
+        grads["out_W"] = a2.T @ d_logits
+        grads["out_b"] = d_logits.sum(axis=0)
+        d_a2 = (d_logits @ p["out_W"].T) * cache["m2"]
+        grads["hid2_W"] = a1.T @ d_a2
+        grads["hid2_b"] = d_a2.sum(axis=0)
+        d_a1 = (d_a2 @ p["hid2_W"].T) * cache["m1"]
+        grads["hid1_W"] = Z.T @ d_a1
+        grads["hid1_b"] = d_a1.sum(axis=0)
+        d_first, W_first = d_a1, p["hid1_W"]
+    else:
+        grads["out_W"] = Z.T @ d_logits
+        grads["out_b"] = d_logits.sum(axis=0)
+        d_first, W_first = d_logits, p["out_W"]
+    if "ft_in" in cache:
+        d_B = (d_first @ W_first.T)[:, : model.config.hidden_dim] * cache["ft_mask"]
+        grads["ft_W"] = cache["ft_in"].T @ d_B
+        grads["ft_b"] = d_B.sum(axis=0)
+    return grads
+
+
+def full_row_train_losses(dataset, config, reps):
+    """Per-epoch per-train-node losses of an epoch loop that reads every row."""
+    model = init_model(config, dataset.n, dataset.n_labels, reps.feature_dim)
+    opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
+    const = _constant_input(model, reps.H_f, reps.H_l, reps.pe)
+    truth = dataset.labels.astype(np.float64)
+    mask = dataset.train_mask
+    logits, cache = _readout(model, const)
+    losses = []
+    for _ in range(config.max_epochs):
+        probs = _sigmoid(logits)
+        opt.step(model.params, masked_backward(model, cache, probs, truth, mask, int(mask.sum())))
+        logits, cache = _readout(model, const)
+        losses.append(bce_loss(_sigmoid(logits), truth, mask)[1])
+    return np.stack(losses)
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp1", "mlp3"])
+def test_train_losses_match_full_row_loop(variant):
+    ds = make_splits(build_random_dataset(600, 4, seed=8), 0.6, 0.2, seed=8)
+    cfg = small_config(variant=variant, max_epochs=60, patience=60)
+    reps = compute_representations(ds, cfg)
+    _, log, _ = train(ds, cfg, reps=reps)
+    ref = full_row_train_losses(ds, cfg, reps)
+    assert log.epochs[-1] == cfg.max_epochs
+    assert np.abs(log.losses - ref[log.epochs - 1]).max() < 1e-12
 
 
 def featureless_with_isolated_nodes(n, n_isolated, seed):

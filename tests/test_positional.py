@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from gnn_multifix.positional import (
     WalkCorpus,
     _apply_batch,
     _batch_workspace,
+    _cell_width,
     _pair_loss,
     _scatter_add,
     _sigmoid,
@@ -377,18 +379,21 @@ def test_float32_sigmoid_saturates_without_overflow():
 
 
 def test_one_pass_scatter_index_matches_two_pass():
+    # width 6 scatters column pairs as complex cells; width 5 single columns
     rng = np.random.default_rng(3)
-    for dtype in (np.float64, np.float32):
-        table = rng.normal(size=(9, 5)).astype(dtype)
+    for width, dtype in itertools.product((5, 6), (np.float64, np.float32)):
+        table = rng.normal(size=(9, width)).astype(dtype)
         rows = rng.integers(0, 9, 40).astype(np.int32)
-        updates = rng.normal(size=(40, 5)).astype(dtype)
+        updates = rng.normal(size=(40, width)).astype(dtype)
         two_pass = table.copy()
-        idx = np.empty((40, 5), dtype=np.int64)
-        np.multiply(rows[:, None], 5, out=idx, dtype=np.int64)
-        idx += np.arange(5)
+        idx = np.empty((40, width), dtype=np.int64)
+        np.multiply(rows[:, None], width, out=idx, dtype=np.int64)
+        idx += np.arange(width)
         np.add.at(two_pass.reshape(-1), idx.reshape(-1), updates.reshape(-1))
         one_pass = table.copy()
-        _scatter_add(one_pass, rows, updates, np.empty((40, 5), dtype=np.int64))
+        cells = _cell_width(width)
+        assert cells == (3 if width == 6 else 5)
+        _scatter_add(one_pass, rows, updates, np.empty(40 * cells, dtype=np.int64))
         assert one_pass.tobytes() == two_pass.tobytes()
 
 
