@@ -38,7 +38,6 @@ from .graph import (
     label_homophily_stats,
     make_dataset,
     make_splits,
-    rw_transition,
     substitute_features,
     sym_norm_adjacency,
 )
@@ -58,7 +57,6 @@ from .model import (
     train,
 )
 from .positional import (
-    PositionalEmbedding,
     WalkCorpus,
     generate_walks,
     load_embedding_csv,
@@ -66,13 +64,7 @@ from .positional import (
     save_embedding_csv,
     train_skipgram,
 )
-from .propagation import (
-    FeatureRep,
-    LabelRep,
-    init_label_matrix,
-    propagate_features,
-    propagate_labels,
-)
+from .propagation import init_label_matrix, propagate_features, propagate_labels
 from .synthgen import (
     SynthSpec,
     generate_dataset,
@@ -88,12 +80,9 @@ __all__ = [
     "Dataset",
     "DynamicsLog",
     "EvalReport",
-    "FeatureRep",
     "Graph",
-    "LabelRep",
     "ModelConfig",
     "MultiFixModel",
-    "PositionalEmbedding",
     "Representations",
     "SparseMatrix",
     "SynthSpec",
@@ -133,7 +122,6 @@ __all__ = [
     "propagate_features",
     "propagate_labels",
     "read_probability_csv",
-    "rw_transition",
     "save_dataset",
     "save_embedding_csv",
     "save_model",

@@ -27,9 +27,6 @@ class EvalReport:
     n_eval: int
     headline: str = HEADLINE_AP_MODE
 
-    def headline_value(self) -> float:
-        return getattr(self, f"ap_{self.headline}")
-
     def to_dict(self) -> dict:
         return {
             "ap_micro": self.ap_micro,
@@ -136,10 +133,6 @@ class DynamicsLog:
     node_ids: np.ndarray
     epochs: np.ndarray
     losses: np.ndarray
-
-    @property
-    def checkpoints(self):
-        return [(int(e), self.losses[i]) for i, e in enumerate(self.epochs)]
 
     @property
     def n_checkpoints(self) -> int:

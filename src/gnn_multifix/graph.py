@@ -89,7 +89,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Row-compressed real matrix (CSR) with sorted column indices."""
+    """Row-compressed real matrix (CSR) with sorted column indices.
+
+    Every row holds at least one entry.
+    """
 
     rows: int
     cols: int
@@ -100,6 +103,10 @@ class SparseMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ShapeError("sparse matrix values must be finite")
+        # matmul_dense sums each row with np.add.reduceat, which cannot
+        # express an empty segment; the self-loops of A+I leave no row empty
+        if not np.all(np.diff(self.row_ptr) > 0):
+            raise ShapeError("sparse matrix has a row with no entries")
 
     @property
     def nnz(self) -> int:
@@ -115,33 +122,14 @@ class SparseMatrix:
             raise ShapeError(f"operand has {X.shape[0]} rows, expected {self.cols}")
         out = np.zeros((self.rows, X.shape[1]), dtype=np.float64)
         if self.nnz:
-            counts = np.diff(self.row_ptr)
-            # reduceat cannot express empty segments; scatter-add instead
-            rows = None if np.all(counts > 0) else np.repeat(np.arange(self.rows), counts)
             # column blocks keep the nnz x block products under the byte cap;
             # every output cell still sums its products in row-pointer order
             width = max(1, _MATMUL_TMP_BYTES // (8 * self.nnz))
             for j in range(0, X.shape[1], width):
                 block = slice(j, j + width)
                 contrib = self.values[:, None] * X[self.col_idx, block]
-                if rows is None:
-                    out[:, block] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=0)
-                else:
-                    np.add.at(out[:, block], rows, contrib)
+                out[:, block] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=0)
         return out[:, 0] if squeeze else out
-
-    def to_dense(self) -> np.ndarray:
-        d = np.zeros((self.rows, self.cols), dtype=np.float64)
-        rows = np.repeat(np.arange(self.rows), np.diff(self.row_ptr))
-        d[rows, self.col_idx] = self.values
-        return d
-
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows, dtype=np.float64)
-        if self.nnz:
-            rows = np.repeat(np.arange(self.rows), np.diff(self.row_ptr))
-            np.add.at(out, rows, self.values)
-        return out
 
 
 @dataclass(frozen=True)
@@ -236,10 +224,10 @@ def substitute_features(dataset: Dataset, policy: str) -> Dataset:
     "identity" assigns one-hot identity rows (D = n, an n x n array);
     "degree" assigns the node degree as a single column; "none" refuses
     substitution. Datasets that already carry features are returned
-    unchanged. The linear model never calls this for "identity": its
-    feature block is the propagated projection A^K · P, which
-    ``model.compute_representations`` builds without the identity; the mlp
-    variants still get the n x n identity here.
+    unchanged. The linear model never calls this for "identity":
+    ``model.compute_representations`` builds its feature block, the
+    n x hidden_dim array A^K · P, without the identity; the mlp variants
+    still get the n x n identity here.
     """
     if dataset.features is not None:
         return dataset
@@ -275,18 +263,6 @@ def sym_norm_adjacency(graph: Graph) -> SparseMatrix:
     inv_sqrt = 1.0 / np.sqrt(dt)
     rows = np.repeat(np.arange(graph.n), np.diff(row_ptr))
     values = inv_sqrt[rows] * inv_sqrt[col]
-    return SparseMatrix(graph.n, graph.n, _frozen(row_ptr), _frozen(col), _frozen(values))
-
-
-def rw_transition(graph: Graph) -> SparseMatrix:
-    """Uniform random-walk transition operator over A+I.
-
-    Entry (v, u) = 1 / (deg[v] + 1) for u in N(v) ∪ {v}; rows sum to 1.
-    """
-    row_ptr, col = _with_self_loops(graph)
-    dt = (graph.deg + 1).astype(np.float64)
-    rows = np.repeat(np.arange(graph.n), np.diff(row_ptr))
-    values = 1.0 / dt[rows]
     return SparseMatrix(graph.n, graph.n, _frozen(row_ptr), _frozen(col), _frozen(values))
 
 

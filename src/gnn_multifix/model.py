@@ -20,12 +20,13 @@ Disabled blocks are absent from the concatenation (the readout narrows).
 
 The representations are fitted once per dataset split by
 :func:`compute_representations` into a frozen :class:`Representations`
-value, which :func:`train` and :func:`predict` both take. Training reads
-only the rows it needs: the BCE and its gradient read the train nodes and
-early stopping reads the validation nodes, so :func:`train` builds the
-constant input once for each of those row sets, and each epoch runs one
-readout of each. The post-step train readout of epoch t is the pre-step one
-of epoch t+1. Only :func:`predict` computes every row.
+value, one float64 array per enabled block, which :func:`train` and
+:func:`predict` both require. Training reads only the rows it needs: the
+BCE and its gradient read the train nodes and early stopping reads the
+validation nodes, so :func:`train` builds the constant input once for each
+of those row sets, and each epoch runs one readout of each. The post-step
+train readout of epoch t is the pre-step one of epoch t+1. Only
+:func:`predict` computes every row.
 """
 
 from __future__ import annotations
@@ -44,14 +45,8 @@ from .errors import (
 )
 from .evaluation import DynamicsLog, average_precision, checkpoint_epochs
 from .graph import Dataset, substitute_features, sym_norm_adjacency
-from .positional import PositionalEmbedding, generate_walks, train_skipgram
-from .propagation import (
-    FeatureRep,
-    LabelRep,
-    init_label_matrix,
-    propagate_features,
-    propagate_labels,
-)
+from .positional import generate_walks, train_skipgram
+from .propagation import init_label_matrix, propagate_features, propagate_labels
 from .rng import substream
 
 PROB_EPS = 1e-7
@@ -160,8 +155,9 @@ def _sigmoid(z):
 def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
     """Check the enabled blocks and build the parts of the input that never train.
 
-    H_f is the feature block of :func:`compute_representations`: for the
-    linear variant the projected features (n x hidden_dim), which enter the
+    H_f, H_l and pe are the blocks of :class:`Representations`, as arrays
+    (None for a disabled block). H_f is the feature block: for the linear
+    variant the projected features (n x hidden_dim), which enter the
     readout as they are; for the mlp variants the propagated raw features
     (n x feature_dim). Returns (F, blocks). F is the operand of the
     trainable feature transform (the mlp variants with the feature block
@@ -176,7 +172,7 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
     if c.enable_fr:
         if H_f is None:
             raise ShapeError("feature block enabled but no feature representation given")
-        F = H_f.H_f if isinstance(H_f, FeatureRep) else np.asarray(H_f, np.float64)
+        F = np.asarray(H_f, np.float64)
         if c.variant == "linear":
             if F.shape[1] != c.hidden_dim:
                 raise ShapeError(f"linear feature width {F.shape[1]} != hidden_dim {c.hidden_dim}")
@@ -187,14 +183,14 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
     if c.enable_lr:
         if H_l is None:
             raise ShapeError("label block enabled but no label representation given")
-        L = H_l.H_l if isinstance(H_l, LabelRep) else np.asarray(H_l, np.float64)
+        L = np.asarray(H_l, np.float64)
         if L.shape[1] != model.n_labels:
             raise ShapeError(f"label width {L.shape[1]} != n_labels {model.n_labels}")
         blocks.append(L)
     if c.enable_pe:
         if pe is None:
             raise ShapeError("positional block enabled but no embedding given")
-        P = pe.vectors if isinstance(pe, PositionalEmbedding) else np.asarray(pe, np.float64)
+        P = np.asarray(pe, np.float64)
         if P.shape[1] != c.pe_dim:
             raise ShapeError(f"embedding width {P.shape[1]} != pe_dim {c.pe_dim}")
         blocks.append(P)
@@ -368,16 +364,18 @@ class AdamState:
 class Representations:
     """The fitted inputs of the readout for one dataset split.
 
-    Disabled blocks are None; feature_dim is the width of the (substituted)
-    raw features, 0 when the feature block is off. For the linear variant
-    H_f holds the propagated features already through the projection
-    (n x hidden_dim); for the mlp variants it holds the propagated raw
-    features (n x feature_dim).
+    Each block is a float64 array with a row per node, or None when it is
+    disabled: H_f the propagated features, H_l the propagated labels
+    (n x n_labels), pe the walk embedding (n x pe_dim). For the linear
+    variant H_f is already through the projection (n x hidden_dim); for the
+    mlp variants it is the propagated raw features (n x feature_dim).
+    feature_dim is the width of the (substituted) raw features, 0 when the
+    feature block is off.
     """
 
-    H_f: FeatureRep | None
-    H_l: LabelRep | None
-    pe: PositionalEmbedding | None
+    H_f: np.ndarray | None
+    H_l: np.ndarray | None
+    pe: np.ndarray | None
     feature_dim: int
 
 
@@ -391,7 +389,8 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
     identity (A^K · I · P = A^K · P), so the block takes n x hidden_dim
     memory, not n x n; otherwise X is propagated and then projected.
     The walk embedding is retrained deterministically from config.seed
-    unless one is passed in (e.g. cached from a previous run).
+    unless one is passed in as an n x pe_dim array (e.g. cached from a
+    previous run). Blocks that config disables are None.
     """
     H_f = H_l = X = P = None
     feature_dim = 0
@@ -434,23 +433,24 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
     if P is not None:
         # real features are projected only after the walk embedding: skip-gram's
         # workspace is the fit's largest transient, and until here the block is n x D
-        H_f = FeatureRep(H_f=H_f.H_f @ P, K=H_f.K)
+        H_f = H_f @ P
     return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim)
 
 
-def train(dataset: Dataset, config: ModelConfig, reps=None, metrics_path=None):
+def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_path=None):
     """Train the readout (and feature transform) on the train-node BCE.
 
-    ``reps`` are the split's fitted representations; they are computed with
-    :func:`compute_representations` when not given. The input blocks that do
-    not train are built once for the train rows and once for the validation
-    rows; no other row is read. Each epoch runs one readout of each: the
-    train readout gives the epoch's train losses and the next epoch's
-    gradient step, the validation readout its samples-AP. Early stopping
-    tracks that AP with the configured patience and the returned model
-    carries the weights of the best validation epoch. Per-node train losses
-    are recorded every epoch and subsampled into the returned DynamicsLog
-    (exactly 30 checkpoints for runs of >= 30 epochs).
+    ``reps`` are the split's representations from
+    :func:`compute_representations`. Only the blocks that config enables are
+    read, so one fit with every block on serves each ablation of its config.
+    The input blocks that do not train are built once for the train rows
+    and once for the validation rows; no other row is read. Each epoch runs
+    one readout of each: the train readout gives the epoch's train losses
+    and the next epoch's gradient step, the validation readout its
+    samples-AP. Early stopping tracks that AP with the configured patience
+    and the returned model carries the weights of the best validation epoch.
+    Per-node train losses are recorded every epoch and subsampled into the
+    returned DynamicsLog (exactly 30 checkpoints for runs of >= 30 epochs).
 
     Returns (model, dynamics_log, best_val_ap).
     """
@@ -458,9 +458,8 @@ def train(dataset: Dataset, config: ModelConfig, reps=None, metrics_path=None):
         raise ValueError("no train nodes")
     if not dataset.val_mask.any():
         raise ValueError("no validation nodes (needed for early stopping)")
-    if reps is None:
-        reps = compute_representations(dataset, config)
-    model = init_model(config, dataset.n, dataset.n_labels, reps.feature_dim)
+    feature_dim = reps.feature_dim if config.enable_fr else 0
+    model = init_model(config, dataset.n, dataset.n_labels, feature_dim)
     opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
     train_mask, val_mask = dataset.train_mask, dataset.val_mask
     train_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=train_mask)
@@ -530,20 +529,15 @@ def train(dataset: Dataset, config: ModelConfig, reps=None, metrics_path=None):
     return model, log, float(best_ap)
 
 
-def predict(model: MultiFixModel, dataset: Dataset, reps=None) -> np.ndarray:
+def predict(model: MultiFixModel, dataset: Dataset, reps: Representations) -> np.ndarray:
     """Transductive inference: full-graph probabilities for the dataset.
 
-    ``reps`` should be the representations the model was trained on. Without
-    them they are recomputed from the dataset and the model's config, which
-    reproduces the training-time inputs of a model trained on this dataset
-    but repeats the propagation and the skip-gram training.
+    ``reps`` are the representations the model was trained on.
     """
     if dataset.n_labels != model.n_labels:
         raise CompatibilityError(
             f"model predicts {model.n_labels} labels, dataset has {dataset.n_labels}"
         )
-    if reps is None:
-        reps = compute_representations(dataset, model.config)
     if model.config.enable_fr and reps.feature_dim != model.feature_dim:
         raise CompatibilityError(
             f"model expects {model.feature_dim}-dim features, dataset provides "

@@ -11,7 +11,7 @@ SHARED_NEGATIVES (S = 32) nodes, each weighted neg_samples / S, so the
 negative term of a batch is two matrix products. The two tables are
 trained in float32, as word2vec and gensim do: a batch step is bound by
 memory and element-wise passes, so half the bytes make it faster. Only the
-input-side embeddings are kept, returned as float64.
+input-side embeddings are kept, returned as an n x dim float64 array.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class WalkCorpus:
     lengths: np.ndarray
     walk_len: int
     walks_per_node: int
-
-
-@dataclass(frozen=True)
-class PositionalEmbedding:
-    vectors: np.ndarray
-    dim: int
 
 
 def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) -> WalkCorpus:
@@ -180,11 +174,11 @@ def train_skipgram(
     given the seed. Each batch draws one set of SHARED_NEGATIVES (S = 32)
     negatives that all of its pairs share, each weighted neg_samples / S, so
     neg_samples stays the expected number of negatives per pair. Both tables
-    are float32 while training. Returns the input embeddings as float64;
-    with return_trace=True also returns a dict holding the discarded
-    (float32) output embeddings and the loss before/after training on a
-    fixed evaluation sample, which is only drawn and scored when the trace
-    is asked for.
+    are float32 while training. Returns the input embeddings as an n x dim
+    float64 array; with return_trace=True also returns a dict holding the
+    discarded (float32) output embeddings and the loss before/after
+    training on a fixed evaluation sample, which is only drawn and scored
+    when the trace is asked for.
     """
     if dim < 1 or window < 1 or neg_samples < 1:
         raise ValueError("dim, window, and neg_samples must be >= 1")
@@ -239,7 +233,7 @@ def train_skipgram(
             )
     trace["emb_out"] = emb_out
     trace["n_pairs"] = int(len(pairs))
-    embedding = PositionalEmbedding(vectors=emb_in.astype(np.float64), dim=dim)
+    embedding = emb_in.astype(np.float64)
     return (embedding, trace) if return_trace else embedding
 
 
@@ -328,18 +322,17 @@ def _apply_batch(emb_in, emb_out, batch_pairs, negatives, weight, lr, work):
     _scatter_add(emb_out, negatives, step_us, work["idx"])
 
 
-def positional_distinguishability(emb: PositionalEmbedding, u: int, v: int) -> float:
+def positional_distinguishability(emb: np.ndarray, u: int, v: int) -> float:
     """Euclidean distance between the embeddings of two distinct nodes."""
     if u == v:
         raise ValueError("u and v must differ")
-    return float(np.linalg.norm(emb.vectors[u] - emb.vectors[v]))
+    return float(np.linalg.norm(emb[u] - emb[v]))
 
 
-def save_embedding_csv(emb: PositionalEmbedding, path):
-    """Write the embedding as 'node_id,e_0..e_{dim-1}', one row per node."""
-    _write_node_csv(emb.vectors, path, "e_")
+def save_embedding_csv(emb: np.ndarray, path):
+    """Write the n x dim embedding as 'node_id,e_0..e_{dim-1}', one row per node."""
+    _write_node_csv(emb, path, "e_")
 
 
-def load_embedding_csv(path) -> PositionalEmbedding:
-    vectors = _read_node_csv(path, "embedding")
-    return PositionalEmbedding(vectors=vectors, dim=vectors.shape[1])
+def load_embedding_csv(path) -> np.ndarray:
+    return _read_node_csv(path, "embedding")

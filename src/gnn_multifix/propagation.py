@@ -5,33 +5,15 @@ raw feature matrix. Label propagation runs the same recurrence on an initial
 label matrix and never re-injects the true labels between steps: training
 rows drift with their neighborhoods instead of being clamped back, so the
 propagated rows carry neighborhood label structure rather than copies of the
-supervision.
+supervision. Both return the propagated matrix as a float64 array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .graph import Dataset, SparseMatrix
-
-
-@dataclass(frozen=True)
-class FeatureRep:
-    """Propagated feature matrix (n x D) and the depth that produced it."""
-
-    H_f: np.ndarray
-    K: int
-
-
-@dataclass(frozen=True)
-class LabelRep:
-    """Propagated label matrix (n x C) and the depth that produced it."""
-
-    H_l: np.ndarray
-    N: int
 
 
 def _check_operand(op: SparseMatrix, X: np.ndarray):
@@ -43,8 +25,8 @@ def _check_operand(op: SparseMatrix, X: np.ndarray):
 
 def propagate_features(
     adj_norm: SparseMatrix, X: np.ndarray, K: int, activation: str = "identity"
-) -> FeatureRep:
-    """Apply K rounds of one-hop aggregation to the feature matrix.
+) -> np.ndarray:
+    """Apply K rounds of one-hop aggregation to the feature matrix (n x D).
 
     activation is "identity" or "relu"; K = 0 returns X unchanged.
     """
@@ -58,7 +40,7 @@ def propagate_features(
         H = adj_norm.matmul_dense(H)
         if activation == "relu":
             H = np.maximum(H, 0.0)
-    return FeatureRep(H_f=H, K=K)
+    return H
 
 
 def init_label_matrix(dataset: Dataset, padding: str = "zero") -> np.ndarray:
@@ -77,8 +59,8 @@ def init_label_matrix(dataset: Dataset, padding: str = "zero") -> np.ndarray:
     return H0
 
 
-def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int) -> LabelRep:
-    """Apply N aggregation rounds to an initial label matrix, reset-free.
+def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int) -> np.ndarray:
+    """Apply N aggregation rounds to an initial label matrix (n x C), reset-free.
 
     Each round is one linear aggregation, H <- A_hat @ H, with no
     re-injection of true labels between steps.
@@ -89,5 +71,5 @@ def propagate_labels(adj_norm: SparseMatrix, H0: np.ndarray, N: int) -> LabelRep
     _check_operand(adj_norm, H)
     for _ in range(N):
         H = adj_norm.matmul_dense(H)
-    return LabelRep(H_l=H, N=N)
+    return H
 

@@ -1,7 +1,34 @@
 import numpy as np
 import pytest
 
-from gnn_multifix import Graph, make_dataset, make_splits
+from gnn_multifix import Graph, SparseMatrix, make_dataset, make_splits
+from gnn_multifix.graph import _with_self_loops
+
+
+def rw_transition(graph):
+    """Uniform random-walk transition operator over A+I.
+
+    Entry (v, u) = 1 / (deg[v] + 1) for u in N(v) ∪ {v}; rows sum to 1.
+    """
+    row_ptr, col = _with_self_loops(graph)
+    dt = (graph.deg + 1).astype(np.float64)
+    rows = np.repeat(np.arange(graph.n), np.diff(row_ptr))
+    return SparseMatrix(graph.n, graph.n, row_ptr, col, 1.0 / dt[rows])
+
+
+def to_dense(m):
+    """The n x n dense form of a SparseMatrix."""
+    d = np.zeros((m.rows, m.cols), dtype=np.float64)
+    rows = np.repeat(np.arange(m.rows), np.diff(m.row_ptr))
+    d[rows, m.col_idx] = m.values
+    return d
+
+
+def row_sums(m):
+    """The sum of each row of a SparseMatrix."""
+    out = np.zeros(m.rows, dtype=np.float64)
+    np.add.at(out, np.repeat(np.arange(m.rows), np.diff(m.row_ptr)), m.values)
+    return out
 
 
 def dense_propagation_oracle(P, Y_padded, N):
@@ -13,7 +40,7 @@ def dense_propagation_oracle(P, Y_padded, N):
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    dense = P.to_dense()
+    dense = to_dense(P)
     out = np.asarray(Y_padded, dtype=np.float64).copy()
     for _ in range(N):
         out = dense @ out

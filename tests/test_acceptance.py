@@ -31,7 +31,6 @@ from gnn_multifix import (
     positional_distinguishability,
     predict,
     propagate_labels,
-    rw_transition,
     train,
     train_skipgram,
 )
@@ -39,7 +38,12 @@ from gnn_multifix.cli import main as cli_main
 from gnn_multifix.model import _feature_projection, init_model
 from gnn_multifix.synthgen import SynthSpec
 
-from conftest import build_random_graph, build_twin_path_dataset, dense_propagation_oracle
+from conftest import (
+    build_random_graph,
+    build_twin_path_dataset,
+    dense_propagation_oracle,
+    rw_transition,
+)
 from test_evaluation import brute_force_ap
 from test_graph import _brute_force_homophily
 
@@ -62,7 +66,7 @@ def test_criterion_01_label_propagation_matches_dense_oracle():
         Y = (rng.random((n, C)) < 0.4).astype(float)
         Y[~(rng.random(n) < 0.7)] = 0.0  # zero rows for unlabeled nodes
         N = int(rng.integers(0, 5))
-        sparse = propagate_labels(P, Y, N).H_l
+        sparse = propagate_labels(P, Y, N)
         dense = dense_propagation_oracle(P, Y, N)
         worst = max(worst, float(np.abs(sparse - dense).max()))
     elapsed = time.monotonic() - start
@@ -203,8 +207,9 @@ def test_criterion_05_twin_node_expressiveness():
     cfg_fr = ModelConfig(variant="linear", enable_lr=False, enable_pe=False,
                          feature_policy="degree", K=2, hidden_dim=16,
                          max_epochs=60, patience=60, seed=0)
-    model, _, _ = train(ds, cfg_fr)
-    probs = predict(model, ds)
+    reps = compute_representations(ds, cfg_fr)
+    model, _, _ = train(ds, cfg_fr, reps=reps)
+    probs = predict(model, ds, reps=reps)
     gap_fr = float(np.abs(probs[1] - probs[3]).max())
     ok_a = gap_fr < 1e-10
 
@@ -212,7 +217,7 @@ def test_criterion_05_twin_node_expressiveness():
     # nodes sit inside their 1-hop neighborhoods
     cfg_lr = replace(cfg_fr, enable_lr=True, N=1)
     H_l = compute_representations(ds, cfg_lr).H_l
-    gap_lr = float(np.abs(H_l.H_l[1] - H_l.H_l[3]).max())
+    gap_lr = float(np.abs(H_l[1] - H_l[3]).max())
     ok_b = gap_lr > 0.01
 
     # (c) walk embeddings split twins in an all-test component
@@ -314,7 +319,7 @@ def test_criterion_08_dynamics_contract(tmp_path, two_clique_split):
 
     cfg = ModelConfig(variant="linear", hidden_dim=16, pe_dim=8, max_epochs=75, patience=100,
                       walks_per_node=5, pe_epochs=3, seed=1)
-    _, log, _ = train(two_clique_split, cfg)
+    _, log, _ = train(two_clique_split, cfg, reps=compute_representations(two_clique_split, cfg))
     uniform = np.diff(log.epochs)
     ok_count = log.n_checkpoints == 30 and log.epochs[0] == 1 and log.epochs[-1] == 75
     ok_spacing = uniform.max() - uniform.min() <= 1  # integer-rounded uniform spacing

@@ -10,15 +10,14 @@ from gnn_multifix import (
     label_homophily_stats,
     make_dataset,
     make_splits,
-    rw_transition,
     substitute_features,
     sym_norm_adjacency,
 )
 from gnn_multifix import graph as graph_module
-from gnn_multifix.errors import UndefinedMetricError
+from gnn_multifix.errors import ShapeError, UndefinedMetricError
 from gnn_multifix.graph import SparseMatrix, _with_self_loops
 
-from conftest import build_random_dataset, build_random_graph
+from conftest import build_random_dataset, build_random_graph, row_sums, rw_transition, to_dense
 
 
 def test_from_edges_symmetrizes_and_dedups():
@@ -36,12 +35,12 @@ def test_from_edges_drops_self_loops():
 
 def test_sym_norm_isolated_node():
     g = Graph.from_edges(1, [])
-    assert np.allclose(sym_norm_adjacency(g).to_dense(), [[1.0]])
+    assert np.allclose(to_dense(sym_norm_adjacency(g)), [[1.0]])
 
 
 def test_sym_norm_path():
     g = Graph.from_edges(2, [(0, 1)])
-    dense = sym_norm_adjacency(g).to_dense()
+    dense = to_dense(sym_norm_adjacency(g))
     assert dense == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
 
 
@@ -54,7 +53,7 @@ def test_sym_norm_triangle():
 def test_sym_norm_symmetric_and_matches_pattern():
     g = build_random_graph(40, 120, seed=2)
     a = sym_norm_adjacency(g)
-    dense = a.to_dense()
+    dense = to_dense(a)
     assert np.allclose(dense, dense.T)
     # sparsity pattern equals A + I
     expected = np.zeros((40, 40), dtype=bool)
@@ -67,16 +66,16 @@ def test_sym_norm_symmetric_and_matches_pattern():
 def test_rw_transition_rows_sum_to_one():
     g = build_random_graph(50, 150, seed=3)
     p = rw_transition(g)
-    assert p.row_sums() == pytest.approx(np.ones(50), abs=1e-12)
-    dense = p.to_dense()
+    assert row_sums(p) == pytest.approx(np.ones(50), abs=1e-12)
+    dense = to_dense(p)
     for v in range(50):
         nb = g.neighbors(v)
         assert dense[v, v] == pytest.approx(1.0 / (len(nb) + 1))
 
 
 def test_rw_transition_isolated_and_path():
-    assert np.allclose(rw_transition(Graph.from_edges(1, [])).to_dense(), [[1.0]])
-    p = rw_transition(Graph.from_edges(2, [(0, 1)])).to_dense()
+    assert np.allclose(to_dense(rw_transition(Graph.from_edges(1, []))), [[1.0]])
+    p = to_dense(rw_transition(Graph.from_edges(2, [(0, 1)])))
     assert np.allclose(p, [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -160,32 +159,23 @@ def test_clustering_matches_brute_force():
     assert clustering_coefficient(g) == pytest.approx(expected, abs=1e-12)
 
 
-def test_sparse_matmul_matches_dense_with_empty_rows():
-    # rows without entries (including a trailing one) must contribute zeros
-    from gnn_multifix import SparseMatrix
-
-    m = SparseMatrix(
-        rows=4,
-        cols=4,
-        row_ptr=np.array([0, 3, 3, 4, 4]),
-        col_idx=np.array([0, 1, 3, 2]),
-        values=np.array([1.0, 2.0, 3.0, 4.0]),
-    )
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(4, 3))
-    assert np.allclose(m.matmul_dense(X), m.to_dense() @ X)
+def test_sparse_matrix_rejects_empty_rows():
+    # a middle and a trailing row without entries: reduceat cannot sum them
+    for row_ptr in ([0, 3, 3, 4, 4], [0, 3, 4, 4, 4], [0, 0, 1, 2, 4]):
+        with pytest.raises(ShapeError, match="no entries"):
+            SparseMatrix(
+                rows=4,
+                cols=4,
+                row_ptr=np.array(row_ptr),
+                col_idx=np.array([0, 1, 3, 2]),
+                values=np.array([1.0, 2.0, 3.0, 4.0]),
+            )
 
 
 def one_block_matmul(m, X):
     """m @ X with the whole nnz x width product built at once."""
-    out = np.zeros((m.rows, X.shape[1]))
     contrib = m.values[:, None] * X[m.col_idx]
-    counts = np.diff(m.row_ptr)
-    if np.all(counts > 0):
-        out[:] = np.add.reduceat(contrib, m.row_ptr[:-1], axis=0)
-    else:
-        np.add.at(out, np.repeat(np.arange(m.rows), counts), contrib)
-    return out
+    return np.add.reduceat(contrib, m.row_ptr[:-1], axis=0)
 
 
 @pytest.mark.parametrize("empty_rows", [False, True])
@@ -193,11 +183,14 @@ def test_matmul_dense_column_blocks_are_bit_identical(empty_rows):
     n = 61
     op = sym_norm_adjacency(build_random_graph(n, 400, seed=3))
     if empty_rows:
-        # drop every third row, the last one included
+        # dropping every third row, the last one included, leaves empty rows,
+        # which the operator refuses
         rows = np.repeat(np.arange(n), np.diff(op.row_ptr))
         keep = rows % 3 != 0
         row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
-        op = SparseMatrix(n, n, row_ptr, op.col_idx[keep], op.values[keep])
+        with pytest.raises(ShapeError, match="no entries"):
+            SparseMatrix(n, n, row_ptr, op.col_idx[keep], op.values[keep])
+        return
     block = graph_module._MATMUL_TMP_BYTES // (8 * op.nnz)
     width = 3 * block + 5  # several blocks and a short last one
     X = np.random.default_rng(4).normal(size=(n, width))

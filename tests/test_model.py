@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from gnn_multifix import (
-    FeatureRep,
     Graph,
     ModelConfig,
     average_precision,
     bce_loss,
     compute_representations,
     evaluate,
+    generate_position_benchmark,
     export_fusion_weights,
     forward,
     load_model,
@@ -59,6 +59,15 @@ def small_config(**kw):
     )
     base.update(kw)
     return ModelConfig(**base)
+
+
+def fit(dataset, config):
+    """Fit the representations, then train on them.
+
+    Returns (model, dynamics_log, best_val_ap, reps).
+    """
+    reps = compute_representations(dataset, config)
+    return (*train(dataset, config, reps=reps), reps)
 
 
 def random_inputs(variant, seed=0, n=12, C=3, D=4, hidden=5, pe_dim=3):
@@ -176,8 +185,8 @@ def test_config_rejects_unknown_feature_policy():
 
 def test_train_two_clique_linear_reaches_perfect_ap(two_clique_split):
     cfg = small_config()
-    model, log, best_val = train(two_clique_split, cfg)
-    probs = predict(model, two_clique_split)
+    model, log, best_val, reps = fit(two_clique_split, cfg)
+    probs = predict(model, two_clique_split, reps=reps)
     report = evaluate(probs, two_clique_split, "test")
     assert report.ap_samples == pytest.approx(1.0)
     assert log.epochs[-1] <= 200
@@ -185,8 +194,8 @@ def test_train_two_clique_linear_reaches_perfect_ap(two_clique_split):
 
 def test_train_is_bitwise_deterministic(two_clique_split):
     cfg = small_config()
-    m1, log1, ap1 = train(two_clique_split, cfg)
-    m2, log2, ap2 = train(two_clique_split, cfg)
+    m1, log1, ap1, _ = fit(two_clique_split, cfg)
+    m2, log2, ap2, _ = fit(two_clique_split, cfg)
     assert ap1 == ap2
     assert all(np.array_equal(m1.params[k], m2.params[k]) for k in m1.params)
     assert np.array_equal(log1.losses, log2.losses)
@@ -200,8 +209,8 @@ def test_train_constant_labels_matches_constant_predictor(two_clique_split):
 
     ds = dataclasses.replace(ds, labels=labels)
     cfg = small_config(enable_pe=False, max_epochs=300)
-    model, _, _ = train(ds, cfg)
-    probs = predict(model, ds)
+    model, _, _, reps = fit(ds, cfg)
+    probs = predict(model, ds, reps=reps)
     report = evaluate(probs, ds, "test")
     constant = evaluate(np.full(ds.labels.shape, 0.5), ds, "test")
     assert report.ap_samples == pytest.approx(constant.ap_samples)
@@ -352,11 +361,10 @@ def test_identity_features_project_then_propagate(K):
         assert (ds.graph.deg == 0).sum() >= 3
         cfg = small_config(K=K, enable_lr=False, enable_pe=False, seed=seed)
         reps = compute_representations(ds, cfg)
-        assert isinstance(reps.H_f, FeatureRep)
-        assert reps.H_f.K == K and reps.feature_dim == ds.n
+        assert reps.H_f.dtype == np.float64 and reps.feature_dim == ds.n
         proj = _feature_projection(cfg, ds.n)
-        ref = unprojected_identity_features(ds, K).H_f @ proj
-        assert np.abs(reps.H_f.H_f - ref).max() < 1e-12
+        ref = unprojected_identity_features(ds, K) @ proj
+        assert np.abs(reps.H_f - ref).max() < 1e-12
     with pytest.raises(ShapeError):
         forward(init_model(replace(cfg, variant="mlp1"), ds.n, ds.n_labels, ds.n), reps.H_f)
 
@@ -365,14 +373,14 @@ def test_identity_features_train_and_predict_match_unprojected_path():
     ds = featureless_with_isolated_nodes(60, 4, seed=7)
     cfg = small_config(max_epochs=80, patience=30)
     reps = compute_representations(ds, cfg)
-    ref_H_f = unprojected_identity_features(ds, cfg.K).H_f @ _feature_projection(cfg, ds.n)
+    ref_H_f = unprojected_identity_features(ds, cfg.K) @ _feature_projection(cfg, ds.n)
     ref_reps = replace(reps, H_f=ref_H_f)
     model, _, _ = train(ds, cfg, reps=reps)
     ref_model, _, _ = train(ds, cfg, reps=ref_reps)
     assert model.feature_dim == ref_model.feature_dim == ds.n
     probs = predict(model, ds, reps=reps)
     assert np.abs(probs - predict(ref_model, ds, reps=ref_reps)).max() < 1e-10
-    assert np.array_equal(predict(model, ds), probs)
+    assert np.array_equal(predict(model, ds, reps=compute_representations(ds, cfg)), probs)
 
 
 def test_identity_linear_representations_never_hold_an_n_by_n_array():
@@ -399,26 +407,26 @@ def test_linear_real_features_are_propagated_then_projected(K):
     baseline_cfg = replace(cfg, enable_lr=False, enable_pe=False, K=0)
     for c in (cfg, baseline_cfg):
         reps = compute_representations(ds, c)
-        ref = propagate_features(adj, ds.features, c.K).H_f @ _feature_projection(c, 6)
-        assert reps.feature_dim == 6 and reps.H_f.K == c.K
-        assert np.array_equal(reps.H_f.H_f, ref)
+        ref = propagate_features(adj, ds.features, c.K) @ _feature_projection(c, 6)
+        assert reps.feature_dim == 6
+        assert np.array_equal(reps.H_f, ref)
 
 
 def test_featureless_linear_checkpoint_holds_no_projection(tmp_path):
     n, hidden = 300, 256
     ds = featureless_with_isolated_nodes(n, 5, seed=4)
     cfg = small_config(hidden_dim=hidden, enable_pe=False, max_epochs=5)
-    model, _, _ = train(ds, cfg)
+    model, _, _, reps = fit(ds, cfg)
     assert model.feature_dim == n
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     assert path.stat().st_size < n * hidden * 8
     back = load_model(path)
-    assert np.array_equal(predict(back, ds), predict(model, ds))
+    assert np.array_equal(predict(back, ds, reps=reps), predict(model, ds, reps=reps))
 
 
 def test_checkpoint_with_old_magic_is_refused(tmp_path, two_clique_split):
-    model, _, _ = train(two_clique_split, small_config(max_epochs=5))
+    model, _, _, _ = fit(two_clique_split, small_config(max_epochs=5))
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     old = tmp_path / "old.ckpt"
@@ -434,7 +442,7 @@ def test_train_requires_masks(two_clique_split):
         two_clique_split.test_mask,
     )
     with pytest.raises(ValueError):
-        train(ds, small_config())
+        fit(ds, small_config())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -443,14 +451,14 @@ def test_train_divergence_names_epoch(two_clique_split):
     # whose inputs themselves carry the exploding parameters
     cfg = small_config(variant="mlp1", lr=1e200, max_epochs=30)
     with pytest.raises(TrainingDivergedError) as err:
-        train(two_clique_split, cfg)
+        fit(two_clique_split, cfg)
     assert err.value.epoch >= 1
     assert str(err.value.epoch) in str(err.value)
 
 
 def test_early_stopping_halts_within_patience(two_clique_split):
     cfg = small_config(patience=5, max_epochs=500)
-    _, log, _ = train(two_clique_split, cfg)
+    _, log, _, _ = fit(two_clique_split, cfg)
     # locate the best epoch from the metrics would need the stream; the
     # contract is simply that we never run patience past max improvement
     assert log.epochs[-1] < 500
@@ -458,10 +466,10 @@ def test_early_stopping_halts_within_patience(two_clique_split):
 
 def test_dynamics_checkpoint_contract(two_clique_split):
     cfg = small_config(max_epochs=10, patience=100)
-    _, log, _ = train(two_clique_split, cfg)
+    _, log, _, _ = fit(two_clique_split, cfg)
     assert list(log.epochs) == list(range(1, 11))
     cfg = small_config(max_epochs=75, patience=100)
-    _, log, _ = train(two_clique_split, cfg)
+    _, log, _, _ = fit(two_clique_split, cfg)
     assert log.n_checkpoints == 30
     assert log.epochs[0] == 1 and log.epochs[-1] == 75
     assert np.all(np.diff(log.epochs) > 0)
@@ -469,21 +477,21 @@ def test_dynamics_checkpoint_contract(two_clique_split):
 
 
 def test_predict_is_pure(two_clique_split):
-    model, _, _ = train(two_clique_split, small_config())
-    p1 = predict(model, two_clique_split)
-    p2 = predict(model, two_clique_split)
+    model, _, _, reps = fit(two_clique_split, small_config())
+    p1 = predict(model, two_clique_split, reps=reps)
+    p2 = predict(model, two_clique_split, reps=reps)
     assert np.array_equal(p1, p2)
 
 
 def test_predict_rejects_mismatched_labels(two_clique_split):
-    model, _, _ = train(two_clique_split, small_config())
+    model, _, _, reps = fit(two_clique_split, small_config())
     import dataclasses
 
     other = dataclasses.replace(
         two_clique_split, labels=np.zeros((two_clique_split.n, 5), np.int8)
     )
     with pytest.raises(CompatibilityError):
-        predict(model, other)
+        predict(model, other, reps=reps)
 
 
 def test_structural_twins_identical_without_labels_or_position():
@@ -506,14 +514,14 @@ def test_structural_twins_identical_without_labels_or_position():
     cfg = small_config(
         enable_lr=False, enable_pe=False, feature_policy="degree", K=2, max_epochs=50
     )
-    model, _, _ = train(ds, cfg)
-    probs = predict(model, ds)
+    model, _, _, reps = fit(ds, cfg)
+    probs = predict(model, ds, reps=reps)
     assert np.abs(probs[3] - probs[7]).max() < 1e-10  # twin endpoints of the path
 
 
 def test_export_fusion_weights_blocks(tmp_path, two_clique_split):
     cfg = small_config()
-    model, _, _ = train(two_clique_split, cfg)
+    model, _, _, _ = fit(two_clique_split, cfg)
     path = tmp_path / "weights.csv"
     export_fusion_weights(model, path)
     blocks = load_fusion_weights(path)
@@ -525,19 +533,19 @@ def test_export_fusion_weights_blocks(tmp_path, two_clique_split):
 
 def test_export_fusion_weights_round_trip(tmp_path, two_clique_split):
     cfg = small_config()
-    model, _, _ = train(two_clique_split, cfg)
+    model, _, _, reps = fit(two_clique_split, cfg)
     path = tmp_path / "weights.csv"
     export_fusion_weights(model, path)
     blocks = load_fusion_weights(path)
     rebuilt = np.hstack([blocks["W_f"], blocks["W_l"], blocks["W_phi"]]).T
-    original = predict(model, two_clique_split)
+    original = predict(model, two_clique_split, reps=reps)
     model.params["out_W"] = rebuilt
-    assert np.abs(predict(model, two_clique_split) - original).max() < 1e-12
+    assert np.abs(predict(model, two_clique_split, reps=reps) - original).max() < 1e-12
 
 
 def test_export_fusion_weights_respects_disabled_blocks(tmp_path, two_clique_split):
     cfg = small_config(enable_pe=False)
-    model, _, _ = train(two_clique_split, cfg)
+    model, _, _, _ = fit(two_clique_split, cfg)
     path = tmp_path / "weights.csv"
     export_fusion_weights(model, path)
     blocks = load_fusion_weights(path)
@@ -546,13 +554,13 @@ def test_export_fusion_weights_respects_disabled_blocks(tmp_path, two_clique_spl
 
 def test_export_fusion_weights_refused_for_mlp3(tmp_path, two_clique_split):
     cfg = small_config(variant="mlp3")
-    model, _, _ = train(two_clique_split, cfg)
+    model, _, _, _ = fit(two_clique_split, cfg)
     with pytest.raises(UnsupportedExportError):
         export_fusion_weights(model, tmp_path / "w.csv")
 
 
 def test_checkpoint_round_trip(tmp_path, two_clique_split):
-    model, _, _ = train(two_clique_split, small_config())
+    model, _, _, reps = fit(two_clique_split, small_config())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     assert path.read_bytes()[:5] == b"GMFX2"
@@ -560,7 +568,9 @@ def test_checkpoint_round_trip(tmp_path, two_clique_split):
     assert back.config == model.config
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
-    assert np.array_equal(predict(back, two_clique_split), predict(model, two_clique_split))
+    assert np.array_equal(
+        predict(back, two_clique_split, reps=reps), predict(model, two_clique_split, reps=reps)
+    )
 
 
 def test_twin_path_label_rows_differ_after_training():
@@ -571,4 +581,31 @@ def test_twin_path_label_rows_differ_after_training():
     from gnn_multifix.model import compute_representations
 
     H_l = compute_representations(ds, cfg).H_l
-    assert np.abs(H_l.H_l[1] - H_l.H_l[3]).max() > 0.01
+    assert np.abs(H_l[1] - H_l[3]).max() > 0.01
+
+
+def test_train_and_predict_require_representations(two_clique_split):
+    cfg = small_config(max_epochs=5)
+    with pytest.raises(TypeError):
+        train(two_clique_split, cfg)
+    model, _, _, _ = fit(two_clique_split, cfg)
+    with pytest.raises(TypeError):
+        predict(model, two_clique_split)
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp1"])
+def test_one_full_fit_serves_every_ablation(variant):
+    # the setting of scripts/run_ablation.py, on 6 twin regions
+    ds = generate_position_benchmark(n_regions=6, seed=0)
+    base = ModelConfig(variant=variant, N=1, hidden_dim=64, pe_dim=32, max_epochs=300,
+                       patience=60, feature_policy="degree", walks_per_node=5, pe_epochs=3)
+    shared = compute_representations(ds, base)
+    for flags in ({}, {"enable_fr": False}, {"enable_lr": False}, {"enable_pe": False}):
+        cfg = replace(base, **flags)
+        model, _, best_val, reps = fit(ds, cfg)
+        shared_model, _, shared_best_val = train(ds, cfg, reps=shared)
+        assert shared_best_val == best_val
+        assert shared_model.feature_dim == model.feature_dim
+        assert np.array_equal(
+            predict(shared_model, ds, reps=shared), predict(model, ds, reps=reps)
+        )

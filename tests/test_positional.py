@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gnn_multifix import (
     Graph,
-    PositionalEmbedding,
     generate_walks,
     load_embedding_csv,
     positional_distinguishability,
@@ -90,7 +89,7 @@ def test_walks_and_embeddings_are_deterministic():
     assert np.array_equal(c1.lengths, c2.lengths)
     e1 = train_skipgram(c1, 20, 8, 5, 5, 2, 0.025, seed=9)
     e2 = train_skipgram(c2, 20, 8, 5, 5, 2, 0.025, seed=9)
-    assert np.array_equal(e1.vectors, e2.vectors)
+    assert np.array_equal(e1, e2)
 
 
 def test_empty_corpus_rejected():
@@ -110,7 +109,7 @@ def test_single_length_one_walk_keeps_initialization():
     g = Graph.from_edges(1, [])
     corpus = generate_walks(g, walk_len=5, walks_per_node=1, seed=2)
     emb = train_skipgram(corpus, 1, 8, 5, 5, 3, 0.025, seed=2)
-    assert np.array_equal(emb.vectors, initial_embedding(1, 8, seed=2))
+    assert np.array_equal(emb, initial_embedding(1, 8, seed=2))
 
 
 def test_two_cliques_separate():
@@ -120,7 +119,7 @@ def test_two_cliques_separate():
     for seed in range(5):
         corpus = generate_walks(g, 10, 10, seed)
         emb = train_skipgram(corpus, 10, 16, 5, 5, 5, 0.025, seed)
-        v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
+        v = emb / np.linalg.norm(emb, axis=1, keepdims=True)
         cos = v @ v.T
         intra = np.mean([cos[i, j] for i in range(10) for j in range(10) if i != j and (i < 5) == (j < 5)])
         inter = np.mean([cos[i, j] for i in range(5) for j in range(5, 10)])
@@ -138,8 +137,8 @@ def test_barbell_clique_centers_farther_than_intra():
     for seed in range(5):
         corpus = generate_walks(g, 10, 10, seed)
         emb = train_skipgram(corpus, 22, 16, 5, 5, 5, 0.025, seed)
-        between = np.linalg.norm(emb.vectors[2] - emb.vectors[18])
-        inside = np.linalg.norm(emb.vectors[2] - emb.vectors[3])
+        between = np.linalg.norm(emb[2] - emb[18])
+        inside = np.linalg.norm(emb[2] - emb[3])
         wins += between > inside
     assert wins >= 4
 
@@ -152,7 +151,7 @@ def test_path_leaves_farther_than_adjacent_pairs():
         emb = train_skipgram(corpus, 20, 16, 5, 5, 5, 0.025, seed)
         leaves = positional_distinguishability(emb, 0, 19)
         adjacent = np.median(
-            [np.linalg.norm(emb.vectors[i] - emb.vectors[i + 1]) for i in range(19)]
+            [np.linalg.norm(emb[i] - emb[i + 1]) for i in range(19)]
         )
         wins += leaves > adjacent
     assert wins >= 4
@@ -176,18 +175,16 @@ def test_cooccurrence_aligns_with_dot_products():
         counts = collections.Counter((min(a, b), max(a, b)) for a, b in pairs.tolist())
         rng = np.random.default_rng(seed)
         sample = [(u, v) for u in range(30) for v in range(u + 1, 30)]
-        dots = np.array([emb.vectors[u] @ emb.vectors[v] for u, v in sample])
+        dots = np.array([emb[u] @ emb[v] for u, v in sample])
         cooc = np.array([counts.get((u, v), 0) for u, v in sample], dtype=float)
         r = np.corrcoef(cooc, dots)[0, 1]
         assert r > 0
 
 
 def test_distinguishability_values():
-    from gnn_multifix.positional import PositionalEmbedding
-
-    emb = PositionalEmbedding(vectors=np.array([[1.0, 0.0], [0.0, 1.0]]), dim=2)
+    emb = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert positional_distinguishability(emb, 0, 1) == pytest.approx(np.sqrt(2))
-    same = PositionalEmbedding(vectors=np.zeros((2, 2)), dim=2)
+    same = np.zeros((2, 2))
     assert positional_distinguishability(same, 0, 1) == 0.0
     with pytest.raises(ValueError):
         positional_distinguishability(emb, 1, 1)
@@ -200,13 +197,13 @@ def test_embedding_csv_round_trip(tmp_path):
     path = tmp_path / "emb.csv"
     save_embedding_csv(emb, path)
     back = load_embedding_csv(path)
-    assert back.dim == emb.dim
-    assert np.array_equal(back.vectors, emb.vectors)
+    assert back.dtype == emb.dtype == np.float64
+    assert np.array_equal(back, emb)
 
 
 def test_embedding_csv_with_duplicated_node_id_is_refused(tmp_path):
     path = tmp_path / "emb.csv"
-    save_embedding_csv(PositionalEmbedding(vectors=np.arange(6.0).reshape(3, 2), dim=2), path)
+    save_embedding_csv(np.arange(6.0).reshape(3, 2), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], lines[1], lines[2], "1" + lines[3][1:]]) + "\n")
     with pytest.raises(DatasetParseError, match="node ids"):
@@ -363,10 +360,10 @@ def test_skipgram_trains_float32_and_returns_float64():
     g = build_random_graph(30, 90, seed=6)
     corpus = generate_walks(g, 10, 5, seed=6)
     emb, trace = train_skipgram(corpus, 30, 16, 5, 5, 2, 0.025, seed=6, return_trace=True)
-    assert emb.vectors.dtype == np.float64
+    assert emb.dtype == np.float64
     assert trace["emb_out"].dtype == np.float32
-    assert np.array_equal(emb.vectors.astype(np.float32).astype(np.float64), emb.vectors)
-    assert not np.array_equal(emb.vectors, initial_embedding(30, 16, seed=6))
+    assert np.array_equal(emb.astype(np.float32).astype(np.float64), emb)
+    assert not np.array_equal(emb, initial_embedding(30, 16, seed=6))
 
 
 def test_float32_sigmoid_saturates_without_overflow():
@@ -432,7 +429,7 @@ def test_int32_pairs_train_the_same_bytes_as_int64(monkeypatch):
         positional, "corpus_pairs", lambda c, w: wide_pairs(c, w).astype(np.int64)
     )
     wide = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
-    assert narrow.vectors.tobytes() == wide.vectors.tobytes()
+    assert narrow.tobytes() == wide.tobytes()
 
 
 def test_chunked_pair_loss_matches_one_pass_formula():

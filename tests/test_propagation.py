@@ -9,12 +9,16 @@ from gnn_multifix import (
     make_dataset,
     propagate_features,
     propagate_labels,
-    rw_transition,
     sym_norm_adjacency,
 )
 from gnn_multifix.errors import ShapeError
 
-from conftest import build_random_graph, build_twin_path_dataset, dense_propagation_oracle
+from conftest import (
+    build_random_graph,
+    build_twin_path_dataset,
+    dense_propagation_oracle,
+    rw_transition,
+)
 
 
 def path_operator():
@@ -23,26 +27,26 @@ def path_operator():
 
 def test_propagate_features_zero_depth_is_identity():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    rep = propagate_features(path_operator(), X, 0)
-    assert np.array_equal(rep.H_f, X)
+    H = propagate_features(path_operator(), X, 0)
+    assert np.array_equal(H, X)
 
 
 def test_isolated_node_is_fixed_point():
     a = sym_norm_adjacency(Graph.from_edges(1, []))
     for K in (1, 3, 7):
-        rep = propagate_features(a, np.array([[2.5]]), K, "identity")
-        assert np.allclose(rep.H_f, [[2.5]])
+        H = propagate_features(a, np.array([[2.5]]), K, "identity")
+        assert np.allclose(H, [[2.5]])
 
 
 def test_path_single_step():
-    rep = propagate_features(path_operator(), np.array([[1.0], [0.0]]), 1, "identity")
-    assert rep.H_f == pytest.approx(np.array([[0.5], [0.5]]), abs=1e-12)
+    H = propagate_features(path_operator(), np.array([[1.0], [0.0]]), 1, "identity")
+    assert H == pytest.approx(np.array([[0.5], [0.5]]), abs=1e-12)
 
 
 def test_relu_activation_clips():
     a = path_operator()
-    rep = propagate_features(a, np.array([[-1.0], [-1.0]]), 1, "relu")
-    assert np.all(rep.H_f == 0.0)
+    H = propagate_features(a, np.array([[-1.0], [-1.0]]), 1, "relu")
+    assert np.all(H == 0.0)
 
 
 def test_shape_mismatch_raises():
@@ -62,14 +66,14 @@ def test_init_label_matrix_cases():
 
 def test_propagate_labels_zero_depth():
     H0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    rep = propagate_labels(path_operator(), H0, 0)
-    assert np.array_equal(rep.H_l, H0)
+    H = propagate_labels(path_operator(), H0, 0)
+    assert np.array_equal(H, H0)
 
 
 def test_propagate_labels_path_one_step():
     H0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    rep = propagate_labels(path_operator(), H0, 1)
-    assert rep.H_l == pytest.approx(np.array([[0.5, 0.0], [0.5, 0.0]]), abs=1e-12)
+    H = propagate_labels(path_operator(), H0, 1)
+    assert H == pytest.approx(np.array([[0.5, 0.0], [0.5, 0.0]]), abs=1e-12)
 
 
 def test_label_propagation_is_reset_free():
@@ -77,8 +81,8 @@ def test_label_propagation_is_reset_free():
     # must keep propagating rather than restoring the true label [1, 0]
     H0 = np.array([[1.0, 0.0], [0.0, 0.0]])
     a = path_operator()
-    one = propagate_labels(a, H0, 1).H_l
-    two = propagate_labels(a, H0, 2).H_l
+    one = propagate_labels(a, H0, 1)
+    two = propagate_labels(a, H0, 2)
     assert one[0] == pytest.approx([0.5, 0.0], abs=1e-12)
     assert two[0] == pytest.approx([0.5, 0.0], abs=1e-12)
     assert np.abs(two[0] - H0[0]).sum() > 0.1
@@ -99,7 +103,7 @@ def test_sparse_propagation_matches_dense_oracle():
     P = rw_transition(g)
     rng = np.random.default_rng(3)
     Y = (rng.random((20, 4)) < 0.3).astype(float)
-    sparse = propagate_labels(P, Y, 3).H_l
+    sparse = propagate_labels(P, Y, 3)
     dense = dense_propagation_oracle(P, Y, 3)
     assert np.abs(sparse - dense).max() < 1e-10
 
@@ -112,7 +116,7 @@ def test_propagation_oracle_property(seed, n_steps):
     g = build_random_graph(n, 3 * n, seed)
     P = rw_transition(g)
     Y = (rng.random((n, 3)) < 0.3).astype(float)
-    sparse = propagate_labels(P, Y, n_steps).H_l
+    sparse = propagate_labels(P, Y, n_steps)
     assert np.abs(sparse - dense_propagation_oracle(P, Y, n_steps)).max() < 1e-10
 
 
@@ -125,10 +129,10 @@ def test_linearity(seed):
     X1 = rng.normal(size=(n, 3))
     X2 = rng.normal(size=(n, 3))
     c1, c2 = rng.normal(size=2)
-    combined = propagate_features(a, c1 * X1 + c2 * X2, 2, "identity").H_f
-    separate = c1 * propagate_features(a, X1, 2, "identity").H_f + c2 * propagate_features(
+    combined = propagate_features(a, c1 * X1 + c2 * X2, 2, "identity")
+    separate = c1 * propagate_features(a, X1, 2, "identity") + c2 * propagate_features(
         a, X2, 2, "identity"
-    ).H_f
+    )
     assert np.abs(combined - separate).max() < 1e-10
 
 
@@ -155,8 +159,8 @@ def test_locality(seed, K):
     ball = sorted(_k_hop_ball(g, v, K))
     X_masked = np.zeros_like(X)
     X_masked[ball] = X[ball]
-    full = propagate_features(a, X, K, "identity").H_f
-    masked = propagate_features(a, X_masked, K, "identity").H_f
+    full = propagate_features(a, X, K, "identity")
+    masked = propagate_features(a, X_masked, K, "identity")
     assert np.abs(full[v] - masked[v]).max() < 1e-10
 
 
@@ -166,5 +170,5 @@ def test_twin_nodes_get_distinct_label_rows():
     ds = build_twin_path_dataset()
     a = sym_norm_adjacency(ds.graph)
     H0 = init_label_matrix(ds, "zero")
-    rep = propagate_labels(a, H0, 1)
-    assert np.abs(rep.H_l[1] - rep.H_l[3]).max() > 0.01
+    H = propagate_labels(a, H0, 1)
+    assert np.abs(H[1] - H[3]).max() > 0.01
