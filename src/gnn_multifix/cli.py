@@ -170,7 +170,13 @@ def _split_representations(cfg, dataset, run_cfg, split_index):
     return reps
 
 
-def cmd_train(cfg) -> int:
+def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
+    """Fit and score every configured split; the loop `train` and `baseline` share.
+
+    fit(dataset, run_cfg, split_index, split_dir) returns the probabilities
+    and the command's own report fields, and writes the command's own
+    artifacts. A diverging split ends the run with exit status 1.
+    """
     dataset = _load_data(cfg)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -183,91 +189,66 @@ def cmd_train(cfg) -> int:
         run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
         ds = _split_for_run(dataset, cfg, seed)
         try:
-            reps = _split_representations(cfg, ds, run_cfg, i)
-            model, log, best_val_ap = train(
-                ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl"
-            )
+            probs, fields = fit(ds, run_cfg, i, split_dir)
         except TrainingDivergedError as err:
             print(f"split {i}: {err}", file=sys.stderr)
             return 1
-        probs = predict(model, ds, reps=reps)
         report = {
-            "best_val_ap": best_val_ap,
+            **fields,
             "val": evaluate(probs, ds, "val").to_dict(),
             "test": evaluate(probs, ds, "test").to_dict(),
             "seed": seed,
         }
         _dump_json(report, split_dir / "report.json")
-        save_model(model, split_dir / "model.ckpt")
-        export_dynamics(log, split_dir / "dynamics.csv")
         write_probability_csv(probs, split_dir / "probs.csv")
         per_split.append(report)
         print(f"split {i}: test samples-AP {report['test']['ap_samples']:.4f}")
-    summary = _summarize(per_split)
+    summary = {"n_splits": len(per_split), "splits": per_split, **summary_fields}
+    for split_name in ("val", "test"):
+        summary[split_name] = {}
+        for mode in ("ap_micro", "ap_macro", "ap_samples"):
+            vals = [r[split_name][mode] for r in per_split]
+            summary[split_name][mode] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
     _dump_json(summary, outdir / "summary.json")
-    _sidecar_log(outdir, f"train finished ({len(seeds)} splits)")
+    _sidecar_log(outdir, f"{command} finished ({len(seeds)} splits)")
     print(f"mean test samples-AP {summary['test']['ap_samples']['mean']:.4f}")
     return 0
 
 
-def _summarize(per_split) -> dict:
-    out = {"n_splits": len(per_split), "splits": per_split}
-    for split_name in ("val", "test"):
-        block = {}
-        for mode in ("ap_micro", "ap_macro", "ap_samples"):
-            vals = [r[split_name][mode] for r in per_split]
-            block[mode] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-        out[split_name] = block
-    return out
+def cmd_train(cfg) -> int:
+    def fit(ds, run_cfg, i, split_dir):
+        reps = _split_representations(cfg, ds, run_cfg, i)
+        model, log, best_val_ap = train(
+            ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl"
+        )
+        save_model(model, split_dir / "model.ckpt")
+        export_dynamics(log, split_dir / "dynamics.csv")
+        return predict(model, ds, reps=reps), {"best_val_ap": best_val_ap}
+
+    return _run_splits(cfg, "train", fit)
 
 
 def cmd_baseline(cfg, method: str) -> int:
-    dataset = _load_data(cfg)
-    if method == "mlp" and dataset.features is None and cfg["model"]["feature_policy"] == "none":
-        print("mlp baseline needs features or a substitution policy", file=sys.stderr)
-        return 1
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _dump_json(cfg, outdir / "effective_config.json")
-    seeds = _resolve_seeds(cfg)
-    per_split = []
-    for i, seed in enumerate(seeds):
-        split_dir = outdir / f"split_{i}"
-        split_dir.mkdir(exist_ok=True)
-        ds = _split_for_run(dataset, cfg, seed)
-        run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
-        if method == "majority_vote":
-            result = majority_vote(ds)
-        elif method == "mlp":
-            result = mlp_baseline(ds, run_cfg)
-        elif method == "deepwalk":
-            result = deepwalk_baseline(ds, run_cfg)
-        else:
-            raise ValueError(f"unknown baseline {method!r}")
-        report = {
-            "method": method,
-            "seed": seed,
-            "val": evaluate(result.probs, ds, "val").to_dict(),
-            "test": evaluate(result.probs, ds, "test").to_dict(),
-        }
+    baselines = {
+        "majority_vote": lambda ds, run_cfg: majority_vote(ds),
+        "mlp": mlp_baseline,
+        "deepwalk": deepwalk_baseline,
+    }
+    if method not in baselines:
+        raise ValueError(f"unknown baseline {method!r}")
+
+    def fit(ds, run_cfg, i, split_dir):
+        result = baselines[method](ds, run_cfg)
+        fields = {"method": method}
         if result.coverage is not None:
-            report["coverage"] = result.coverage
-        _dump_json(report, split_dir / "report.json")
-        write_probability_csv(result.probs, split_dir / "probs.csv")
-        per_split.append(report)
-        print(f"split {i}: test samples-AP {report['test']['ap_samples']:.4f}")
-    summary = _summarize(per_split)
-    summary["method"] = method
-    _dump_json(summary, outdir / "summary.json")
-    _sidecar_log(outdir, f"baseline {method} finished")
-    print(f"mean test samples-AP {summary['test']['ap_samples']['mean']:.4f}")
-    return 0
+            fields["coverage"] = result.coverage
+        return result.probs, fields
+
+    return _run_splits(cfg, f"baseline {method}", fit, method=method)
 
 
 def cmd_eval(cfg, probs_path, split: str) -> int:
-    dataset = _load_data(cfg)
-    if not dataset.train_mask.any():
-        dataset = make_splits(dataset, cfg["train_frac"], cfg["val_frac"], cfg["model"]["seed"])
+    dataset = _split_for_run(_load_data(cfg), cfg, cfg["model"]["seed"])
     probs = read_probability_csv(probs_path)
     report = evaluate(probs, dataset, split)
     outdir = Path(cfg["out"])

@@ -38,25 +38,12 @@ class EvalReport:
         }
 
 
-def _binary_ap(scores: np.ndarray, truth: np.ndarray) -> float | None:
-    """AP of one ranking; None when there are no positives."""
-    n_pos = int(truth.sum())
-    if n_pos == 0:
-        return None
-    order = np.argsort(-scores, kind="stable")
-    hits = truth[order].astype(bool)
-    ranks = np.flatnonzero(hits) + 1
-    precision_at_hits = np.arange(1, n_pos + 1) / ranks
-    return float(precision_at_hits.mean())
-
-
 def _row_aps(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """:func:`_binary_ap` of every row with a positive, in row order.
+    """AP of every row with a positive, in row order: the mean precision at
+    the ranks of its positives under a stable argsort of the negated scores.
 
-    Bit-identical to calling it row by row: each row is ranked by the same
-    stable argsort, and the rows with p positives are averaged as one
-    C-contiguous (rows, p) array, whose row means sum like the 1-D mean of
-    a single row.
+    The rows with p positives are averaged as one C-contiguous (rows, p)
+    array, whose row means sum like the 1-D mean of a single row.
     """
     order = np.argsort(-scores, axis=1, kind="stable")
     hits = np.take_along_axis(truth, order, axis=1).astype(bool)
@@ -81,14 +68,13 @@ def average_precision(scores: np.ndarray, truth: np.ndarray, mode: str = "sample
     if scores.shape != truth.shape:
         raise ValueError(f"scores {scores.shape} and truth {truth.shape} differ")
     if mode == "micro":
-        ap = _binary_ap(scores.ravel(), truth.ravel())
-        if ap is None:
+        vals = _row_aps(scores.reshape(1, -1), truth.reshape(1, -1))
+        if len(vals) == 0:
             raise UndefinedMetricError("micro AP undefined: no positive entries")
-        return ap
+        return float(vals[0])
     if mode == "macro":
-        per_label = [_binary_ap(scores[:, c], truth[:, c]) for c in range(scores.shape[1])]
-        vals = [a for a in per_label if a is not None]
-        if not vals:
+        vals = _row_aps(scores.T, truth.T)
+        if len(vals) == 0:
             raise UndefinedMetricError("macro AP undefined: no label has a positive")
         return float(np.mean(vals))
     if mode == "samples":

@@ -157,64 +157,61 @@ def generate_labels(spec: SynthSpec) -> np.ndarray:
     return labels
 
 
+def _label_set_groups(labels: np.ndarray) -> list[list[int]]:
+    """Nodes grouped by identical label set, in order of first appearance."""
+    sets = {}
+    for v in range(labels.shape[0]):
+        sets.setdefault(tuple(np.flatnonzero(labels[v])), []).append(v)
+    return list(sets.values())
+
+
+class _Stratum:
+    """Pairs of distinct members of one node group, picking a group of s
+    members with weight s(s-1)/2; groups of fewer than two are dropped."""
+
+    def __init__(self, groups):
+        groups = [np.asarray(g, dtype=np.int64) for g in groups if len(g) >= 2]
+        self.flat = np.concatenate(groups) if groups else np.empty(0, np.int64)
+        self.sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])[:-1]
+        weights = self.sizes * (self.sizes - 1) / 2.0
+        self.cdf = np.cumsum(weights / weights.sum()) if weights.sum() > 0 else None
+
+    def draw(self, rng, k: int):
+        which = np.searchsorted(self.cdf, rng.random(k), side="right")
+        s = self.sizes[which]
+        a = (rng.random(k) * s).astype(np.int64)
+        b = (rng.random(k) * (s - 1)).astype(np.int64)
+        b = b + (b >= a)
+        base = self.offsets[which]
+        return self.flat[base + a], self.flat[base + b]
+
+
 class _PairSampler:
-    """Vectorized candidate-pair proposals from three strata."""
+    """Vectorized candidate-pair proposals from three strata: identical label
+    set, shared label, uniform."""
 
     def __init__(self, labels: np.ndarray):
         self.n = labels.shape[0]
         self.bool_labels = labels.astype(bool)
-        keys = {}
-        for v in range(self.n):
-            keys.setdefault(tuple(np.flatnonzero(labels[v])), []).append(v)
-        groups = [np.asarray(g, dtype=np.int64) for g in keys.values() if len(g) >= 2]
-        self.groups = groups
-        self.group_flat = np.concatenate(groups) if groups else np.empty(0, np.int64)
-        sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
-        self.group_off = np.concatenate([[0], np.cumsum(sizes)]) if groups else None
-        self.group_sizes = sizes
-        gw = sizes * (sizes - 1) / 2.0 if groups else np.empty(0)
-        self.group_cdf = np.cumsum(gw / gw.sum()) if groups and gw.sum() > 0 else None
-
-        members = [np.flatnonzero(labels[:, c]) for c in range(labels.shape[1])]
-        members = [m for m in members if len(m) >= 2]
-        self.label_members = members
-        self.label_flat = np.concatenate(members) if members else np.empty(0, np.int64)
-        lsz = np.asarray([len(m) for m in members], dtype=np.int64)
-        self.label_off = np.concatenate([[0], np.cumsum(lsz)]) if members else None
-        self.label_sizes = lsz
-        lw = lsz * (lsz - 1) / 2.0 if members else np.empty(0)
-        self.label_cdf = np.cumsum(lw / lw.sum()) if members and lw.sum() > 0 else None
-
-    def _two_distinct(self, rng, sizes, offsets, flat, which):
-        s = sizes[which]
-        a = (rng.random(len(which)) * s).astype(np.int64)
-        b = (rng.random(len(which)) * (s - 1)).astype(np.int64)
-        b = b + (b >= a)
-        base = offsets[which]
-        return flat[base + a], flat[base + b]
+        self.strata = (
+            _Stratum(_label_set_groups(labels)),
+            _Stratum(np.flatnonzero(labels[:, c]) for c in range(labels.shape[1])),
+        )
 
     def propose(self, rng, size: int):
         """(u, v, jaccard) arrays for `size` candidate pairs."""
         strata = rng.integers(0, 3, size=size)
-        if self.group_cdf is None:
-            strata[strata == 0] = 2
-        if self.label_cdf is None:
-            strata[strata == 1] = 2
+        for index, stratum in enumerate(self.strata):
+            if stratum.cdf is None:
+                strata[strata == index] = 2
         u = np.empty(size, dtype=np.int64)
         v = np.empty(size, dtype=np.int64)
 
-        m0 = strata == 0
-        if m0.any():
-            which = np.searchsorted(self.group_cdf, rng.random(int(m0.sum())), side="right")
-            u[m0], v[m0] = self._two_distinct(
-                rng, self.group_sizes, self.group_off[:-1], self.group_flat, which
-            )
-        m1 = strata == 1
-        if m1.any():
-            which = np.searchsorted(self.label_cdf, rng.random(int(m1.sum())), side="right")
-            u[m1], v[m1] = self._two_distinct(
-                rng, self.label_sizes, self.label_off[:-1], self.label_flat, which
-            )
+        for index, stratum in enumerate(self.strata):
+            mask = strata == index
+            if mask.any():
+                u[mask], v[mask] = stratum.draw(rng, int(mask.sum()))
         m2 = strata == 2
         if m2.any():
             k = int(m2.sum())
@@ -259,11 +256,8 @@ def _edge_homophily(edges) -> float:
 
 def _identical_only_graph(labels, spec, deg) -> Graph:
     rng = substream(spec.seed, "edges")
-    sets = {}
-    for v in range(spec.n):
-        sets.setdefault(tuple(np.flatnonzero(labels[v])), []).append(v)
     pairs = []
-    for group in sets.values():
+    for group in _label_set_groups(labels):
         g = np.asarray(group)
         rng.shuffle(g)
         s = len(g)

@@ -210,13 +210,57 @@ def test_train_reuses_cached_embeddings(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
     data = write_toy_dataset(tmp_path)
-    rc = main([
-        "train", "--data", str(data), "--out", str(tmp_path / "dv"), "--seed", "3",
-        "--variant", "mlp1", "--n-splits", "1", *SMALL_MODEL, "--set", "model.lr=1e200",
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "split 0" in err and "epoch" in err
+    for command in (
+        ["train"],
+        ["baseline", "--method", "mlp", "--set", "model.feature_policy=degree"],
+        ["baseline", "--method", "deepwalk"],
+    ):
+        rc = main([
+            *command, "--data", str(data), "--out", str(tmp_path / command[-1]), "--seed", "3",
+            "--variant", "mlp1", "--n-splits", "1", *SMALL_MODEL, "--set", "model.lr=1e200",
+        ])
+        assert rc == 1, command
+        err = capsys.readouterr().err
+        assert "split 0: non-finite loss at epoch" in err, command
+
+
+@pytest.mark.parametrize("command, files, keys", [
+    (["train"],
+     {"report.json", "probs.csv", "model.ckpt", "metrics.jsonl", "dynamics.csv",
+      "dynamics_summary.csv"},
+     {"best_val_ap", "seed", "val", "test"}),
+    (["baseline", "--method", "majority_vote"], {"report.json", "probs.csv"},
+     {"method", "coverage", "seed", "val", "test"}),
+    (["baseline", "--method", "mlp"], {"report.json", "probs.csv"},
+     {"method", "seed", "val", "test"}),
+    (["baseline", "--method", "deepwalk"], {"report.json", "probs.csv"},
+     {"method", "seed", "val", "test"}),
+], ids=["train", "majority_vote", "mlp", "deepwalk"])
+def test_split_files_and_report_keys_per_command(tmp_path, command, files, keys):
+    data = write_toy_dataset(tmp_path, with_split=False)
+    out = tmp_path / "run"
+    assert main([*command, "--data", str(data), "--out", str(out), "--seed", "3",
+                 "--n-splits", "2", "--variant", "linear", *SMALL_MODEL]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_splits"] == 2
+    assert summary.get("method") == (command[2] if command[0] == "baseline" else None)
+    for i in range(2):
+        split = out / f"split_{i}"
+        assert {p.name for p in split.iterdir()} == files
+        report = json.loads((split / "report.json").read_text())
+        assert set(report) == keys
+        assert report["seed"] == 3 + i
+        assert summary["splits"][i] == report
+
+
+def test_baseline_mlp_without_features_or_policy_exits_like_train(tmp_path, capsys):
+    data = write_toy_dataset(tmp_path)
+    for command in (["train"], ["baseline", "--method", "mlp"]):
+        rc = main([*command, "--data", str(data), "--out", str(tmp_path / command[-1]),
+                   "--seed", "3", "--n-splits", "1", *SMALL_MODEL,
+                   "--set", "model.feature_policy=none"])
+        assert rc == 1
+        assert "substitution policy is 'none'" in capsys.readouterr().err
 
 
 def test_metrics_stream_format(tmp_path):

@@ -15,7 +15,6 @@ from gnn_multifix import (
     make_splits,
 )
 from gnn_multifix.errors import UndefinedMetricError
-from gnn_multifix.evaluation import _binary_ap
 from gnn_multifix.graph import Graph
 
 from conftest import build_random_dataset
@@ -96,6 +95,18 @@ def test_ap_matches_brute_force(seed):
             assert average_precision(scores, truth, mode) == pytest.approx(expected, abs=1e-12)
 
 
+def _binary_ap(scores, truth):
+    """AP of one ranking by a stable argsort; None when there are no positives."""
+    n_pos = int(truth.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    hits = truth[order].astype(bool)
+    ranks = np.flatnonzero(hits) + 1
+    precision_at_hits = np.arange(1, n_pos + 1) / ranks
+    return float(precision_at_hits.mean())
+
+
 def per_row_samples_ap(scores, truth):
     """Samples-AP as a Python loop of per-row _binary_ap calls, then np.mean."""
     vals = [_binary_ap(scores[i], truth[i]) for i in range(scores.shape[0])]
@@ -120,6 +131,29 @@ def test_samples_ap_is_bit_identical_to_per_row_loop(seed, many):
             average_precision(scores, truth, "samples")
     else:
         assert average_precision(scores, truth, "samples") == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 100_000), tied=st.booleans())
+def test_micro_and_macro_ap_are_bit_identical_to_one_ranking_per_call(seed, tied):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    c = int(rng.integers(1, 20))
+    scores = rng.random((m, c))
+    if tied:
+        scores = np.round(scores, 1)
+    truth = (rng.random((m, c)) < rng.random()).astype(np.int8)
+    micro = _binary_ap(scores.ravel(), truth.ravel())
+    per_label = [_binary_ap(scores[:, j], truth[:, j]) for j in range(c)]
+    per_label = [a for a in per_label if a is not None]
+    if micro is None:
+        with pytest.raises(UndefinedMetricError):
+            average_precision(scores, truth, "micro")
+        with pytest.raises(UndefinedMetricError):
+            average_precision(scores, truth, "macro")
+    else:
+        assert average_precision(scores, truth, "micro") == micro
+        assert average_precision(scores, truth, "macro") == float(np.mean(per_label))
 
 
 def test_ap_invariant_under_monotone_transform():
