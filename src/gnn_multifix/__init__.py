@@ -48,7 +48,6 @@ from .model import (
     Representations,
     bce_loss,
     compute_representations,
-    export_fusion_weights,
     forward,
     load_model,
     model_loss_and_grads,
@@ -59,9 +58,7 @@ from .model import (
 from .positional import (
     WalkCorpus,
     generate_walks,
-    load_embedding_csv,
     positional_distinguishability,
-    save_embedding_csv,
     train_skipgram,
 )
 from .propagation import init_label_matrix, propagate_features, propagate_labels
@@ -96,7 +93,6 @@ __all__ = [
     "deepwalk_baseline",
     "evaluate",
     "export_dynamics",
-    "export_fusion_weights",
     "forward",
     "generate_dataset",
     "generate_features",
@@ -110,7 +106,6 @@ __all__ = [
     "label_homophily",
     "label_homophily_stats",
     "load_dataset",
-    "load_embedding_csv",
     "load_model",
     "majority_vote",
     "make_dataset",
@@ -123,7 +118,6 @@ __all__ = [
     "propagate_labels",
     "read_probability_csv",
     "save_dataset",
-    "save_embedding_csv",
     "save_model",
     "substitute_features",
     "sym_norm_adjacency",

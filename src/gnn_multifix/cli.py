@@ -2,9 +2,10 @@
 
 Subcommands: generate, train, ablate (train with modules disabled),
 baseline, eval, dynamics. Configuration precedence is built-in defaults,
-then the --config JSON document, then individual flags; the effective
-merged configuration is always dumped next to the outputs. All artifacts
-except the sidecar run.log are byte-deterministic given config and seed.
+then the --config JSON document, then individual flags, and a key that the
+defaults do not hold is refused; the effective merged configuration is
+always dumped next to the outputs. All artifacts except the sidecar
+run.log are byte-deterministic given config and seed.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .evaluation import atypical_node_report, evaluate, export_dynamics, import_
 from .graph import make_splits
 from .io import load_dataset, save_dataset, write_probability_csv, read_probability_csv
 from .model import ModelConfig, compute_representations, predict, save_model, train
-from .positional import load_embedding_csv, save_embedding_csv
 from .synthgen import SynthSpec, generate_dataset
+
+
+DATA_KEYS = ("dir", "edges", "labels", "features", "splits")
 
 
 def default_config() -> dict:
@@ -50,6 +53,18 @@ def _deep_update(base: dict, overlay: dict) -> dict:
     return base
 
 
+def _unknown_key(cfg: dict, known: dict, prefix: str = ""):
+    """The first dotted key of cfg that the tree ``known`` does not hold, or None."""
+    for key, value in cfg.items():
+        if key not in known:
+            return prefix + key
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            found = _unknown_key(value, known[key], f"{prefix}{key}.")
+            if found:
+                return found
+    return None
+
+
 def _parse_set(value: str):
     key, _, raw = value.partition("=")
     if not _:
@@ -62,6 +77,7 @@ def _parse_set(value: str):
 
 
 def build_config(args) -> dict:
+    """Defaults, then --config, then flags; a key outside default_config() is refused."""
     cfg = default_config()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -83,13 +99,20 @@ def build_config(args) -> dict:
         cfg["data"] = {"dir": args.data}
     for key, value in getattr(args, "set", None) or []:
         node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
+        *parents, leaf = key.split(".")
+        for p in parents:
             node = node.setdefault(p, {})
-        node[parts[-1]] = value
+            if not isinstance(node, dict):
+                raise ValueError(f"unknown config key '{key}'")
+        node[leaf] = value
     if getattr(args, "ablate", None):
         flag = {"no-fr": "enable_fr", "no-lr": "enable_lr", "no-pe": "enable_pe"}[args.ablate]
         cfg["model"][flag] = False
+    known = default_config()
+    known["data"] = dict.fromkeys(DATA_KEYS)
+    unknown = _unknown_key(cfg, known)
+    if unknown:
+        raise ValueError(f"unknown config key '{unknown}'")
     return cfg
 
 
@@ -155,27 +178,13 @@ def _split_for_run(dataset, cfg, seed):
     return make_splits(dataset, cfg["train_frac"], cfg["val_frac"], seed)
 
 
-def _split_representations(cfg, dataset, run_cfg, split_index):
-    """Representations for one split.
-
-    The walk embedding is cached under cfg['pe_cache'] if that is set.
-    """
-    cache_dir = cfg.get("pe_cache") if run_cfg.enable_pe else None
-    cache = Path(cache_dir) / f"embedding_split_{split_index}.csv" if cache_dir else None
-    cached = load_embedding_csv(cache) if cache is not None and cache.exists() else None
-    reps = compute_representations(dataset, run_cfg, pe=cached)
-    if cache is not None and cached is None:
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        save_embedding_csv(reps.pe, cache)
-    return reps
-
-
 def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
     """Fit and score every configured split; the loop `train` and `baseline` share.
 
     fit(dataset, run_cfg, split_index, split_dir) returns the probabilities
     and the command's own report fields, and writes the command's own
-    artifacts. A diverging split ends the run with exit status 1.
+    artifacts. A diverging split ends the run with exit status 1 and a
+    line in run.log.
     """
     dataset = _load_data(cfg)
     outdir = Path(cfg["out"])
@@ -192,6 +201,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
             probs, fields = fit(ds, run_cfg, i, split_dir)
         except TrainingDivergedError as err:
             print(f"split {i}: {err}", file=sys.stderr)
+            _sidecar_log(outdir, f"split {i}: {err}")
             return 1
         report = {
             **fields,
@@ -217,7 +227,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
 
 def cmd_train(cfg) -> int:
     def fit(ds, run_cfg, i, split_dir):
-        reps = _split_representations(cfg, ds, run_cfg, i)
+        reps = compute_representations(ds, run_cfg)
         model, log, best_val_ap = train(
             ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl"
         )
@@ -329,8 +339,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = build_config(args)
     try:
+        cfg = build_config(args)
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command in ("train", "ablate"):

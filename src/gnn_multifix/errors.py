@@ -42,7 +42,3 @@ class TrainingDivergedError(RuntimeError):
 
 class CompatibilityError(ValueError):
     """A trained model cannot be applied to the given dataset."""
-
-
-class UnsupportedExportError(ValueError):
-    """The requested export is not defined for this model variant."""

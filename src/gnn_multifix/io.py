@@ -6,9 +6,8 @@ Features     CSV (one row per node, D decimal reals), or raw binary with an
              8-byte little-endian header (n: u32, D: u32) followed by n*D
              float64 values; binary is used for paths ending in ".bin".
 Splits       "node_id<TAB>{train|val|test}".
-Node CSV     header "node_id,<prefix>0,...", then one "node_id,values" row
-             per node id 0..n-1; probabilities use the prefix "p_",
-             walk embeddings "e_".
+Probs CSV    header "node_id,p_0,...", then one "node_id,values" row per
+             node id 0..n-1.
 """
 
 from __future__ import annotations
@@ -215,19 +214,20 @@ def write_feature_file(features: np.ndarray, path):
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _write_node_csv(matrix: np.ndarray, path, prefix: str):
-    """Write an n-row matrix as 'node_id,<prefix>0..<prefix>{k-1}', one row per node.
+def write_probability_csv(probs: np.ndarray, path):
+    """Write an (n, C) probability matrix as 'node_id,p_0..p_{C-1}', one row per node.
 
     Values are written with repr, so reading them back is exact.
     """
+    probs = np.asarray(probs, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id," + ",".join(f"{prefix}{i}" for i in range(matrix.shape[1])) + "\n")
-        for v, row in enumerate(matrix):
+        fh.write("node_id," + ",".join(f"p_{i}" for i in range(probs.shape[1])) + "\n")
+        for v, row in enumerate(probs):
             fh.write(str(v) + "," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _read_node_csv(path, what: str) -> np.ndarray:
-    """Read a :func:`_write_node_csv` file back.
+def read_probability_csv(path) -> np.ndarray:
+    """Read a :func:`write_probability_csv` file back.
 
     Its rows must be as wide as its header and cover node ids 0..n-1.
     """
@@ -235,7 +235,7 @@ def _read_node_csv(path, what: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("node_id,"):
-            raise DatasetParseError(path, 1, f"missing {what} CSV header")
+            raise DatasetParseError(path, 1, "missing probability CSV header")
         width = header.count(",") + 1
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -243,24 +243,15 @@ def _read_node_csv(path, what: str) -> np.ndarray:
             parts = line.rstrip("\n").split(",")
             if len(parts) != width:
                 raise DatasetParseError(
-                    path, line_no, f"{what} row has {len(parts)} fields, header has {width}"
+                    path, line_no, f"probability row has {len(parts)} fields, header has {width}"
                 )
             try:
                 rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
             except ValueError:
-                raise DatasetParseError(path, line_no, f"malformed {what} row") from None
+                raise DatasetParseError(path, line_no, "malformed probability row") from None
     if not rows:
-        raise DatasetParseError(path, 2, f"{what} CSV has no rows")
+        raise DatasetParseError(path, 2, "probability CSV has no rows")
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
-        raise DatasetParseError(path, 1, f"{what} CSV must cover node ids 0..n-1")
+        raise DatasetParseError(path, 1, "probability CSV must cover node ids 0..n-1")
     return np.asarray([r[1] for r in rows], dtype=np.float64)
-
-
-def write_probability_csv(probs: np.ndarray, path):
-    """Write an (n, C) probability matrix as 'node_id,p_0..p_{C-1}'."""
-    _write_node_csv(np.asarray(probs, dtype=np.float64), path, "p_")
-
-
-def read_probability_csv(path) -> np.ndarray:
-    return _read_node_csv(path, "probability")

@@ -37,12 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CompatibilityError,
-    ShapeError,
-    TrainingDivergedError,
-    UnsupportedExportError,
-)
+from .errors import CompatibilityError, ShapeError, TrainingDivergedError
 from .evaluation import DynamicsLog, average_precision, checkpoint_epochs
 from .graph import Dataset, substitute_features, sym_norm_adjacency
 from .positional import generate_walks, train_skipgram
@@ -284,23 +279,19 @@ def forward(model: MultiFixModel, H_f=None, H_l=None, pe=None) -> np.ndarray:
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def bce_loss(pred: np.ndarray, truth: np.ndarray, node_mask: np.ndarray):
-    """Multi-label binary cross entropy on the masked rows.
+def bce_loss(pred: np.ndarray, truth: np.ndarray):
+    """Multi-label binary cross entropy over the given rows.
 
     Returns (total, per_node): per_node[i] is the summed-over-labels loss of
-    the i-th masked node (ascending node id); total is their mean.
-    Predictions are clamped away from 0 and 1 before the log.
+    row i; total is their mean. Predictions are clamped away from 0 and 1
+    before the log.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ShapeError(f"pred {pred.shape} and truth {truth.shape} differ")
-    node_mask = np.asarray(node_mask, dtype=bool)
-    if node_mask.shape != (pred.shape[0],):
-        raise ShapeError("node mask length does not match prediction rows")
-    p = np.clip(pred[node_mask], PROB_EPS, 1.0 - PROB_EPS)
-    t = truth[node_mask]
-    per_node = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).sum(axis=1)
+    p = np.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
+    per_node = -(truth * np.log(p) + (1.0 - truth) * np.log(1.0 - p)).sum(axis=1)
     return float(per_node.mean()), per_node
 
 
@@ -324,7 +315,7 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
     logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe, rows=node_mask))
     probs = _sigmoid(logits)
     rows_truth = truth[node_mask]
-    loss, _ = bce_loss(probs, rows_truth, np.ones(len(probs), dtype=bool))
+    loss, _ = bce_loss(probs, rows_truth)
     grads = _backward(model, cache, probs, rows_truth)
 
     p = model.params
@@ -379,7 +370,7 @@ class Representations:
     feature_dim: int
 
 
-def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> Representations:
+def compute_representations(dataset: Dataset, config: ModelConfig) -> Representations:
     """Fit the enabled representations for a dataset, once per split.
 
     Features are substituted by config.feature_policy when the dataset has
@@ -388,11 +379,10 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
     With the identity policy P itself is propagated instead of the n x n
     identity (A^K · I · P = A^K · P), so the block takes n x hidden_dim
     memory, not n x n; otherwise X is propagated and then projected.
-    The walk embedding is retrained deterministically from config.seed
-    unless one is passed in as an n x pe_dim array (e.g. cached from a
-    previous run). Blocks that config disables are None.
+    The walk embedding is trained deterministically from config.seed.
+    Blocks that config disables are None.
     """
-    H_f = H_l = X = P = None
+    H_f = H_l = pe = X = P = None
     feature_dim = 0
     adj = None
     if config.enable_fr or config.enable_lr:
@@ -414,22 +404,19 @@ def compute_representations(dataset: Dataset, config: ModelConfig, pe=None) -> R
         H0 = init_label_matrix(dataset, config.padding)
         H_l = propagate_labels(adj, H0, config.N)
     if config.enable_pe:
-        if pe is None:
-            corpus = generate_walks(
-                dataset.graph, config.walk_len, config.walks_per_node, config.seed
-            )
-            pe = train_skipgram(
-                corpus,
-                dataset.n,
-                config.pe_dim,
-                config.window,
-                config.neg_samples,
-                config.pe_epochs,
-                config.pe_lr,
-                config.seed,
-            )
-    else:
-        pe = None
+        corpus = generate_walks(
+            dataset.graph, config.walk_len, config.walks_per_node, config.seed
+        )
+        pe = train_skipgram(
+            corpus,
+            dataset.n,
+            config.pe_dim,
+            config.window,
+            config.neg_samples,
+            config.pe_epochs,
+            config.pe_lr,
+            config.seed,
+        )
     if P is not None:
         # real features are projected only after the walk embedding: skip-gram's
         # workspace is the fit's largest transient, and until here the block is n x D
@@ -467,7 +454,6 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
 
     truth = dataset.labels.astype(np.float64)
     train_truth, val_truth = truth[train_mask], truth[val_mask]
-    every_train_row = np.ones(len(train_truth), dtype=bool)
     per_epoch_losses = []
     best_ap, best_epoch, best_params = -np.inf, 0, None
     last_epoch = 0
@@ -479,14 +465,14 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
         # and the pre-step state of the next
         logits, cache = _readout(model, train_const)
         probs = _sigmoid(logits)
-        if not np.isfinite(bce_loss(probs, train_truth, every_train_row)[0]):
+        if not np.isfinite(bce_loss(probs, train_truth)[0]):
             raise TrainingDivergedError(1)
         for epoch in range(1, config.max_epochs + 1):
             opt.step(model.params, _backward(model, cache, probs, train_truth))
 
             logits, cache = _readout(model, train_const)
             probs = _sigmoid(logits)
-            train_loss, per_node = bce_loss(probs, train_truth, every_train_row)
+            train_loss, per_node = bce_loss(probs, train_truth)
             if not np.isfinite(train_loss):
                 raise TrainingDivergedError(epoch)
             val_probs = _sigmoid(_readout(model, val_const)[0])
@@ -544,56 +530,6 @@ def predict(model: MultiFixModel, dataset: Dataset, reps: Representations) -> np
             f"{reps.feature_dim}"
         )
     return forward(model, reps.H_f, reps.H_l, reps.pe)
-
-
-def export_fusion_weights(model: MultiFixModel, out_path):
-    """Write the fusion-layer weights, one labelled block per input part.
-
-    Only the single-affine-readout variants (linear, mlp1) have a fusion
-    layer whose columns are attributable to the feature / label / positional
-    blocks; mlp3 is refused. Blocks are written as C x width CSV sections.
-    """
-    if model.config.variant not in ("linear", "mlp1"):
-        raise UnsupportedExportError(
-            "fusion weights are only block-attributable for the linear and mlp1 variants"
-        )
-    W = model.params["out_W"].T  # C x input_width
-    c = model.config
-    blocks = []
-    col = 0
-    if c.enable_fr:
-        blocks.append(("W_f", W[:, col : col + c.hidden_dim]))
-        col += c.hidden_dim
-    if c.enable_lr:
-        blocks.append(("W_l", W[:, col : col + model.n_labels]))
-        col += model.n_labels
-    if c.enable_pe:
-        blocks.append(("W_phi", W[:, col : col + c.pe_dim]))
-        col += c.pe_dim
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for name, block in blocks:
-            fh.write(f"# block={name} rows={block.shape[0]} cols={block.shape[1]}\n")
-            for row in block:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_fusion_weights(path) -> dict:
-    """Read back the blocks written by :func:`export_fusion_weights`."""
-    blocks = {}
-    name, rows = None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# block="):
-                if name is not None:
-                    blocks[name] = np.asarray(rows, dtype=np.float64)
-                name = line.split()[1].split("=", 1)[1]
-                rows = []
-            elif line.strip():
-                rows.append([float(x) for x in line.split(",")])
-    if name is not None:
-        blocks[name] = np.asarray(rows, dtype=np.float64)
-    return blocks
 
 
 CHECKPOINT_MAGIC = b"GMFX2"

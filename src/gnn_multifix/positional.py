@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .io import _read_node_csv, _write_node_csv
 from .rng import substream
 
 # Negatives per batch, shared by all of its pairs. Each shared row takes the
@@ -327,12 +326,3 @@ def positional_distinguishability(emb: np.ndarray, u: int, v: int) -> float:
     if u == v:
         raise ValueError("u and v must differ")
     return float(np.linalg.norm(emb[u] - emb[v]))
-
-
-def save_embedding_csv(emb: np.ndarray, path):
-    """Write the n x dim embedding as 'node_id,e_0..e_{dim-1}', one row per node."""
-    _write_node_csv(emb, path, "e_")
-
-
-def load_embedding_csv(path) -> np.ndarray:
-    return _read_node_csv(path, "embedding")

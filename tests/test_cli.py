@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from gnn_multifix import make_splits, save_dataset
-from gnn_multifix.cli import main
+from gnn_multifix.cli import build_config, main, make_parser
 
 from conftest import build_two_clique_dataset
 
@@ -195,18 +197,6 @@ def test_eval_command(tmp_path):
     assert report["ap_samples"] == pytest.approx(1.0)
 
 
-def test_train_reuses_cached_embeddings(tmp_path):
-    data = write_toy_dataset(tmp_path)
-    cache = tmp_path / "pe_cache"
-    args = ["train", "--data", str(data), "--seed", "4", "--variant", "linear",
-            "--n-splits", "1", *SMALL_MODEL, "--set", f'pe_cache="{cache}"']
-    out1, out2 = tmp_path / "c1", tmp_path / "c2"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert (cache / "embedding_split_0.csv").exists()
-    assert main(args + ["--out", str(out2)]) == 0  # second run loads the cache
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
     data = write_toy_dataset(tmp_path)
@@ -222,6 +212,8 @@ def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
         assert rc == 1, command
         err = capsys.readouterr().err
         assert "split 0: non-finite loss at epoch" in err, command
+        log = (tmp_path / command[-1] / "run.log").read_text()
+        assert re.search(r"^\S+ split 0: non-finite loss at epoch \d+$", log, re.M), command
 
 
 @pytest.mark.parametrize("command, files, keys", [
@@ -284,3 +276,41 @@ def test_generate_infeasible_target_exits_nonzero(tmp_path, capsys):
     ])
     assert rc == 1
     assert "achieved" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.max_epoch", "3"), ("n_split", "7"), ("pe_cache", '"cache"'), ("synth.nn", "100"),
+])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_unknown_config_key_is_refused_before_any_file(
+    tmp_path, monkeypatch, capsys, source, key, value
+):
+    monkeypatch.chdir(tmp_path)  # a relative path such as pe_cache's stays in tmp_path
+    data = write_toy_dataset(tmp_path)
+    if key.startswith("synth."):
+        command = ["generate"]
+    else:
+        command = ["train", "--data", str(data), "--n-splits", "1"]
+    if source == "set":
+        extra = ["--set", f"{key}={value}"]
+    else:
+        *parents, leaf = key.split(".")
+        doc = {leaf: json.loads(value)}
+        for p in reversed(parents):
+            doc = {p: doc}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        extra = ["--config", str(config)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*command, "--out", str(tmp_path / "run"), "--seed", "3", *extra]) == 1
+    assert capsys.readouterr().err.strip() == f"error: unknown config key '{key}'"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_benchmark_workload_flags_are_known_config_keys(tmp_path):
+    design = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "design.json").read_text())
+    for spec in design["workloads"].values():
+        generate = ["generate", "--out", str(tmp_path), "--seed", "1", *spec["generate"]]
+        train = ["train", "--data", str(tmp_path), "--seed", "1", "--n-splits", "1", *spec["train"]]
+        for argv in (generate, train):
+            build_config(make_parser().parse_args(argv))  # raises on an unknown key

@@ -124,3 +124,18 @@ def test_probability_csv_with_short_row_is_refused(tmp_path):
     path = write(tmp_path, "probs.csv", "node_id,p_0,p_1\n0,0.1,0.2\n1,0.3\n2,0.5,0.6\n")
     with pytest.raises(DatasetParseError, match=r"probs\.csv:3:"):
         read_probability_csv(path)
+
+
+def test_probability_csv_with_duplicated_node_id_is_refused(tmp_path):
+    path = tmp_path / "probs.csv"
+    write_probability_csv(np.arange(6.0).reshape(3, 2), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1], lines[2], "1" + lines[3][1:]]) + "\n")
+    with pytest.raises(DatasetParseError, match="node ids"):
+        read_probability_csv(path)
+
+
+def test_header_only_probability_csv_is_refused(tmp_path):
+    path = write(tmp_path, "probs.csv", "node_id,p_0,p_1\n")
+    with pytest.raises(DatasetParseError, match="no rows"):
+        read_probability_csv(path)

@@ -13,7 +13,6 @@ from gnn_multifix import (
     compute_representations,
     evaluate,
     generate_position_benchmark,
-    export_fusion_weights,
     forward,
     load_model,
     make_dataset,
@@ -25,12 +24,7 @@ from gnn_multifix import (
     sym_norm_adjacency,
     train,
 )
-from gnn_multifix.errors import (
-    CompatibilityError,
-    ShapeError,
-    TrainingDivergedError,
-    UnsupportedExportError,
-)
+from gnn_multifix.errors import CompatibilityError, ShapeError, TrainingDivergedError
 from gnn_multifix import model as model_module
 from gnn_multifix.model import (
     CHECKPOINT_MAGIC,
@@ -39,7 +33,6 @@ from gnn_multifix.model import (
     _feature_projection,
     _readout,
     init_model,
-    load_fusion_weights,
     _sigmoid,
 )
 
@@ -116,22 +109,20 @@ def test_forward_stays_inside_open_interval():
 def test_bce_symmetric_point():
     pred = np.full((4, 3), 0.5)
     truth = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0]], dtype=float)
-    total, per_node = bce_loss(pred, truth, np.ones(4, bool))
+    total, per_node = bce_loss(pred, truth)
     assert per_node == pytest.approx(np.full(4, 3 * math.log(2)))
     assert total == pytest.approx(3 * math.log(2))
 
 
 def test_bce_hand_computed_value():
-    total, per_node = bce_loss(
-        np.array([[0.9, 0.2]]), np.array([[1.0, 0.0]]), np.ones(1, bool)
-    )
+    total, per_node = bce_loss(np.array([[0.9, 0.2]]), np.array([[1.0, 0.0]]))
     assert per_node[0] == pytest.approx(-(math.log(0.9) + math.log(0.8)))
     assert total == pytest.approx(0.3285, abs=5e-5)
 
 
 def test_bce_perfect_prediction_bound():
     truth = np.array([[1.0, 0.0], [0.0, 1.0]])
-    total, per_node = bce_loss(truth, truth, np.ones(2, bool))
+    total, per_node = bce_loss(truth, truth)
     assert np.all(per_node <= 2 * -math.log(1 - 1e-7) + 1e-12)
 
 
@@ -233,7 +224,7 @@ def two_pass_train(dataset, config, reps):
         _, grads = model_loss_and_grads(model, reps.H_f, reps.H_l, reps.pe, truth, train_mask)
         opt.step(model.params, grads)
         probs = forward(model, reps.H_f, reps.H_l, reps.pe)
-        losses.append(bce_loss(probs, truth, train_mask)[1])
+        losses.append(bce_loss(probs[train_mask], truth[train_mask])[1])
         val_ap = average_precision(probs[val_mask], truth[val_mask], "samples")
         if val_ap > best_ap:
             best_ap, best_epoch = val_ap, epoch
@@ -324,7 +315,7 @@ def full_row_train_losses(dataset, config, reps):
         probs = _sigmoid(logits)
         opt.step(model.params, masked_backward(model, cache, probs, truth, mask, int(mask.sum())))
         logits, cache = _readout(model, const)
-        losses.append(bce_loss(_sigmoid(logits), truth, mask)[1])
+        losses.append(bce_loss(_sigmoid(logits)[mask], truth[mask])[1])
     return np.stack(losses)
 
 
@@ -517,46 +508,6 @@ def test_structural_twins_identical_without_labels_or_position():
     model, _, _, reps = fit(ds, cfg)
     probs = predict(model, ds, reps=reps)
     assert np.abs(probs[3] - probs[7]).max() < 1e-10  # twin endpoints of the path
-
-
-def test_export_fusion_weights_blocks(tmp_path, two_clique_split):
-    cfg = small_config()
-    model, _, _, _ = fit(two_clique_split, cfg)
-    path = tmp_path / "weights.csv"
-    export_fusion_weights(model, path)
-    blocks = load_fusion_weights(path)
-    assert set(blocks) == {"W_f", "W_l", "W_phi"}
-    assert blocks["W_f"].shape == (2, cfg.hidden_dim)
-    assert blocks["W_l"].shape == (2, 2)
-    assert blocks["W_phi"].shape == (2, cfg.pe_dim)
-
-
-def test_export_fusion_weights_round_trip(tmp_path, two_clique_split):
-    cfg = small_config()
-    model, _, _, reps = fit(two_clique_split, cfg)
-    path = tmp_path / "weights.csv"
-    export_fusion_weights(model, path)
-    blocks = load_fusion_weights(path)
-    rebuilt = np.hstack([blocks["W_f"], blocks["W_l"], blocks["W_phi"]]).T
-    original = predict(model, two_clique_split, reps=reps)
-    model.params["out_W"] = rebuilt
-    assert np.abs(predict(model, two_clique_split, reps=reps) - original).max() < 1e-12
-
-
-def test_export_fusion_weights_respects_disabled_blocks(tmp_path, two_clique_split):
-    cfg = small_config(enable_pe=False)
-    model, _, _, _ = fit(two_clique_split, cfg)
-    path = tmp_path / "weights.csv"
-    export_fusion_weights(model, path)
-    blocks = load_fusion_weights(path)
-    assert "W_phi" not in blocks
-
-
-def test_export_fusion_weights_refused_for_mlp3(tmp_path, two_clique_split):
-    cfg = small_config(variant="mlp3")
-    model, _, _, _ = fit(two_clique_split, cfg)
-    with pytest.raises(UnsupportedExportError):
-        export_fusion_weights(model, tmp_path / "w.csv")
 
 
 def test_checkpoint_round_trip(tmp_path, two_clique_split):

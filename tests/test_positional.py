@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from gnn_multifix import (
     Graph,
     generate_walks,
-    load_embedding_csv,
     positional_distinguishability,
-    save_embedding_csv,
     train_skipgram,
 )
 from gnn_multifix import positional
-from gnn_multifix.errors import DatasetParseError
 from gnn_multifix.positional import (
     SHARED_NEGATIVES,
     WalkCorpus,
@@ -188,33 +185,6 @@ def test_distinguishability_values():
     assert positional_distinguishability(same, 0, 1) == 0.0
     with pytest.raises(ValueError):
         positional_distinguishability(emb, 1, 1)
-
-
-def test_embedding_csv_round_trip(tmp_path):
-    g = build_random_graph(10, 30, seed=8)
-    corpus = generate_walks(g, 5, 3, seed=8)
-    emb = train_skipgram(corpus, 10, 6, 3, 3, 2, 0.025, seed=8)
-    path = tmp_path / "emb.csv"
-    save_embedding_csv(emb, path)
-    back = load_embedding_csv(path)
-    assert back.dtype == emb.dtype == np.float64
-    assert np.array_equal(back, emb)
-
-
-def test_embedding_csv_with_duplicated_node_id_is_refused(tmp_path):
-    path = tmp_path / "emb.csv"
-    save_embedding_csv(np.arange(6.0).reshape(3, 2), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0], lines[1], lines[2], "1" + lines[3][1:]]) + "\n")
-    with pytest.raises(DatasetParseError, match="node ids"):
-        load_embedding_csv(path)
-
-
-def test_header_only_embedding_csv_is_refused(tmp_path):
-    path = tmp_path / "emb.csv"
-    path.write_text("node_id,e_0,e_1\n")
-    with pytest.raises(DatasetParseError, match="no rows"):
-        load_embedding_csv(path)
 
 
 # Reference implementations: the per-walk walker that the array corpus
