@@ -53,16 +53,28 @@ def _deep_update(base: dict, overlay: dict) -> dict:
     return base
 
 
-def _unknown_key(cfg: dict, known: dict, prefix: str = ""):
-    """The first dotted key of cfg that the tree ``known`` does not hold, or None."""
+def _fits(value, default) -> bool:
+    """Whether value may replace ``default``: its own type, an int for a float, any for None.
+
+    A bool never stands for a number, nor a number for a bool.
+    """
+    if default is None:
+        return True
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _check_config(cfg: dict, known: dict, prefix: str = ""):
+    """Refuse a key of cfg that the tree ``known`` does not hold, or a value of the wrong type."""
     for key, value in cfg.items():
         if key not in known:
-            return prefix + key
-        if isinstance(value, dict) and isinstance(known[key], dict):
-            found = _unknown_key(value, known[key], f"{prefix}{key}.")
-            if found:
-                return found
-    return None
+            raise ValueError(f"unknown config key '{prefix}{key}'")
+        if not _fits(value, known[key]):
+            kind = type(known[key]).__name__
+            raise ValueError(f"config key '{prefix}{key}' expects {kind}, got {value!r}")
+        if isinstance(known[key], dict):
+            _check_config(value, known[key], f"{prefix}{key}.")
 
 
 def _parse_set(value: str):
@@ -77,11 +89,14 @@ def _parse_set(value: str):
 
 
 def build_config(args) -> dict:
-    """Defaults, then --config, then flags; a key outside default_config() is refused."""
+    """Defaults, then --config, then flags; a key or value type outside default_config() is refused."""
+    known = default_config()
+    known["data"] = dict.fromkeys(DATA_KEYS)
     cfg = default_config()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             _deep_update(cfg, json.load(fh))
+        _check_config(cfg, known)
     if getattr(args, "out", None):
         cfg["out"] = args.out
     if getattr(args, "seed", None) is not None:
@@ -105,14 +120,10 @@ def build_config(args) -> dict:
             if not isinstance(node, dict):
                 raise ValueError(f"unknown config key '{key}'")
         node[leaf] = value
+    _check_config(cfg, known)
     if getattr(args, "ablate", None):
         flag = {"no-fr": "enable_fr", "no-lr": "enable_lr", "no-pe": "enable_pe"}[args.ablate]
         cfg["model"][flag] = False
-    known = default_config()
-    known["data"] = dict.fromkeys(DATA_KEYS)
-    unknown = _unknown_key(cfg, known)
-    if unknown:
-        raise ValueError(f"unknown config key '{unknown}'")
     return cfg
 
 
@@ -183,8 +194,9 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
 
     fit(dataset, run_cfg, split_index, split_dir) returns the probabilities
     and the command's own report fields, and writes the command's own
-    artifacts. A diverging split ends the run with exit status 1 and a
-    line in run.log.
+    artifacts. A diverging split ends the run with exit status 1, and a
+    split that raises ValueError re-raises it; either leaves a line in
+    run.log.
     """
     dataset = _load_data(cfg)
     outdir = Path(cfg["out"])
@@ -195,14 +207,17 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
     for i, seed in enumerate(seeds):
         split_dir = outdir / f"split_{i}"
         split_dir.mkdir(exist_ok=True)
-        run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
-        ds = _split_for_run(dataset, cfg, seed)
         try:
+            run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
+            ds = _split_for_run(dataset, cfg, seed)
             probs, fields = fit(ds, run_cfg, i, split_dir)
         except TrainingDivergedError as err:
             print(f"split {i}: {err}", file=sys.stderr)
             _sidecar_log(outdir, f"split {i}: {err}")
             return 1
+        except ValueError as err:
+            _sidecar_log(outdir, f"split {i}: error: {err}")
+            raise
         report = {
             **fields,
             "val": evaluate(probs, ds, "val").to_dict(),

@@ -16,6 +16,7 @@ from .errors import DatasetParseError, UndefinedMetricError
 from .graph import Dataset, Graph, jaccard_per_edge
 
 HEADLINE_AP_MODE = "samples"
+N_CHECKPOINTS = 30
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,14 @@ class DynamicsLog:
         return len(self.epochs)
 
 
-def checkpoint_epochs(total_epochs: int, target: int = 30) -> np.ndarray:
-    """Uniformly spaced 1-based checkpoint epochs; all epochs if fewer."""
+def checkpoint_epochs(total_epochs: int) -> np.ndarray:
+    """N_CHECKPOINTS uniformly spaced 1-based checkpoint epochs; all epochs if fewer."""
     if total_epochs < 1:
         raise ValueError("no completed epochs")
-    if total_epochs <= target:
+    if total_epochs <= N_CHECKPOINTS:
         return np.arange(1, total_epochs + 1, dtype=np.int64)
-    idx = np.rint(np.arange(target) * (total_epochs - 1) / (target - 1)).astype(np.int64)
+    steps = np.arange(N_CHECKPOINTS) * (total_epochs - 1) / (N_CHECKPOINTS - 1)
+    idx = np.rint(steps).astype(np.int64)
     return idx + 1
 
 

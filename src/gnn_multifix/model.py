@@ -40,7 +40,7 @@ import numpy as np
 from .errors import CompatibilityError, ShapeError, TrainingDivergedError
 from .evaluation import DynamicsLog, average_precision, checkpoint_epochs
 from .graph import Dataset, substitute_features, sym_norm_adjacency
-from .positional import generate_walks, train_skipgram
+from .positional import _sigmoid, generate_walks, train_skipgram
 from .propagation import init_label_matrix, propagate_features, propagate_labels
 from .rng import substream
 
@@ -114,37 +114,25 @@ def _feature_projection(config: ModelConfig, feature_dim: int) -> np.ndarray:
     return _glorot(substream(config.seed, "feat-proj"), feature_dim, config.hidden_dim)
 
 
+def _readout_layers(config: ModelConfig) -> tuple:
+    """The readout's dense layers, input side first; all but the last apply a ReLU."""
+    return ("hid1", "hid2", "out") if config.variant == "mlp3" else ("out",)
+
+
 def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: int) -> MultiFixModel:
-    """Seeded parameter initialization for the given dimensions."""
+    """Seeded parameter initialization: each layer draws from its own named substream."""
     model = MultiFixModel(
         config=config, n_nodes=n_nodes, n_labels=n_labels, feature_dim=feature_dim
     )
     c = config
-    if c.enable_fr and c.variant != "linear":
-        rng = substream(c.seed, "init", "ft")
-        model.params["ft_W"] = _glorot(rng, feature_dim, c.hidden_dim)
-        model.params["ft_b"] = np.zeros(c.hidden_dim)
-    w_in = model.input_width
-    if c.variant == "mlp3":
-        r1 = substream(c.seed, "init", "hid1")
-        r2 = substream(c.seed, "init", "hid2")
-        r3 = substream(c.seed, "init", "out")
-        model.params["hid1_W"] = _glorot(r1, w_in, c.hidden_dim)
-        model.params["hid1_b"] = np.zeros(c.hidden_dim)
-        model.params["hid2_W"] = _glorot(r2, c.hidden_dim, c.hidden_dim)
-        model.params["hid2_b"] = np.zeros(c.hidden_dim)
-        model.params["out_W"] = _glorot(r3, c.hidden_dim, n_labels)
-        model.params["out_b"] = np.zeros(n_labels)
-    else:
-        rng = substream(c.seed, "init", "out")
-        model.params["out_W"] = _glorot(rng, w_in, n_labels)
-        model.params["out_b"] = np.zeros(n_labels)
+    layers = [("ft", feature_dim, c.hidden_dim)] if c.enable_fr and c.variant != "linear" else []
+    names = _readout_layers(c)
+    widths = [model.input_width, *[c.hidden_dim] * (len(names) - 1), n_labels]
+    layers += zip(names, widths[:-1], widths[1:])
+    for name, fan_in, fan_out in layers:
+        model.params[f"{name}_W"] = _glorot(substream(c.seed, "init", name), fan_in, fan_out)
+        model.params[f"{name}_b"] = np.zeros(fan_out)
     return model
-
-
-def _sigmoid(z):
-    out = np.clip(z, -500, 500)
-    return 1.0 / (1.0 + np.exp(-out))
 
 
 def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
@@ -204,67 +192,50 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
     return F, blocks
 
 
-def _assemble_input(model: MultiFixModel, const):
-    """The readout input Z from the constant parts; returns (Z, cache) for backprop."""
-    F, blocks = const
-    if F is None:
-        return blocks[0], {}
-    pre = F @ model.params["ft_W"] + model.params["ft_b"]
-    B = np.maximum(pre, 0.0)
-    return np.hstack([B, *blocks]), {"ft_in": F, "ft_mask": pre > 0}
+def _dense(model: MultiFixModel, name: str, x, cache, relu: bool):
+    """Layer ``name`` on x, keeping (x, ReLU mask or None) in cache under the name."""
+    pre = x @ model.params[f"{name}_W"] + model.params[f"{name}_b"]
+    cache[name] = (x, pre > 0 if relu else None)
+    return np.maximum(pre, 0.0) if relu else pre
 
 
 def _readout(model: MultiFixModel, const):
-    """One pass from the constant input to the logits; returns (logits, cache)."""
-    Z, cache = _assemble_input(model, const)
-    p = model.params
-    cache["Z"] = Z
-    if model.config.variant == "mlp3":
-        pre1 = Z @ p["hid1_W"] + p["hid1_b"]
-        a1 = np.maximum(pre1, 0.0)
-        pre2 = a1 @ p["hid2_W"] + p["hid2_b"]
-        a2 = np.maximum(pre2, 0.0)
-        logits = a2 @ p["out_W"] + p["out_b"]
-        cache.update(m1=pre1 > 0, a1=a1, m2=pre2 > 0, a2=a2)
-    else:
-        logits = Z @ p["out_W"] + p["out_b"]
-    return logits, cache
+    """One pass from the constant input to the logits; returns (logits, cache).
+
+    The feature transform ``ft``, when the model has one, runs first and its
+    output leads the readout input; the readout layers follow.
+    """
+    F, blocks = const
+    cache = {}
+    x = blocks[0] if F is None else np.hstack([_dense(model, "ft", F, cache, relu=True), *blocks])
+    names = _readout_layers(model.config)
+    for name in names:
+        x = _dense(model, name, x, cache, relu=name != names[-1])
+    return x, cache
 
 
 def _backward(model: MultiFixModel, cache, probs, truth):
     """Gradients of the mean BCE over the readout's rows for every trainable parameter.
 
     probs is the unclipped sigmoid of the logits that ``cache`` came with,
-    and truth holds the labels of the same rows.
+    and truth holds the labels of the same rows. The gradient of a layer's
+    input is formed only when a layer below needs it: the readout input's
+    only when the feature transform is in the cache.
     """
-    d_logits = (probs - truth) / len(probs)
-
+    layers = (("ft",) if "ft" in cache else ()) + _readout_layers(model.config)
+    d = (probs - truth) / len(probs)
     grads = {}
-    p = model.params
-    Z = cache["Z"]
-    if model.config.variant == "mlp3":
-        a2, a1 = cache["a2"], cache["a1"]
-        grads["out_W"] = a2.T @ d_logits
-        grads["out_b"] = d_logits.sum(axis=0)
-        d_a2 = (d_logits @ p["out_W"].T) * cache["m2"]
-        grads["hid2_W"] = a1.T @ d_a2
-        grads["hid2_b"] = d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ p["hid2_W"].T) * cache["m1"]
-        grads["hid1_W"] = Z.T @ d_a1
-        grads["hid1_b"] = d_a1.sum(axis=0)
-        d_first, W_first = d_a1, p["hid1_W"]
-    else:
-        grads["out_W"] = Z.T @ d_logits
-        grads["out_b"] = d_logits.sum(axis=0)
-        d_first, W_first = d_logits, p["out_W"]
-
-    # d_Z flows back through the first layer; only the feature block needs it
-    if "ft_in" in cache:
-        width = model.config.hidden_dim
-        d_Z = d_first @ W_first.T
-        d_B = d_Z[:, :width] * cache["ft_mask"]
-        grads["ft_W"] = cache["ft_in"].T @ d_B
-        grads["ft_b"] = d_B.sum(axis=0)
+    for i in reversed(range(len(layers))):
+        name = layers[i]
+        x, mask = cache[name]
+        if mask is not None:
+            d = d * mask
+        grads[f"{name}_W"] = x.T @ d
+        grads[f"{name}_b"] = d.sum(axis=0)
+        if i:
+            d = d @ model.params[f"{name}_W"].T
+            if layers[i - 1] == "ft":  # the transform's output is the input's leading columns
+                d = d[:, : model.config.hidden_dim]
     return grads
 
 
@@ -330,10 +301,11 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
 class AdamState:
     """Adaptive-moment optimizer with decoupled weight decay on matrices."""
 
-    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -489,16 +461,13 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
                     )
                     + "\n"
                 )
-            if val_ap > best_ap:
-                best_ap, best_epoch = val_ap, epoch
+            if val_ap >= best_ap:
+                # a plateau keeps the longer-trained weights, but patience
+                # counts from the first epoch that reached this AP
                 best_params = {k: v.copy() for k, v in model.params.items()}
-            elif val_ap == best_ap:
-                # plateau: keep the longer-trained weights, but count
-                # patience from the first epoch that reached this AP
-                best_params = {k: v.copy() for k, v in model.params.items()}
-                if epoch - best_epoch >= config.patience:
-                    break
-            elif epoch - best_epoch >= config.patience:
+                if val_ap > best_ap:
+                    best_ap, best_epoch = val_ap, epoch
+            if epoch - best_epoch >= config.patience:
                 break
     finally:
         if metrics_fh:

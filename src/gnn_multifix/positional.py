@@ -103,11 +103,11 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> np.ndarray:
     return out.reshape(-1, 2)
 
 
-def unigram_table(corpus: WalkCorpus, n: int, power: float = 0.75) -> np.ndarray:
-    """Negative-sampling distribution: corpus occurrence counts ** power."""
+def unigram_table(corpus: WalkCorpus, n: int) -> np.ndarray:
+    """Negative-sampling distribution: corpus occurrence counts ** 0.75, as in word2vec."""
     nodes = corpus.walks[corpus.walks >= 0]
     counts = np.bincount(nodes, minlength=n).astype(np.float64)
-    weights = counts**power
+    weights = counts**0.75
     total = weights.sum()
     if total == 0:
         raise ValueError("empty corpus")

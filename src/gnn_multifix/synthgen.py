@@ -350,11 +350,11 @@ def generate_features(labels: np.ndarray, spec: SynthSpec) -> np.ndarray:
     return X
 
 
-def generate_dataset(spec: SynthSpec, with_features: bool = True):
+def generate_dataset(spec: SynthSpec):
     """Full pipeline: labels, graph, features, and a metadata record."""
     labels = generate_labels(spec)
     graph = generate_graph(labels, spec)
-    features = generate_features(labels, spec) if with_features and spec.feat_dim > 0 else None
+    features = generate_features(labels, spec) if spec.feat_dim > 0 else None
     dataset = make_dataset(graph, labels, features=features)
     meta = {
         "spec": asdict(spec),

@@ -252,7 +252,11 @@ def test_baseline_mlp_without_features_or_policy_exits_like_train(tmp_path, caps
                    "--seed", "3", "--n-splits", "1", *SMALL_MODEL,
                    "--set", "model.feature_policy=none"])
         assert rc == 1
-        assert "substitution policy is 'none'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "substitution policy is 'none'" in err
+        log = (tmp_path / command[-1] / "run.log").read_text().splitlines()
+        assert len(log) == 1
+        assert log[0].split(" ", 1)[1] == "split 0: " + err.strip()
 
 
 def test_metrics_stream_format(tmp_path):
@@ -278,8 +282,18 @@ def test_generate_infeasible_target_exits_nonzero(tmp_path, capsys):
     assert "achieved" in capsys.readouterr().err
 
 
+MISTYPED_CONFIG_ERRORS = {
+    ("model.max_epochs", '"abc"'): "config key 'model.max_epochs' expects int, got 'abc'",
+    ("model.max_epochs", "true"): "config key 'model.max_epochs' expects int, got True",
+    ("model", "3"): "config key 'model' expects dict, got 3",
+    ("model.lr", "false"): "config key 'model.lr' expects float, got False",
+    ("model.enable_pe", "1"): "config key 'model.enable_pe' expects bool, got 1",
+}
+
+
 @pytest.mark.parametrize("key, value", [
     ("model.max_epoch", "3"), ("n_split", "7"), ("pe_cache", '"cache"'), ("synth.nn", "100"),
+    *MISTYPED_CONFIG_ERRORS,
 ])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_unknown_config_key_is_refused_before_any_file(
@@ -303,8 +317,17 @@ def test_unknown_config_key_is_refused_before_any_file(
         extra = ["--config", str(config)]
     before = sorted(tmp_path.rglob("*"))
     assert main([*command, "--out", str(tmp_path / "run"), "--seed", "3", *extra]) == 1
-    assert capsys.readouterr().err.strip() == f"error: unknown config key '{key}'"
+    message = MISTYPED_CONFIG_ERRORS.get((key, value), f"unknown config key '{key}'")
+    assert capsys.readouterr().err.strip() == f"error: {message}"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_int_value_for_a_float_config_key_is_accepted(tmp_path):
+    data = write_toy_dataset(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--seed", "3",
+                 "--n-splits", "1", *SMALL_MODEL, "--set", "model.lr=1"]) == 0
+    assert json.loads((out / "effective_config.json").read_text())["model"]["lr"] == 1
 
 
 def test_benchmark_workload_flags_are_known_config_keys(tmp_path):

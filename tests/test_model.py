@@ -25,12 +25,14 @@ from gnn_multifix import (
     train,
 )
 from gnn_multifix.errors import CompatibilityError, ShapeError, TrainingDivergedError
+from gnn_multifix.rng import substream
 from gnn_multifix import model as model_module
 from gnn_multifix.model import (
     CHECKPOINT_MAGIC,
     AdamState,
     _constant_input,
     _feature_projection,
+    _glorot,
     _readout,
     init_model,
     _sigmoid,
@@ -145,6 +147,26 @@ def test_gradients_match_finite_differences():
             arr[flat_idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad[flat_idx]) / max(abs(fd), abs(grad[flat_idx]), 1e-8) < 1e-4
+
+
+@pytest.mark.parametrize("enable_fr", [True, False])
+@pytest.mark.parametrize("variant", ["linear", "mlp1", "mlp3"])
+def test_init_draws_each_layer_from_its_named_substream(variant, enable_fr):
+    n, C, D, hidden, pe_dim, seed = 9, 3, 4, 5, 6, 7
+    cfg = ModelConfig(variant=variant, hidden_dim=hidden, pe_dim=pe_dim, seed=seed,
+                      enable_fr=enable_fr)
+    width = (hidden if enable_fr else 0) + C + pe_dim
+    layers = {"linear": [("out", width, C)], "mlp1": [("out", width, C)],
+              "mlp3": [("hid1", width, hidden), ("hid2", hidden, hidden), ("out", hidden, C)]}
+    expected = layers[variant]
+    if enable_fr and variant != "linear":
+        expected = [("ft", D, hidden), *expected]
+    model = init_model(cfg, n, C, D if enable_fr else 0)
+    assert list(model.params) == [f"{name}_{p}" for name, _, _ in expected for p in "Wb"]
+    for name, fan_in, fan_out in expected:
+        ref = _glorot(substream(seed, "init", name), fan_in, fan_out)
+        assert np.array_equal(model.params[f"{name}_W"], ref)
+        assert np.array_equal(model.params[f"{name}_b"], np.zeros(fan_out))
 
 
 def test_ablation_changes_readout_width_exactly():
@@ -279,25 +301,27 @@ def masked_backward(model, cache, probs, truth, node_mask, n_masked):
     d_logits[node_mask] = (probs[node_mask] - truth[node_mask]) / n_masked
     grads = {}
     p = model.params
-    Z = cache["Z"]
     if model.config.variant == "mlp3":
-        a2, a1 = cache["a2"], cache["a1"]
+        Z = cache["hid1"][0]
+        a2, a1 = cache["out"][0], cache["hid2"][0]
         grads["out_W"] = a2.T @ d_logits
         grads["out_b"] = d_logits.sum(axis=0)
-        d_a2 = (d_logits @ p["out_W"].T) * cache["m2"]
+        d_a2 = (d_logits @ p["out_W"].T) * cache["hid2"][1]
         grads["hid2_W"] = a1.T @ d_a2
         grads["hid2_b"] = d_a2.sum(axis=0)
-        d_a1 = (d_a2 @ p["hid2_W"].T) * cache["m1"]
+        d_a1 = (d_a2 @ p["hid2_W"].T) * cache["hid1"][1]
         grads["hid1_W"] = Z.T @ d_a1
         grads["hid1_b"] = d_a1.sum(axis=0)
         d_first, W_first = d_a1, p["hid1_W"]
     else:
+        Z = cache["out"][0]
         grads["out_W"] = Z.T @ d_logits
         grads["out_b"] = d_logits.sum(axis=0)
         d_first, W_first = d_logits, p["out_W"]
-    if "ft_in" in cache:
-        d_B = (d_first @ W_first.T)[:, : model.config.hidden_dim] * cache["ft_mask"]
-        grads["ft_W"] = cache["ft_in"].T @ d_B
+    if "ft" in cache:
+        ft_in, ft_mask = cache["ft"]
+        d_B = (d_first @ W_first.T)[:, : model.config.hidden_dim] * ft_mask
+        grads["ft_W"] = ft_in.T @ d_B
         grads["ft_b"] = d_B.sum(axis=0)
     return grads
 
