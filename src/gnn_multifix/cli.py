@@ -53,15 +53,25 @@ def _deep_update(base: dict, overlay: dict) -> dict:
     return base
 
 
-def _fits(value, default) -> bool:
-    """Whether value may replace ``default``: its own type, an int for a float, any for None.
+# the value a key with a None default takes when it is set: None, or one
+# like this sample
+NULL_DEFAULT_SAMPLES = {
+    "seeds": [0],
+    "synth.avg_degree": 0.0,
+    **{f"data.{key}": "" for key in DATA_KEYS},
+}
 
-    A bool never stands for a number, nor a number for a bool.
+
+def _fits(value, default) -> bool:
+    """Whether value may replace ``default``: its own type, or an int for a float.
+
+    A bool never stands for a number, nor a number for a bool, and a list
+    holds items that fit its first one.
     """
-    if default is None:
-        return True
     if isinstance(value, bool) != isinstance(default, bool):
         return False
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
@@ -70,11 +80,16 @@ def _check_config(cfg: dict, known: dict, prefix: str = ""):
     for key, value in cfg.items():
         if key not in known:
             raise ValueError(f"unknown config key '{prefix}{key}'")
-        if not _fits(value, known[key]):
-            kind = type(known[key]).__name__
+        default = known[key]
+        if default is None and value is not None:
+            default = NULL_DEFAULT_SAMPLES[prefix + key]
+        if not _fits(value, default):
+            kind = type(default).__name__
+            if isinstance(default, list):
+                kind = f"list of {type(default[0]).__name__}"
             raise ValueError(f"config key '{prefix}{key}' expects {kind}, got {value!r}")
-        if isinstance(known[key], dict):
-            _check_config(value, known[key], f"{prefix}{key}.")
+        if isinstance(default, dict):
+            _check_config(value, default, f"{prefix}{key}.")
 
 
 def _parse_set(value: str):

@@ -51,7 +51,7 @@ def _row_aps(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     n_pos = hits.sum(axis=1)
     precision = np.cumsum(hits, axis=1) / np.arange(1, scores.shape[1] + 1)
     aps = np.empty(len(scores))
-    for p in np.unique(n_pos[n_pos > 0]):
+    for p in np.flatnonzero(np.bincount(n_pos)[1:]) + 1:
         rows = np.flatnonzero(n_pos == p)
         aps[rows] = precision[rows][hits[rows]].reshape(len(rows), p).mean(axis=1)
     return aps[n_pos > 0]
@@ -137,6 +137,22 @@ def checkpoint_epochs(total_epochs: int) -> np.ndarray:
     return idx + 1
 
 
+def _quartiles(losses: np.ndarray) -> np.ndarray:
+    """Q1, median and Q3 of each row: np.percentile(row, [25, 50, 75]) to the bit.
+
+    The same linear interpolation between the order statistics around index
+    q * (m - 1), computed from the end nearer to it, as NumPy's ``_lerp``
+    does; np.percentile itself would import numpy.ma.
+    """
+    s = np.sort(losses, axis=1)
+    pos = np.array([0.25, 0.5, 0.75]) * (s.shape[1] - 1)
+    lo = np.floor(pos).astype(np.int64)
+    g = pos - lo
+    a, b = s[:, lo], s[:, np.minimum(lo + 1, s.shape[1] - 1)]
+    d = b - a
+    return np.where(g < 0.5, a + d * g, b - d * (1 - g))
+
+
 def export_dynamics(log: DynamicsLog, out_path):
     """Write the per-node loss table plus a per-checkpoint summary.
 
@@ -148,24 +164,20 @@ def export_dynamics(log: DynamicsLog, out_path):
         raise ValueError("empty dynamics log")
     out_path = Path(out_path)
     summary_path = out_path.with_name(out_path.stem + "_summary" + out_path.suffix)
+    losses = np.asarray(log.losses, dtype=np.float64)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("checkpoint_index,epoch,node_id,loss\n")
         # one write per checkpoint; tolist() yields the same floats as float(x)
         nodes = [int(node) for node in log.node_ids]
-        losses = np.asarray(log.losses, dtype=np.float64)
         for i, epoch in enumerate(log.epochs):
             head = f"{i},{int(epoch)},"
             rows = zip(nodes, losses[i].tolist())
             fh.write("".join(f"{head}{node},{loss!r}\n" for node, loss in rows))
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("checkpoint_index,epoch,q1,median,q3,max\n")
-        for i, epoch in enumerate(log.epochs):
-            q1, med, q3 = np.percentile(log.losses[i], [25, 50, 75])
-            mx = log.losses[i].max()
-            fh.write(
-                f"{i},{int(epoch)},{repr(float(q1))},{repr(float(med))},"
-                f"{repr(float(q3))},{repr(float(mx))}\n"
-            )
+        stats = np.column_stack([_quartiles(losses), losses.max(axis=1)]).tolist()
+        for i, (epoch, (q1, med, q3, mx)) in enumerate(zip(log.epochs, stats)):
+            fh.write(f"{i},{int(epoch)},{q1!r},{med!r},{q3!r},{mx!r}\n")
     return summary_path
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ShapeError, UndefinedMetricError
 from .rng import substream
 
-# byte cap on the nnz x block temporary of SparseMatrix.matmul_dense
+# byte cap on the one nnz x block temporary of SparseMatrix.matmul_dense
 _MATMUL_TMP_BYTES = 2 << 20
 
 
@@ -63,28 +63,23 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs.
+        """Build a graph from an (m, 2) array or a sequence of (u, v) pairs.
 
         Pairs are symmetrized and deduplicated; self-loops are dropped.
         """
-        e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        if len(e):
-            if e.min() < 0 or e.max() >= n:
-                raise ShapeError(f"edge endpoint out of range [0, {n})")
-            e = e[e[:, 0] != e[:, 1]]
-        if len(e):
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            e = np.unique(np.column_stack([lo, hi]), axis=0)
-            both = np.concatenate([e, e[:, ::-1]])
-        else:
-            both = np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if len(e) and (e.min() < 0 or e.max() >= n):
+            raise ShapeError(f"edge endpoint out of range [0, {n})")
+        e = e[e[:, 0] != e[:, 1]]
+        # both directions as keys u * n + v: sorted, they are the CSR entries
+        # in (row, column) order, each duplicate next to its twin
+        key = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        rows, cols = np.divmod(key[first], n)
         row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_ptr, both[:, 0] + 1, 1)
-        row_ptr = np.cumsum(row_ptr)
-        return Graph(n=n, row_ptr=_frozen(row_ptr), col_idx=_frozen(both[:, 1].copy()))
+        row_ptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+        return Graph(n=n, row_ptr=_frozen(row_ptr), col_idx=_frozen(cols))
 
 
 @dataclass(frozen=True)
@@ -120,15 +115,22 @@ class SparseMatrix:
             X = X[:, None]
         if X.shape[0] != self.cols:
             raise ShapeError(f"operand has {X.shape[0]} rows, expected {self.cols}")
-        out = np.zeros((self.rows, X.shape[1]), dtype=np.float64)
+        out = np.empty((self.rows, X.shape[1]), dtype=np.float64)
         if self.nnz:
-            # column blocks keep the nnz x block products under the byte cap;
-            # every output cell still sums its products in row-pointer order
+            # column blocks keep the one block x nnz product under the byte
+            # cap. Each block is gathered transposed, so a cell's products lie
+            # contiguous. reduceat sums each segment pairwise (in order below
+            # 8 products), in an order set by the row's length alone: the
+            # bits do not depend on the block width or the operand's layout
             width = max(1, _MATMUL_TMP_BYTES // (8 * self.nnz))
+            # np.take copies a read-only index on every call; copy it once
+            col_idx = self.col_idx.copy()
             for j in range(0, X.shape[1], width):
                 block = slice(j, j + width)
-                contrib = self.values[:, None] * X[self.col_idx, block]
-                out[:, block] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=0)
+                contrib = np.take(np.ascontiguousarray(X[:, block].T), col_idx, axis=1)
+                contrib *= self.values
+                out[:, block] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=1).T
+                del contrib  # freed before the next block's is gathered
         return out[:, 0] if squeeze else out
 
 

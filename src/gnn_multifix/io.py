@@ -12,6 +12,7 @@ Probs CSV    header "node_id,p_0,...", then one "node_id,values" row per
 
 from __future__ import annotations
 
+import io
 import struct
 from pathlib import Path
 
@@ -27,7 +28,29 @@ def _read_lines(path):
             yield line_no, raw.rstrip("\n")
 
 
-def read_edge_file(path) -> list[tuple[int, int]]:
+def read_edge_file(path) -> np.ndarray:
+    """Parse an edge list into an (m, 2) int64 array of (u, v) rows, in file order.
+
+    An ASCII file without '#' is parsed in bulk; anything that parse refuses
+    (a comment, a malformed or negative id, a wrong field count) is read
+    again line by line, so every file gets the line scanner's edges or its
+    error and line number. Non-ASCII text always goes to the scanner:
+    np.loadtxt reads some non-digit characters as digits.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.isascii() and "#" not in text and text.strip():
+        try:
+            edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if edges.shape[1] == 2 and not (edges < 0).any():
+                return edges
+    return np.array(_scan_edge_lines(path), dtype=np.int64).reshape(-1, 2)
+
+
+def _scan_edge_lines(path) -> list[tuple[int, int]]:
     edges = []
     for line_no, line in _read_lines(path):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -41,6 +64,8 @@ def read_edge_file(path) -> list[tuple[int, int]]:
             raise DatasetParseError(path, line_no, f"non-integer node id in {line!r}") from None
         if u < 0 or v < 0:
             raise DatasetParseError(path, line_no, "node ids must be non-negative")
+        if max(u, v) > np.iinfo(np.int64).max:
+            raise DatasetParseError(path, line_no, "node id does not fit in 64 bits")
         edges.append((u, v))
     return edges
 
@@ -151,9 +176,7 @@ def load_dataset(edge_path, label_path, feature_path=None, split_path=None) -> D
     n_labels, label_rows = read_label_file(label_path)
     features = read_feature_file(feature_path) if feature_path is not None else None
 
-    n = 0
-    if edges:
-        n = max(n, max(max(u, v) for u, v in edges) + 1)
+    n = int(edges.max()) + 1 if len(edges) else 0
     if label_rows:
         n = max(n, max(label_rows) + 1)
     if features is not None:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gnn_multifix import Graph, SparseMatrix, make_dataset, make_splits
+from gnn_multifix import graph as graph_module
+from gnn_multifix.errors import DatasetParseError
 from gnn_multifix.graph import _with_self_loops
 
 
@@ -29,6 +31,52 @@ def row_sums(m):
     out = np.zeros(m.rows, dtype=np.float64)
     np.add.at(out, np.repeat(np.arange(m.rows), np.diff(m.row_ptr)), m.values)
     return out
+
+
+def row_major_matmul(m, X):
+    """m @ X by the row-major column-block kernel that SparseMatrix.matmul_dense replaced.
+
+    Each block gathers the rows X[col_idx, block], scales them by the values
+    and sums each row's segment along axis 0.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    squeeze = X.ndim == 1
+    if squeeze:
+        X = X[:, None]
+    out = np.zeros((m.rows, X.shape[1]), dtype=np.float64)
+    if m.nnz:
+        width = max(1, graph_module._MATMUL_TMP_BYTES // (8 * m.nnz))
+        for j in range(0, X.shape[1], width):
+            block = slice(j, j + width)
+            contrib = m.values[:, None] * X[m.col_idx, block]
+            out[:, block] = np.add.reduceat(contrib, m.row_ptr[:-1], axis=0)
+    return out[:, 0] if squeeze else out
+
+
+def scan_edge_file(path):
+    """The edge list of a file as (u, v) tuples, read line by line.
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped; any other line must hold two whitespace-separated ids that
+    int() accepts and that are not negative, or DatasetParseError names it.
+    """
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise DatasetParseError(path, line_no, f"expected 'u<TAB>v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DatasetParseError(path, line_no, f"non-integer node id in {line!r}") from None
+            if u < 0 or v < 0:
+                raise DatasetParseError(path, line_no, "node ids must be non-negative")
+            edges.append((u, v))
+    return edges
 
 
 def dense_propagation_oracle(P, Y_padded, N):

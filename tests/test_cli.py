@@ -1,11 +1,21 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gnn_multifix import make_splits, save_dataset
-from gnn_multifix.cli import build_config, main, make_parser
+from gnn_multifix.cli import (
+    DATA_KEYS,
+    NULL_DEFAULT_SAMPLES,
+    build_config,
+    default_config,
+    main,
+    make_parser,
+)
 
 from conftest import build_two_clique_dataset
 
@@ -288,6 +298,11 @@ MISTYPED_CONFIG_ERRORS = {
     ("model", "3"): "config key 'model' expects dict, got 3",
     ("model.lr", "false"): "config key 'model.lr' expects float, got False",
     ("model.enable_pe", "1"): "config key 'model.enable_pe' expects bool, got 1",
+    ("seeds", "5"): "config key 'seeds' expects list of int, got 5",
+    ("seeds", '[1, "2"]'): "config key 'seeds' expects list of int, got [1, '2']",
+    ("seeds", "[1.0]"): "config key 'seeds' expects list of int, got [1.0]",
+    ("synth.avg_degree", '"8"'): "config key 'synth.avg_degree' expects float, got '8'",
+    ("data.dir", "7"): "config key 'data.dir' expects str, got 7",
 }
 
 
@@ -330,6 +345,26 @@ def test_int_value_for_a_float_config_key_is_accepted(tmp_path):
     assert json.loads((out / "effective_config.json").read_text())["model"]["lr"] == 1
 
 
+def test_null_default_keys_take_none_or_their_type(tmp_path):
+    def null_keys(tree, prefix=""):
+        for key, value in tree.items():
+            if isinstance(value, dict):
+                yield from null_keys(value, f"{prefix}{key}.")
+            elif value is None:
+                yield prefix + key
+
+    known = {**default_config(), "data": dict.fromkeys(DATA_KEYS)}
+    assert set(null_keys(known)) == set(NULL_DEFAULT_SAMPLES)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seeds": None, "synth": {"avg_degree": None}, "data": {"dir": None}}))
+    base = ["train", "--config", str(config), "--set", "n_splits=2"]
+    assert build_config(make_parser().parse_args(base))["seeds"] is None
+    cfg = build_config(make_parser().parse_args([
+        *base, "--set", "seeds=[4, 9]", "--set", "synth.avg_degree=8", "--data", "d",
+    ]))
+    assert (cfg["seeds"], cfg["synth"]["avg_degree"], cfg["data"]) == ([4, 9], 8, {"dir": "d"})
+
+
 def test_benchmark_workload_flags_are_known_config_keys(tmp_path):
     design = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "design.json").read_text())
     for spec in design["workloads"].values():
@@ -337,3 +372,24 @@ def test_benchmark_workload_flags_are_known_config_keys(tmp_path):
         train = ["train", "--data", str(tmp_path), "--seed", "1", "--n-splits", "1", *spec["train"]]
         for argv in (generate, train):
             build_config(make_parser().parse_args(argv))  # raises on an unknown key
+
+
+def test_generate_and_train_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.percentile import numpy.ma, which costs a child
+    # process about 15 ms and 0.4 MiB
+    data, run = tmp_path / "data", tmp_path / "run"
+    generate = ["generate", "--out", str(data), "--seed", "3", "--set", "synth.n=150"]
+    train = ["train", "--data", str(data), "--out", str(run), "--n-splits", "1", *SMALL_MODEL]
+    code = (
+        "import sys\n"
+        "from gnn_multifix.cli import main\n"
+        f"for argv in ({generate!r}, {train!r}):\n"
+        "    assert main(argv) == 0\n"
+        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, GMFX_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -15,6 +15,7 @@ from gnn_multifix import (
     make_splits,
 )
 from gnn_multifix.errors import UndefinedMetricError
+from gnn_multifix.evaluation import _quartiles
 from gnn_multifix.graph import Graph
 
 from conftest import build_random_dataset
@@ -287,6 +288,32 @@ def test_export_matches_per_line_writer(tmp_path):
     out = tmp_path / "dyn.csv"
     export_dynamics(log, out)
     assert out.read_bytes() == per_line_dynamics_csv(log)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 40)),
+    data=st.data(),
+)
+def test_quartiles_match_numpy_percentile(shape, data):
+    finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    small = st.floats(0.0, 50.0)  # the range of per-node BCE losses
+    values = data.draw(st.lists(st.one_of(finite, small), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    x = np.array(values).reshape(shape)
+    expected = np.percentile(x, [25, 50, 75], axis=1).T
+    assert np.array_equal(_quartiles(x), expected)
+
+
+def test_export_summary_matches_percentile_writer(tmp_path):
+    log = make_log(seed=6)
+    lines = ["checkpoint_index,epoch,q1,median,q3,max\n"]
+    for i, epoch in enumerate(log.epochs):
+        q1, med, q3 = np.percentile(log.losses[i], [25, 50, 75])
+        mx = log.losses[i].max()
+        lines.append(f"{i},{int(epoch)},{float(q1)!r},{float(med)!r},{float(q3)!r},{float(mx)!r}\n")
+    summary = export_dynamics(log, tmp_path / "dyn.csv")
+    assert summary.read_text() == "".join(lines)
 
 
 def test_export_round_trip_and_determinism(tmp_path):

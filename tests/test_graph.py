@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from gnn_multifix import graph as graph_module
 from gnn_multifix.errors import ShapeError, UndefinedMetricError
 from gnn_multifix.graph import SparseMatrix, _with_self_loops
 
-from conftest import build_random_dataset, build_random_graph, row_sums, rw_transition, to_dense
+from conftest import (
+    build_random_dataset,
+    build_random_graph,
+    row_major_matmul,
+    row_sums,
+    rw_transition,
+    to_dense,
+)
 
 
 def test_from_edges_symmetrizes_and_dedups():
@@ -25,6 +34,23 @@ def test_from_edges_symmetrizes_and_dedups():
     assert g.n_edges == 1
     assert list(g.deg) == [1, 1]
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30), pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80))
+def test_from_edges_matches_neighbor_set_reference(n, pairs):
+    pairs = [(u % n, v % n) for u, v in pairs]
+    neighbors = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+    g = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert g.row_ptr.dtype == g.col_idx.dtype == np.int64
+    assert g.row_ptr.tolist() == np.cumsum([0] + [len(nb) for nb in neighbors]).tolist()
+    assert g.col_idx.tolist() == [u for nb in neighbors for u in sorted(nb)]
+    from_list = Graph.from_edges(n, pairs)
+    assert np.array_equal(from_list.row_ptr, g.row_ptr) and np.array_equal(from_list.col_idx, g.col_idx)
 
 
 def test_from_edges_drops_self_loops():
@@ -172,12 +198,6 @@ def test_sparse_matrix_rejects_empty_rows():
             )
 
 
-def one_block_matmul(m, X):
-    """m @ X with the whole nnz x width product built at once."""
-    contrib = m.values[:, None] * X[m.col_idx]
-    return np.add.reduceat(contrib, m.row_ptr[:-1], axis=0)
-
-
 @pytest.mark.parametrize("empty_rows", [False, True])
 def test_matmul_dense_column_blocks_are_bit_identical(empty_rows):
     n = 61
@@ -194,8 +214,40 @@ def test_matmul_dense_column_blocks_are_bit_identical(empty_rows):
     block = graph_module._MATMUL_TMP_BYTES // (8 * op.nnz)
     width = 3 * block + 5  # several blocks and a short last one
     X = np.random.default_rng(4).normal(size=(n, width))
-    assert np.array_equal(op.matmul_dense(X), one_block_matmul(op, X))
-    assert np.array_equal(op.matmul_dense(X[:, 0]), one_block_matmul(op, X[:, :1])[:, 0])
+    assert np.array_equal(op.matmul_dense(X), row_major_matmul(op, X))
+    assert np.array_equal(op.matmul_dense(X[:, 0]), row_major_matmul(op, X[:, 0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+    cols=st.integers(1, 40),
+    block=st.integers(1, 5),
+    width=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+    layout=st.sampled_from(["C", "F", "sliced", "1-D"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_dense_matches_row_major_oracle(counts, cols, block, width, layout, seed):
+    # rows of up to 300 entries, which reduceat sums pairwise beyond 8; a
+    # byte cap of nnz x block floats makes the kernel's blocks `block` wide
+    rng = np.random.default_rng(seed)
+    row_ptr = np.concatenate([[0], np.cumsum(counts)])
+    rows = np.repeat(np.arange(len(counts)), counts)
+    col_idx = rng.integers(0, cols, size=len(rows))
+    col_idx = col_idx[np.lexsort((col_idx, rows))]
+    values = rng.normal(size=len(rows)) * 10.0 ** rng.integers(-3, 4, size=len(rows))
+    op = SparseMatrix(len(counts), cols, row_ptr, col_idx, values)
+    w = width[0] * block + width[1]  # 1, block - 1, block, block + 1 or 3 blocks + 5
+    if layout == "1-D":
+        X = rng.normal(size=cols)
+    elif layout == "sliced":
+        X = np.asfortranarray(rng.normal(size=(cols + 3, 2 * w + 1)))[2 : cols + 2, 1::2]
+    else:
+        X = np.asarray(rng.normal(size=(cols, w)), order=layout)
+    with mock.patch.object(graph_module, "_MATMUL_TMP_BYTES", 8 * op.nnz * block):
+        got = op.matmul_dense(X)
+        assert np.array_equal(got, row_major_matmul(op, X))
+    assert got.shape == (op.rows, *X.shape[1:])
 
 
 def self_loops_row_by_row(graph):

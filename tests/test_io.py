@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnn_multifix import load_dataset, make_splits, read_probability_csv, save_dataset, write_probability_csv
 from gnn_multifix.errors import DatasetIndexError, DatasetParseError, ShapeError
-from gnn_multifix.io import read_feature_file, write_feature_file
+from gnn_multifix.io import read_edge_file, read_feature_file, write_feature_file
 
-from conftest import build_random_dataset
+from conftest import build_random_dataset, scan_edge_file
 
 
 def write(tmp_path, name, text):
@@ -139,3 +141,59 @@ def test_header_only_probability_csv_is_refused(tmp_path):
     path = write(tmp_path, "probs.csv", "node_id,p_0,p_1\n")
     with pytest.raises(DatasetParseError, match="no rows"):
         read_probability_csv(path)
+
+
+def node_id(sign=st.sampled_from(["", "+", "-"])):
+    """An id as a file may spell it: leading zeros, a sign, an underscore."""
+    digits = st.integers(0, 10**6).map(str)
+    return st.one_of(
+        digits,
+        digits.map(lambda d: "00" + d),
+        digits.map(lambda d: d[:1] + "_" + d[1:] if len(d) > 1 else d),
+        st.tuples(sign, digits).map("".join),
+    )
+
+
+def edge_line(sign):
+    pad = st.sampled_from(["", " ", "\t"])
+    blank = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x0c"])
+    return st.tuples(pad, node_id(sign), blank, node_id(sign), pad).map("".join)
+
+
+ODD_LINE = st.sampled_from([
+    "", "   ", "\t", "# comment", "  # indented", "1 2 # c", "#1 2", "1 2 3", "7", "1 2\t3",
+    "+5 1", "1_0 2", "1__0 2", "-3 4", "-0 4", "1.5 2", "1e3 2", "0x1 2", "abc def", "\u0663 1",
+    "1\u00a02", "1\u2003 2", "1\x1c2", "\x00 1", "0\u01fe1 2",
+])
+EDGE_FILE_LINES = st.one_of(
+    st.lists(edge_line(st.sampled_from(["", "+"])), min_size=1, max_size=30),
+    st.lists(st.one_of(edge_line(st.sampled_from(["", "+", "-"])), ODD_LINE), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=EDGE_FILE_LINES,
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_eol=st.booleans(),
+)
+def test_edge_parser_matches_line_scanner(tmp_path_factory, lines, eol, final_eol):
+    path = tmp_path_factory.mktemp("edges") / "edges.tsv"
+    path.write_bytes((eol.join(lines) + (eol if final_eol and lines else "")).encode("utf-8"))
+    try:
+        expected = np.array(scan_edge_file(path), dtype=np.int64).reshape(-1, 2)
+    except DatasetParseError as err:
+        with pytest.raises(DatasetParseError) as got:
+            read_edge_file(path)
+        assert (got.value.line_no, str(got.value)) == (err.line_no, str(err))
+        return
+    edges = read_edge_file(path)
+    assert edges.dtype == np.int64 and edges.shape == expected.shape
+    assert np.array_equal(edges, expected)
+
+
+def test_edge_parser_refuses_ids_beyond_64_bits_by_line(tmp_path):
+    path = write(tmp_path, "e.tsv", "0 1\n99999999999999999999 1\n")
+    with pytest.raises(DatasetParseError, match="64 bits") as err:
+        read_edge_file(path)
+    assert err.value.line_no == 2
