@@ -33,7 +33,6 @@ from .graph import (
     Dataset,
     Graph,
     SparseMatrix,
-    clustering_coefficient,
     label_homophily,
     label_homophily_stats,
     make_dataset,
@@ -88,7 +87,6 @@ __all__ = [
     "average_precision",
     "bce_loss",
     "checkpoint_epochs",
-    "clustering_coefficient",
     "compute_representations",
     "deepwalk_baseline",
     "evaluate",

@@ -306,23 +306,3 @@ def label_homophily(dataset: Dataset) -> float:
     value, _, _ = label_homophily_stats(dataset)
     return value
 
-
-def clustering_coefficient(graph: Graph) -> float:
-    """Mean local clustering coefficient; nodes with degree < 2 contribute 0."""
-    if graph.n == 0:
-        raise UndefinedMetricError("clustering coefficient of the empty graph")
-    mark = np.zeros(graph.n, dtype=bool)
-    total = 0.0
-    for v in range(graph.n):
-        nb = graph.neighbors(v)
-        d = len(nb)
-        if d < 2:
-            continue
-        mark[nb] = True
-        links = 0
-        for u in nb:
-            links += int(mark[graph.neighbors(u)].sum())
-        mark[nb] = False
-        # each triangle edge among neighbors is seen twice in the loop above
-        total += links / (d * (d - 1))
-    return total / graph.n

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import struct
+import tempfile
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -410,6 +412,10 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
     and the returned model carries the weights of the best validation epoch.
     Per-node train losses are recorded every epoch and subsampled into the
     returned DynamicsLog (exactly 30 checkpoints for runs of >= 30 epochs).
+    Each epoch's row is written to an unlinked temporary file under TMPDIR
+    and only the checkpoint rows are read back, so the rows take
+    epochs x train rows x 8 bytes of disk (about 275 MiB for 2000 epochs at
+    n=30 000) instead of memory.
 
     Returns (model, dynamics_log, best_val_ap).
     """
@@ -426,12 +432,15 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
 
     truth = dataset.labels.astype(np.float64)
     train_truth, val_truth = truth[train_mask], truth[val_mask]
-    per_epoch_losses = []
     best_ap, best_epoch, best_params = -np.inf, 0, None
     last_epoch = 0
 
-    metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    try:
+    # every epoch's per-node losses go to an unlinked file and only the
+    # checkpoint rows come back, so memory does not grow with the epochs
+    with (
+        tempfile.TemporaryFile() as spill,
+        open(metrics_path, "w", encoding="utf-8") if metrics_path else nullcontext() as metrics_fh,
+    ):
         # train readout of the current parameters: the pre-step state of
         # epoch 1, then after each step the post-step state of that epoch
         # and the pre-step state of the next
@@ -451,7 +460,7 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
             val_ap = average_precision(
                 np.clip(val_probs, PROB_EPS, 1.0 - PROB_EPS), val_truth, "samples"
             )
-            per_epoch_losses.append(per_node)
+            spill.write(per_node.data)
             last_epoch = epoch
             if metrics_fh:
                 metrics_fh.write(
@@ -469,13 +478,14 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
                     best_ap, best_epoch = val_ap, epoch
             if epoch - best_epoch >= config.patience:
                 break
-    finally:
-        if metrics_fh:
-            metrics_fh.close()
+
+        ckpt = checkpoint_epochs(last_epoch)
+        losses = np.empty((len(ckpt), len(train_truth)), dtype=np.float64)
+        for row, e in zip(losses, ckpt):
+            spill.seek((e - 1) * row.nbytes)
+            spill.readinto(row.data)
 
     model.params = best_params
-    ckpt = checkpoint_epochs(last_epoch)
-    losses = np.stack([per_epoch_losses[e - 1] for e in ckpt])
     log = DynamicsLog(
         node_ids=np.flatnonzero(train_mask).astype(np.int64),
         epochs=ckpt,

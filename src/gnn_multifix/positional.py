@@ -5,13 +5,17 @@ corpus content is the same no matter how generation is scheduled. The corpus
 is one 2-D int64 array with a row per walk and a length per row; all walks
 advance together, one vectorised step per position. Embeddings are trained
 with skip-gram and negative sampling over (center, context) pairs inside a
-sliding window. Negatives are drawn from the corpus unigram distribution
-raised to 0.75 and shared per batch: every pair of a batch scores the same
-SHARED_NEGATIVES (S = 32) nodes, each weighted neg_samples / S, so the
-negative term of a batch is two matrix products. The two tables are
-trained in float32, as word2vec and gensim do: a batch step is bound by
-memory and element-wise passes, so half the bytes make it faster. Only the
-input-side embeddings are kept, returned as an n x dim float64 array.
+sliding window. The pairs are never held as one array: a pair is a pure
+function of its walk row and its slot in the window, so each epoch shuffles
+the pair indices in place and each batch decodes its own pairs from the
+walks (:class:`PairTable`). Negatives are drawn from the corpus unigram
+distribution raised to 0.75 and shared per batch: every pair of a batch
+scores the same SHARED_NEGATIVES (S = 32) nodes, each weighted
+neg_samples / S, so the negative term of a batch is two matrix products.
+The two tables are trained in float32, as word2vec and gensim do: a batch
+step is bound by memory and element-wise passes, so half the bytes make it
+faster. Only the input-side embeddings are kept, returned as an n x dim
+float64 array.
 """
 
 from __future__ import annotations
@@ -78,29 +82,53 @@ def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) 
     )
 
 
+def _index_dtype(top: int):
+    """int32 when every value up to ``top`` fits, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+class PairTable:
+    """The (center, context) pairs of a corpus, decoded from the walks on demand.
+
+    Only walks of full length hold pairs, ``per_walk`` of them each. Pair k
+    is slot ``k % per_walk`` of full walk ``k // per_walk``, and slot j pairs
+    positions ``center_pos[j]`` and ``context_pos[j]`` of its walk: offset
+    by offset, the forward pairs (walk[:-off], walk[off:]) and then the same
+    pairs reversed. The full walks are kept as one flat array, int32 when
+    every node id fits.
+    """
+
+    def __init__(self, corpus: WalkCorpus, window: int):
+        L = corpus.walk_len
+        full = corpus.walks[corpus.lengths >= 2]
+        center, context = [], []
+        for off in range(1, min(window, L - 1) + 1):
+            head, tail = list(range(L - off)), list(range(off, L))
+            center += head + tail
+            context += tail + head
+        self.center_pos = np.array(center, dtype=np.int64)
+        self.context_pos = np.array(context, dtype=np.int64)
+        self.per_walk = len(self.center_pos)
+        self.walk_len = L
+        self.walks = full.reshape(-1).astype(_index_dtype(full.max(initial=0)), copy=False)
+        self.m = len(full) * self.per_walk
+
+    def decode(self, idx: np.ndarray):
+        """The centers and contexts of pairs ``idx``, in the walks' dtype."""
+        row, slot = np.divmod(idx, self.per_walk)
+        start = np.multiply(row, self.walk_len, dtype=np.int64)
+        centers = self.walks[start + self.center_pos[slot]]
+        return centers, self.walks[start + self.context_pos[slot]]
+
+
 def corpus_pairs(corpus: WalkCorpus, window: int) -> np.ndarray:
     """All (center, context) pairs within the window, as an (m, 2) array.
 
-    Walk by walk, offset by offset: the forward pairs (walk[:-off],
-    walk[off:]) and then the same pairs reversed. The pairs are int32 when
-    every node id fits, which halves the largest array of a skip-gram fit.
+    The reference enumeration of :class:`PairTable`: pair k is its row k.
+    Training decodes its pairs batch by batch and never builds this array.
     """
-    L = corpus.walk_len
-    full = corpus.walks[corpus.lengths >= 2]
-    if len(full) == 0:
-        return np.empty((0, 2), dtype=np.int32)
-    dtype = np.int32 if full.max() <= np.iinfo(np.int32).max else np.int64
-    offsets = range(1, min(window, L - 1) + 1)
-    per_walk = 2 * sum(L - off for off in offsets)
-    out = np.empty((len(full), per_walk, 2), dtype=dtype)
-    pos = 0
-    for off in offsets:
-        a, b = full[:, :-off], full[:, off:]
-        for center, context in ((a, b), (b, a)):
-            out[:, pos : pos + L - off, 0] = center
-            out[:, pos : pos + L - off, 1] = context
-            pos += L - off
-    return out.reshape(-1, 2)
+    pairs = PairTable(corpus, window)
+    return np.column_stack(pairs.decode(np.arange(pairs.m)))
 
 
 def unigram_table(corpus: WalkCorpus, n: int) -> np.ndarray:
@@ -170,7 +198,8 @@ def train_skipgram(
     """Train skip-gram embeddings with negative sampling over the corpus.
 
     Minibatched SGD with a linearly decaying learning rate; deterministic
-    given the seed. Each batch draws one set of SHARED_NEGATIVES (S = 32)
+    given the seed. Each epoch visits every pair of the corpus's
+    :class:`PairTable` once, in a seeded shuffled order. Each batch draws one set of SHARED_NEGATIVES (S = 32)
     negatives that all of its pairs share, each weighted neg_samples / S, so
     neg_samples stays the expected number of negatives per pair. Both tables
     are float32 while training. Returns the input embeddings as an n x dim
@@ -191,9 +220,10 @@ def train_skipgram(
     emb_in = initial_embedding(n, dim, seed)
     emb_out = np.zeros((n, dim), dtype=emb_in.dtype)
 
-    pairs = corpus_pairs(corpus, window)
+    pairs = PairTable(corpus, window)
+    m = pairs.m
     trace = {}
-    if len(pairs) > 0:
+    if m > 0:
         noise = unigram_table(corpus, n)
         cdf = np.cumsum(noise)
         cdf[-1] = 1.0
@@ -202,36 +232,35 @@ def train_skipgram(
             # the evaluation sample has its own substream, so skipping it
             # leaves every other draw, and the embeddings, unchanged
             eval_rng = substream(seed, "sgns-eval")
-            m_eval = min(len(pairs), 20000)
+            m_eval = min(m, 20000)
             eval_neg = _sample_negatives(eval_rng, cdf, (m_eval, neg_samples))
-            trace["initial_loss"] = _pair_loss(
-                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg, batch_size
-            )
+            eval_pairs = pairs.decode(np.arange(m_eval))
+            trace["initial_loss"] = _pair_loss(emb_in, emb_out, *eval_pairs, eval_neg, batch_size)
 
-        n_batches_per_epoch = (len(pairs) + batch_size - 1) // batch_size
+        n_batches_per_epoch = (m + batch_size - 1) // batch_size
         total_batches = max(1, epochs * n_batches_per_epoch)
         weight = neg_samples / SHARED_NEGATIVES
         work = _batch_workspace(batch_size, dim, emb_in.dtype)
         done = 0
         for epoch in range(epochs):
-            # shuffling an arange of the pairs' dtype draws the same permutation
-            order = substream(seed, "sgns-order", epoch).permutation(
-                np.arange(len(pairs), dtype=pairs.dtype)
-            )
+            # an in-place shuffle makes the draws of permutation without its
+            # copy, and the draws do not depend on the dtype
+            order = np.arange(m, dtype=_index_dtype(m - 1))
+            substream(seed, "sgns-order", epoch).shuffle(order)
             neg_rng = substream(seed, "sgns-neg", epoch)
-            for j, i in enumerate(range(0, len(order), batch_size)):
-                batch = order[i : i + batch_size]
+            for j, i in enumerate(range(0, m, batch_size)):
+                centers, contexts = pairs.decode(order[i : i + batch_size])
                 rate = max(lr * (1.0 - (done + j) / total_batches), lr * 1e-3)
                 negs = _sample_negatives(neg_rng, cdf, SHARED_NEGATIVES)
-                _apply_batch(emb_in, emb_out, pairs[batch], negs, weight, rate, work)
+                _apply_batch(emb_in, emb_out, centers, contexts, negs, weight, rate, work)
             done += n_batches_per_epoch
+            # free this epoch's order before the next one is made
+            del order
 
         if return_trace:
-            trace["final_loss"] = _pair_loss(
-                emb_in, emb_out, pairs[:m_eval, 0], pairs[:m_eval, 1], eval_neg, batch_size
-            )
+            trace["final_loss"] = _pair_loss(emb_in, emb_out, *eval_pairs, eval_neg, batch_size)
     trace["emb_out"] = emb_out
-    trace["n_pairs"] = int(len(pairs))
+    trace["n_pairs"] = int(m)
     embedding = emb_in.astype(np.float64)
     return (embedding, trace) if return_trace else embedding
 
@@ -283,8 +312,8 @@ def _scatter_add(table, rows, updates, idx):
     np.add.at(table.reshape(-1), idx.reshape(-1), updates.reshape(-1))
 
 
-def _apply_batch(emb_in, emb_out, batch_pairs, negatives, weight, lr, work):
-    """One SGD step of size lr on a batch whose pairs share the negatives.
+def _apply_batch(emb_in, emb_out, c, x, negatives, weight, lr, work):
+    """One SGD step of size lr on the pairs (c[i], x[i]), which share the negatives.
 
     Descends sum_i [-log σ(v_ci·u_xi) - weight Σ_s log σ(-v_ci·u_s)], with
     every gradient taken before any row moves. With s = weight σ(V_c U_Sᵀ),
@@ -293,10 +322,7 @@ def _apply_batch(emb_in, emb_out, batch_pairs, negatives, weight, lr, work):
     coefficients, so no pass scales a B x d gradient, and the gathered rows
     are scaled in place into the positive steps. Works in the tables' dtype.
     """
-    m = len(batch_pairs)
-    w = {name: buf[:m] for name, buf in work.items()}
-    c = batch_pairs[:, 0]
-    x = batch_pairs[:, 1]
+    w = {name: buf[: len(c)] for name, buf in work.items()}
     # mode="clip" lets take write straight into its buffer; it never clips,
     # since train_skipgram checks that every node id is below n
     vc = np.take(emb_in, c, axis=0, out=w["vc"], mode="clip")

@@ -3,8 +3,10 @@ import pytest
 
 from gnn_multifix import Graph, SparseMatrix, make_dataset, make_splits
 from gnn_multifix import graph as graph_module
-from gnn_multifix.errors import DatasetParseError
+from gnn_multifix import positional
+from gnn_multifix.errors import DatasetParseError, UndefinedMetricError
 from gnn_multifix.graph import _with_self_loops
+from gnn_multifix.rng import substream
 
 
 def rw_transition(graph):
@@ -51,6 +53,76 @@ def row_major_matmul(m, X):
             contrib = m.values[:, None] * X[m.col_idx, block]
             out[:, block] = np.add.reduceat(contrib, m.row_ptr[:-1], axis=0)
     return out[:, 0] if squeeze else out
+
+
+def pair_array_skipgram(corpus, n, dim, window, neg_samples, epochs, lr, seed, batch_size=4096):
+    """train_skipgram(..., return_trace=True) by the loop that the streamed epoch replaced.
+
+    It builds every pair as one corpus_pairs array, draws each epoch's order
+    with Generator.permutation of an arange of the pairs' dtype, and indexes
+    each batch out of the array.
+    """
+    batch_size = max(64, min(batch_size, 4 * n))
+    emb_in = positional.initial_embedding(n, dim, seed)
+    emb_out = np.zeros((n, dim), dtype=emb_in.dtype)
+    pairs = positional.corpus_pairs(corpus, window)
+    trace = {}
+    if len(pairs) > 0:
+        cdf = np.cumsum(positional.unigram_table(corpus, n))
+        cdf[-1] = 1.0
+        m_eval = min(len(pairs), 20000)
+        eval_neg = positional._sample_negatives(
+            substream(seed, "sgns-eval"), cdf, (m_eval, neg_samples)
+        )
+        eval_c, eval_x = pairs[:m_eval, 0], pairs[:m_eval, 1]
+        trace["initial_loss"] = positional._pair_loss(
+            emb_in, emb_out, eval_c, eval_x, eval_neg, batch_size
+        )
+        n_batches_per_epoch = (len(pairs) + batch_size - 1) // batch_size
+        total_batches = max(1, epochs * n_batches_per_epoch)
+        weight = neg_samples / positional.SHARED_NEGATIVES
+        work = positional._batch_workspace(batch_size, dim, emb_in.dtype)
+        done = 0
+        for epoch in range(epochs):
+            order = substream(seed, "sgns-order", epoch).permutation(
+                np.arange(len(pairs), dtype=pairs.dtype)
+            )
+            neg_rng = substream(seed, "sgns-neg", epoch)
+            for j, i in enumerate(range(0, len(order), batch_size)):
+                batch = pairs[order[i : i + batch_size]]
+                rate = max(lr * (1.0 - (done + j) / total_batches), lr * 1e-3)
+                negs = positional._sample_negatives(neg_rng, cdf, positional.SHARED_NEGATIVES)
+                positional._apply_batch(
+                    emb_in, emb_out, batch[:, 0], batch[:, 1], negs, weight, rate, work
+                )
+            done += n_batches_per_epoch
+        trace["final_loss"] = positional._pair_loss(
+            emb_in, emb_out, eval_c, eval_x, eval_neg, batch_size
+        )
+    trace["emb_out"] = emb_out
+    trace["n_pairs"] = int(len(pairs))
+    return emb_in.astype(np.float64), trace
+
+
+def clustering_coefficient(graph):
+    """Mean local clustering coefficient; nodes with degree < 2 contribute 0."""
+    if graph.n == 0:
+        raise UndefinedMetricError("clustering coefficient of the empty graph")
+    mark = np.zeros(graph.n, dtype=bool)
+    total = 0.0
+    for v in range(graph.n):
+        nb = graph.neighbors(v)
+        d = len(nb)
+        if d < 2:
+            continue
+        mark[nb] = True
+        links = 0
+        for u in nb:
+            links += int(mark[graph.neighbors(u)].sum())
+        mark[nb] = False
+        # each triangle edge among neighbors is seen twice in the loop above
+        total += links / (d * (d - 1))
+    return total / graph.n
 
 
 def scan_edge_file(path):

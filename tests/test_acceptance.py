@@ -14,7 +14,6 @@ from gnn_multifix import (
     Graph,
     ModelConfig,
     average_precision,
-    clustering_coefficient,
     compute_representations,
     evaluate,
     generate_dataset,
@@ -40,6 +39,7 @@ from gnn_multifix.synthgen import SynthSpec
 
 from conftest import (
     build_random_graph,
+    clustering_coefficient,
     build_twin_path_dataset,
     dense_propagation_oracle,
     rw_transition,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gnn_multifix import (
     Graph,
-    clustering_coefficient,
     label_homophily,
     label_homophily_stats,
     make_dataset,
@@ -22,6 +21,7 @@ from gnn_multifix.graph import SparseMatrix, _with_self_loops
 from conftest import (
     build_random_dataset,
     build_random_graph,
+    clustering_coefficient,
     row_major_matmul,
     row_sums,
     rw_transition,

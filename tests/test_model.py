@@ -1,4 +1,5 @@
 import math
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -469,6 +470,44 @@ def test_train_divergence_names_epoch(two_clique_split):
         fit(two_clique_split, cfg)
     assert err.value.epoch >= 1
     assert str(err.value.epoch) in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_closes_the_loss_spill_file(two_clique_split, monkeypatch):
+    opened = []
+    real_temporary_file = tempfile.TemporaryFile
+
+    def recording_temporary_file(*args, **kwargs):
+        fh = real_temporary_file(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording_temporary_file)
+    cfg = small_config(variant="mlp1", lr=1e200, max_epochs=30)
+    reps = compute_representations(two_clique_split, cfg)
+    with pytest.raises(TrainingDivergedError):
+        train(two_clique_split, cfg, reps=reps)
+    assert len(opened) == 1
+    assert opened[0].closed
+
+
+def test_train_memory_does_not_grow_with_epochs():
+    # the per-epoch losses go to disk: 350 more epochs of R train rows must
+    # not add a tenth of the 350 x R float64 rows they write
+    ds = make_splits(build_random_dataset(400, 3, seed=6), 0.6, 0.2, seed=6)
+    rows = int(ds.train_mask.sum())
+    cfg = small_config(enable_pe=False, patience=1000)
+    reps = compute_representations(ds, cfg)
+    peaks = {}
+    for epochs in (50, 400):
+        tracemalloc.start()
+        try:
+            _, log, _ = train(ds, replace(cfg, max_epochs=epochs), reps=reps)
+            _, peaks[epochs] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert log.epochs[-1] == epochs
+    assert peaks[400] - peaks[50] < 350 * rows * 8 / 10
 
 
 def test_early_stopping_halts_within_patience(two_clique_split):

@@ -1,10 +1,11 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnn_multifix import (
@@ -16,6 +17,7 @@ from gnn_multifix import (
 from gnn_multifix import positional
 from gnn_multifix.positional import (
     SHARED_NEGATIVES,
+    PairTable,
     WalkCorpus,
     _apply_batch,
     _batch_workspace,
@@ -29,7 +31,7 @@ from gnn_multifix.positional import (
 )
 from gnn_multifix.rng import substream
 
-from conftest import build_random_graph
+from conftest import build_random_graph, pair_array_skipgram
 
 
 def clique_edges(nodes):
@@ -297,7 +299,7 @@ def test_shared_negative_update_matches_pair_by_pair_loop():
         pairs = rng.integers(0, n, (m, 2))
         negs = rng.integers(0, n, SHARED_NEGATIVES)
         assert len(np.unique(negs)) < SHARED_NEGATIVES
-        _apply_batch(emb_in, emb_out, pairs, negs, weight, lr, work)
+        _apply_batch(emb_in, emb_out, pairs[:, 0], pairs[:, 1], negs, weight, lr, work)
         reference_shared_negative_step(ref_in, ref_out, pairs, negs, weight, lr)
         assert np.abs(emb_in - ref_in).max() < 1e-12
         assert np.abs(emb_out - ref_out).max() < 1e-12
@@ -319,7 +321,7 @@ def test_float32_shared_negative_update_matches_pair_by_pair_loop():
     for m, lr in ((64, 0.025), (64, 0.02), (23, 0.015), (64, 0.01)):
         pairs = rng.integers(0, n, (m, 2))
         negs = rng.integers(0, n, SHARED_NEGATIVES)
-        _apply_batch(emb_in, emb_out, pairs, negs, weight, lr, work)
+        _apply_batch(emb_in, emb_out, pairs[:, 0], pairs[:, 1], negs, weight, lr, work)
         reference_shared_negative_step(ref_in, ref_out, pairs, negs, weight, lr)
         assert emb_in.dtype == emb_out.dtype == np.float32
         assert np.abs(emb_in - ref_in).max() < bound
@@ -375,7 +377,9 @@ def test_shared_negative_update_descends_the_batch_objective():
     pairs = rng.integers(0, n, (m, 2))
     negs = rng.integers(0, n, SHARED_NEGATIVES)
     new_in, new_out = emb_in.copy(), emb_out.copy()
-    _apply_batch(new_in, new_out, pairs, negs, weight, lr, _batch_workspace(64, dim))
+    _apply_batch(
+        new_in, new_out, pairs[:, 0], pairs[:, 1], negs, weight, lr, _batch_workspace(64, dim)
+    )
     for table, updated in ((emb_in, new_in), (emb_out, new_out)):
         grad = np.zeros_like(table)
         for idx in np.ndindex(table.shape):
@@ -393,11 +397,11 @@ def test_int32_pairs_train_the_same_bytes_as_int64(monkeypatch):
     g = build_random_graph(40, 120, seed=7)
     corpus = generate_walks(g, 10, 5, seed=7)
     assert corpus_pairs(corpus, 5).dtype == np.int32
+    assert PairTable(corpus, 5).walks.dtype == np.int32
     narrow = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
-    wide_pairs = positional.corpus_pairs
-    monkeypatch.setattr(
-        positional, "corpus_pairs", lambda c, w: wide_pairs(c, w).astype(np.int64)
-    )
+    # int64 walk table and int64 epoch order
+    monkeypatch.setattr(positional, "_index_dtype", lambda top: np.int64)
+    assert PairTable(corpus, 5).walks.dtype == np.int64
     wide = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
     assert narrow.tobytes() == wide.tobytes()
 
@@ -415,3 +419,91 @@ def test_chunked_pair_loss_matches_one_pass_formula():
     for chunk in (1, 7, 64, 999, 1000, 4096):
         got = _pair_loss(emb_in, emb_out, centers, contexts, negatives, chunk)
         assert abs(got - expected) < 1e-12
+
+
+# The streamed epoch against the pair-array loop it replaced: pairs decoded
+# per batch from the walks, and an in-place shuffle of the pair indices.
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    walk_len=st.integers(1, 12),
+    window_extra=st.integers(0, 12),
+    walks_per_node=st.integers(1, 3),
+    epochs=st.integers(1, 3),
+    dim=st.integers(2, 9),
+    batch_size=st.integers(1, 300),
+)
+# 33 nodes, 11 of them isolated; 1056 pairs in batches of 100
+@example(seed=2, walk_len=6, window_extra=2, walks_per_node=2, epochs=2, dim=6, batch_size=100)
+def test_streamed_skipgram_matches_pair_array_loop(
+    seed, walk_len, window_extra, walks_per_node, epochs, dim, batch_size
+):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    # few edges, so isolated nodes are common
+    g = build_random_graph(n, int(rng.integers(0, 2 * n)), seed)
+    window = 1 + window_extra % (walk_len + 1)
+    corpus = generate_walks(g, walk_len, walks_per_node, seed)
+    args = (corpus, n, dim, window, 5, epochs, 0.025, seed)
+    emb, trace = train_skipgram(*args, batch_size=batch_size, return_trace=True)
+    ref_emb, ref_trace = pair_array_skipgram(*args, batch_size=batch_size)
+    assert emb.tobytes() == ref_emb.tobytes()
+    assert trace["emb_out"].tobytes() == ref_trace["emb_out"].tobytes()
+    assert trace.keys() == ref_trace.keys()
+    for key in ("initial_loss", "final_loss", "n_pairs"):
+        assert trace.get(key) == ref_trace.get(key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    walk_len=st.integers(2, 12),
+    window=st.integers(1, 13),
+    size=st.integers(0, 500),
+    wide=st.booleans(),
+)
+def test_pair_decoder_matches_corpus_pairs(seed, walk_len, window, size, wide):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    g = build_random_graph(n, int(rng.integers(1, 3 * n)), seed)
+    corpus = generate_walks(g, walk_len, 2, seed)
+    pairs = corpus_pairs(corpus, window)
+    table = PairTable(corpus, window)
+    assert table.m == len(pairs)
+    if table.m == 0:
+        return
+    # any order, with repeats, in either index dtype
+    idx = rng.integers(0, table.m, size).astype(np.int64 if wide else np.int32)
+    centers, contexts = table.decode(idx)
+    assert np.array_equal(np.column_stack([centers, contexts]), pairs[idx])
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(0, 5000), seed=st.integers(0, 2**32 - 1))
+@example(m=10**6 + 3, seed=0)
+def test_in_place_shuffle_draws_the_permutation_of_either_dtype(m, seed):
+    expected = np.random.default_rng(seed).permutation(np.arange(m, dtype=np.int64))
+    for dtype in (np.int32, np.int64):
+        order = np.arange(m, dtype=dtype)
+        np.random.default_rng(seed).shuffle(order)
+        assert np.array_equal(order, expected)
+        assert np.array_equal(
+            np.random.default_rng(seed).permutation(np.arange(m, dtype=dtype)), expected
+        )
+
+
+def test_skipgram_peak_stays_below_the_pair_array():
+    g = build_random_graph(300, 1200, seed=5)
+    corpus = generate_walks(g, 10, 12, seed=5)
+    m = PairTable(corpus, 5).m
+    assert m >= 200_000
+    pair_array_bytes = m * 2 * corpus_pairs(corpus, 5).itemsize
+    tracemalloc.start()
+    try:
+        train_skipgram(corpus, 300, 8, 5, 5, 2, 0.025, seed=5, batch_size=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pair_array_bytes
