@@ -37,7 +37,6 @@ from .graph import (
     label_homophily_stats,
     make_dataset,
     make_splits,
-    substitute_features,
     sym_norm_adjacency,
 )
 from .io import load_dataset, read_probability_csv, save_dataset, write_probability_csv
@@ -52,6 +51,7 @@ from .model import (
     model_loss_and_grads,
     predict,
     save_model,
+    substitute_features,
     train,
 )
 from .positional import (

@@ -18,7 +18,6 @@ from .model import ModelConfig, compute_representations, predict, train
 @dataclass(frozen=True)
 class BaselineOutput:
     probs: np.ndarray
-    method: str
     coverage: float | None = None
 
 
@@ -42,26 +41,19 @@ def majority_vote(dataset: Dataset) -> BaselineOutput:
     total = counts.sum()
     fallback = counts / total if total > 0 else np.full(c, 1.0 / c)
 
-    probs = np.empty((n, c), dtype=np.float64)
-    covered = np.zeros(n, dtype=bool)
+    # every CSR entry whose column is a train node is one neighbor's vote;
+    # the sums are small integers, so the scatter's order sets no bits
     graph = dataset.graph
-    for v in range(n):
-        if train[v]:
-            probs[v] = y[v]
-            covered[v] = True
-            continue
-        nb = graph.neighbors(v)
-        nb = nb[train[nb]]
-        votes = y[nb].sum(axis=0) if len(nb) else np.zeros(c)
-        s = votes.sum()
-        if len(nb) and s > 0:
-            probs[v] = votes / s
-            covered[v] = True
-        else:
-            probs[v] = fallback
+    voter = train[graph.col_idx]
+    votes = np.zeros((n, c), dtype=np.float64)
+    np.add.at(votes, np.repeat(np.arange(n), graph.deg)[voter], y[graph.col_idx[voter]])
+    vote_total = votes.sum(axis=1, keepdims=True)
+    probs = np.divide(votes, vote_total, out=np.tile(fallback, (n, 1)), where=vote_total > 0)
+    probs[train] = y[train]
+    covered = (vote_total[:, 0] > 0) | train
     n_test = int(dataset.test_mask.sum())
     coverage = float(covered[dataset.test_mask].mean()) if n_test else 1.0
-    return BaselineOutput(probs=probs, method="majority_vote", coverage=coverage)
+    return BaselineOutput(probs=probs, coverage=coverage)
 
 
 def mlp_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
@@ -69,7 +61,7 @@ def mlp_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
     cfg = replace(config, enable_fr=True, enable_lr=False, enable_pe=False, K=0)
     reps = compute_representations(dataset, cfg)
     model, _, _ = train(dataset, cfg, reps=reps)
-    return BaselineOutput(probs=predict(model, dataset, reps=reps), method="mlp")
+    return BaselineOutput(probs=predict(model, dataset, reps=reps))
 
 
 def deepwalk_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
@@ -77,4 +69,4 @@ def deepwalk_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
     cfg = replace(config, enable_fr=False, enable_lr=False, enable_pe=True)
     reps = compute_representations(dataset, cfg)
     model, _, _ = train(dataset, cfg, reps=reps)
-    return BaselineOutput(probs=predict(model, dataset, reps=reps), method="deepwalk")
+    return BaselineOutput(probs=predict(model, dataset, reps=reps))

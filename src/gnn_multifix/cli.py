@@ -143,6 +143,8 @@ def build_config(args) -> dict:
 
 
 def _resolve_seeds(cfg) -> list[int]:
+    if cfg["n_splits"] < 1:
+        raise ValueError(f"n_splits must be >= 1, got {cfg['n_splits']}")
     if cfg["seeds"]:
         seeds = [int(s) for s in cfg["seeds"]]
         if len(seeds) != cfg["n_splits"]:
@@ -207,17 +209,18 @@ def _split_for_run(dataset, cfg, seed):
 def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
     """Fit and score every configured split; the loop `train` and `baseline` share.
 
-    fit(dataset, run_cfg, split_index, split_dir) returns the probabilities
-    and the command's own report fields, and writes the command's own
-    artifacts. A diverging split ends the run with exit status 1, and a
+    fit(dataset, run_cfg, split_dir) returns the probabilities and the
+    command's own report fields, and writes the command's own artifacts. A
+    split count or seed list that cannot be run is refused before anything
+    is written. A diverging split ends the run with exit status 1, and a
     split that raises ValueError re-raises it; either leaves a line in
     run.log.
     """
+    seeds = _resolve_seeds(cfg)
     dataset = _load_data(cfg)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, outdir / "effective_config.json")
-    seeds = _resolve_seeds(cfg)
     per_split = []
     for i, seed in enumerate(seeds):
         split_dir = outdir / f"split_{i}"
@@ -225,7 +228,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
         try:
             run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
             ds = _split_for_run(dataset, cfg, seed)
-            probs, fields = fit(ds, run_cfg, i, split_dir)
+            probs, fields = fit(ds, run_cfg, split_dir)
         except TrainingDivergedError as err:
             print(f"split {i}: {err}", file=sys.stderr)
             _sidecar_log(outdir, f"split {i}: {err}")
@@ -256,7 +259,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
 
 
 def cmd_train(cfg) -> int:
-    def fit(ds, run_cfg, i, split_dir):
+    def fit(ds, run_cfg, split_dir):
         reps = compute_representations(ds, run_cfg)
         model, log, best_val_ap = train(
             ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl"
@@ -277,7 +280,7 @@ def cmd_baseline(cfg, method: str) -> int:
     if method not in baselines:
         raise ValueError(f"unknown baseline {method!r}")
 
-    def fit(ds, run_cfg, i, split_dir):
+    def fit(ds, run_cfg, split_dir):
         result = baselines[method](ds, run_cfg)
         fields = {"method": method}
         if result.coverage is not None:
@@ -303,7 +306,7 @@ def cmd_dynamics(cfg, run_dir, k: int) -> int:
     if not run.exists():
         print(f"run directory {run} does not exist", file=sys.stderr)
         return 1
-    csvs = sorted(run.glob("split_*/dynamics.csv")) or ([run / "dynamics.csv"] if (run / "dynamics.csv").exists() else [])
+    csvs = sorted(run.glob("split_*/dynamics.csv"))
     if not csvs:
         print(f"no dynamics.csv found under {run}", file=sys.stderr)
         return 1

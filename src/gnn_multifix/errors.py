@@ -10,7 +10,7 @@ class DatasetParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-class DatasetIndexError(IndexError):
+class DatasetIndexError(ValueError):
     """A file referenced a node or label id outside the declared range."""
 
 

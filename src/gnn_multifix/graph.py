@@ -108,13 +108,10 @@ class SparseMatrix:
         return int(len(self.values))
 
     def matmul_dense(self, X: np.ndarray) -> np.ndarray:
-        """Compute self @ X for a dense X, with a fixed per-row summation order."""
+        """Compute self @ X for a dense 2-D X, with a fixed per-row summation order."""
         X = np.asarray(X, dtype=np.float64)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[:, None]
-        if X.shape[0] != self.cols:
-            raise ShapeError(f"operand has {X.shape[0]} rows, expected {self.cols}")
+        if X.ndim != 2 or X.shape[0] != self.cols:
+            raise ShapeError(f"operand has shape {X.shape}, expected ({self.cols}, width)")
         out = np.empty((self.rows, X.shape[1]), dtype=np.float64)
         if self.nnz:
             # column blocks keep the one block x nnz product under the byte
@@ -131,7 +128,7 @@ class SparseMatrix:
                 contrib *= self.values
                 out[:, block] = np.add.reduceat(contrib, self.row_ptr[:-1], axis=1).T
                 del contrib  # freed before the next block's is gathered
-        return out[:, 0] if squeeze else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -218,28 +215,6 @@ def make_splits(dataset: Dataset, train_frac: float, val_frac: float, seed: int)
     val[perm[n_train : n_train + n_val]] = True
     test[perm[n_train + n_val :]] = True
     return dataset.with_masks(train, val, test)
-
-
-def substitute_features(dataset: Dataset, policy: str) -> Dataset:
-    """Fill in features for a featureless dataset.
-
-    "identity" assigns one-hot identity rows (D = n, an n x n array);
-    "degree" assigns the node degree as a single column; "none" refuses
-    substitution. Datasets that already carry features are returned
-    unchanged. The linear model never calls this for "identity":
-    ``model.compute_representations`` builds its feature block, the
-    n x hidden_dim array A^K · P, without the identity; the mlp variants
-    still get the n x n identity here.
-    """
-    if dataset.features is not None:
-        return dataset
-    if policy == "identity":
-        return dataset.with_features(np.eye(dataset.n))
-    if policy == "degree":
-        return dataset.with_features(dataset.graph.deg.astype(np.float64)[:, None])
-    if policy == "none":
-        raise ValueError("dataset has no features and substitution policy is 'none'")
-    raise ValueError(f"unknown feature policy {policy!r}")
 
 
 def _with_self_loops(graph: Graph):

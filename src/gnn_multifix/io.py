@@ -2,9 +2,9 @@
 
 Edge list    one "u<TAB>v" pair per line, 0-based integer ids, '#' comments.
 Labels       header "#C=<int>", then "node_id<TAB>c1,c2,..." (empty allowed).
-Features     CSV (one row per node, D decimal reals), or raw binary with an
+Features     CSV (one row per node, D finite reals), or raw binary with an
              8-byte little-endian header (n: u32, D: u32) followed by n*D
-             float64 values; binary is used for paths ending in ".bin".
+             finite float64 values; binary is used for paths ending in ".bin".
 Splits       "node_id<TAB>{train|val|test}".
 Probs CSV    header "node_id,p_0,...", then one "node_id,values" row per
              node id 0..n-1.
@@ -115,6 +115,7 @@ def read_label_file(path):
 
 
 def read_feature_file(path) -> np.ndarray:
+    """Read a CSV or binary feature file; a non-finite value is refused."""
     path = Path(path)
     if path.suffix == ".bin":
         blob = path.read_bytes()
@@ -124,7 +125,10 @@ def read_feature_file(path) -> np.ndarray:
         expect = 8 + n * d * 8
         if len(blob) != expect:
             raise DatasetParseError(path, 1, f"binary feature payload is {len(blob)} bytes, expected {expect}")
-        return np.frombuffer(blob[8:], dtype="<f8").reshape(n, d).copy()
+        features = np.frombuffer(blob[8:], dtype="<f8").reshape(n, d).copy()
+        if not np.isfinite(features).all():
+            raise DatasetParseError(path, 1, "binary feature payload holds a non-finite value")
+        return features
     rows = []
     width = None
     for line_no, line in _read_lines(path):
@@ -141,7 +145,13 @@ def read_feature_file(path) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise DatasetParseError(path, 1, "empty feature file")
-    return np.asarray(rows, dtype=np.float64)
+    features = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        # only a refused file pays for finding the line
+        row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
+        line_no = [no for no, line in _read_lines(path) if line.strip()][row]
+        raise DatasetParseError(path, line_no, "non-finite feature value")
+    return features
 
 
 def read_split_file(path, n: int):

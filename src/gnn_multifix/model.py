@@ -21,10 +21,14 @@ Disabled blocks are absent from the concatenation (the readout narrows).
 The representations are fitted once per dataset split by
 :func:`compute_representations` into a frozen :class:`Representations`
 value, one float64 array per enabled block, which :func:`train` and
-:func:`predict` both require. Training reads only the rows it needs: the
-BCE and its gradient read the train nodes and early stopping reads the
-validation nodes, so :func:`train` builds the constant input once for each
-of those row sets, and each epoch runs one readout of each. The post-step
+:func:`predict` both require; :func:`substitute_features` and
+:func:`compute_representations` alone decide what a featureless dataset
+gets. The readout input is Z, or hstack([ft(F), Z]) for the mlp variants
+with the feature block on: F is the operand of the feature transform ``ft``
+and Z every other enabled block, joined once. Training reads only the rows
+it needs: the BCE and its gradient read the train nodes and early stopping
+reads the validation nodes, so :func:`train` builds (F, Z) once for each of
+those row sets, and each epoch runs one readout of each. The post-step
 train readout of epoch t is the pre-step one of epoch t+1. Only
 :func:`predict` computes every row.
 """
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import CompatibilityError, ShapeError, TrainingDivergedError
 from .evaluation import DynamicsLog, average_precision, checkpoint_epochs
-from .graph import Dataset, substitute_features, sym_norm_adjacency
+from .graph import Dataset, sym_norm_adjacency
 from .positional import _sigmoid, generate_walks, train_skipgram
 from .propagation import init_label_matrix, propagate_features, propagate_labels
 from .rng import substream
@@ -138,60 +142,41 @@ def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: in
 
 
 def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
-    """Check the enabled blocks and build the parts of the input that never train.
+    """Check the enabled blocks and build the parts of the readout input that never train.
 
     H_f, H_l and pe are the blocks of :class:`Representations`, as arrays
-    (None for a disabled block). H_f is the feature block: for the linear
-    variant the projected features (n x hidden_dim), which enter the
-    readout as they are; for the mlp variants the propagated raw features
-    (n x feature_dim). Returns (F, blocks). F is the operand of the
-    trainable feature transform (the mlp variants with the feature block
-    on), else None. blocks are the constant blocks that follow the
-    transform's output; when F is None they are one block, the whole readout
-    input Z. With ``rows``, a boolean node mask, every part holds only the
-    masked rows, sliced before the blocks are joined.
+    (None for a disabled block). Returns (F, Z). F is the operand of the
+    feature transform ``ft`` (the mlp variants' feature block), else None.
+    Z is every other enabled block joined once in readout order, zero
+    columns wide when F is the only block. With ``rows``, a boolean node
+    mask, F and Z hold only the masked rows, sliced before Z is joined.
     """
     c = model.config
-    F = None
+    linear = c.variant == "linear"
     blocks = []
-    if c.enable_fr:
-        if H_f is None:
-            raise ShapeError("feature block enabled but no feature representation given")
-        F = np.asarray(H_f, np.float64)
-        if c.variant == "linear":
-            if F.shape[1] != c.hidden_dim:
-                raise ShapeError(f"linear feature width {F.shape[1]} != hidden_dim {c.hidden_dim}")
-            blocks.append(F)
-            F = None
-        elif F.shape[1] != model.feature_dim:
-            raise ShapeError(f"feature width {F.shape[1]} != model feature_dim {model.feature_dim}")
-    if c.enable_lr:
-        if H_l is None:
-            raise ShapeError("label block enabled but no label representation given")
-        L = np.asarray(H_l, np.float64)
-        if L.shape[1] != model.n_labels:
-            raise ShapeError(f"label width {L.shape[1]} != n_labels {model.n_labels}")
-        blocks.append(L)
-    if c.enable_pe:
-        if pe is None:
-            raise ShapeError("positional block enabled but no embedding given")
-        P = np.asarray(pe, np.float64)
-        if P.shape[1] != c.pe_dim:
-            raise ShapeError(f"embedding width {P.shape[1]} != pe_dim {c.pe_dim}")
-        blocks.append(P)
+    for name, block, enabled, width in (
+        ("feature", H_f, c.enable_fr, c.hidden_dim if linear else model.feature_dim),
+        ("label", H_l, c.enable_lr, model.n_labels),
+        ("positional", pe, c.enable_pe, c.pe_dim),
+    ):
+        if not enabled:
+            continue
+        if block is None:
+            raise ShapeError(f"{name} block enabled but not given")
+        block = np.asarray(block, np.float64)
+        if block.shape[1] != width:
+            raise ShapeError(f"{name} block is {block.shape[1]} wide, expected {width}")
+        blocks.append(block)
     ns = {b.shape[0] for b in blocks}
-    if F is not None:
-        ns.add(F.shape[0])
     if len(ns) != 1:
         raise ShapeError(f"enabled blocks disagree on node count: {sorted(ns)}")
     if rows is not None:
         if rows.shape != (ns.pop(),):
             raise ShapeError("node mask length does not match the blocks' node count")
         blocks = [b[rows] for b in blocks]
-        F = None if F is None else F[rows]
-    if F is None:
-        return None, [np.hstack(blocks)]
-    return F, blocks
+    F = blocks.pop(0) if c.enable_fr and not linear else None
+    Z = np.hstack(blocks) if blocks else np.empty((len(F), 0))
+    return F, Z
 
 
 def _dense(model: MultiFixModel, name: str, x, cache, relu: bool):
@@ -207,9 +192,9 @@ def _readout(model: MultiFixModel, const):
     The feature transform ``ft``, when the model has one, runs first and its
     output leads the readout input; the readout layers follow.
     """
-    F, blocks = const
+    F, Z = const
     cache = {}
-    x = blocks[0] if F is None else np.hstack([_dense(model, "ft", F, cache, relu=True), *blocks])
+    x = Z if F is None else np.hstack([_dense(model, "ft", F, cache, relu=True), Z])
     names = _readout_layers(model.config)
     for name in names:
         x = _dense(model, name, x, cache, relu=name != names[-1])
@@ -333,15 +318,35 @@ class Representations:
     disabled: H_f the propagated features, H_l the propagated labels
     (n x n_labels), pe the walk embedding (n x pe_dim). For the linear
     variant H_f is already through the projection (n x hidden_dim); for the
-    mlp variants it is the propagated raw features (n x feature_dim).
-    feature_dim is the width of the (substituted) raw features, 0 when the
-    feature block is off.
+    mlp variants it is the propagated raw features (n x feature_dim), the
+    readout's F; every other block joins its Z. feature_dim is the width of
+    the (substituted) raw features, 0 when the feature block is off.
     """
 
     H_f: np.ndarray | None
     H_l: np.ndarray | None
     pe: np.ndarray | None
     feature_dim: int
+
+
+def substitute_features(dataset: Dataset, policy: str) -> Dataset:
+    """Fill in features for a featureless dataset by the given policy.
+
+    "identity" assigns one-hot identity rows (an n x n array), "degree" the
+    node degree as one column, and "none" refuses. A dataset that carries
+    features is returned unchanged. :func:`compute_representations` calls
+    this for every case but the linear variant under "identity", whose
+    feature block it builds as A^K · P without the identity.
+    """
+    if dataset.features is not None:
+        return dataset
+    if policy == "identity":
+        return dataset.with_features(np.eye(dataset.n))
+    if policy == "degree":
+        return dataset.with_features(dataset.graph.deg.astype(np.float64)[:, None])
+    if policy == "none":
+        raise ValueError("dataset has no features and substitution policy is 'none'")
+    raise ValueError(f"unknown feature policy {policy!r}")
 
 
 def compute_representations(dataset: Dataset, config: ModelConfig) -> Representations:

@@ -45,7 +45,6 @@ class WalkCorpus:
     walks: np.ndarray
     lengths: np.ndarray
     walk_len: int
-    walks_per_node: int
 
 
 def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) -> WalkCorpus:
@@ -77,9 +76,7 @@ def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) 
     for t, u in enumerate(draws, start=1):
         cur = graph.col_idx[graph.row_ptr[cur] + (u * degree[cur]).astype(np.int64)]
         walks[moving, t] = cur
-    return WalkCorpus(
-        walks=walks, lengths=lengths, walk_len=walk_len, walks_per_node=walks_per_node
-    )
+    return WalkCorpus(walks=walks, lengths=lengths, walk_len=walk_len)
 
 
 def _index_dtype(top: int):

@@ -13,7 +13,7 @@ from gnn_multifix import (
 )
 from gnn_multifix.synthgen import SynthSpec, generate_graph, generate_labels
 
-from conftest import build_two_clique_dataset
+from conftest import build_random_dataset, build_two_clique_dataset
 
 
 def fast_config(**kw):
@@ -102,6 +102,43 @@ def test_vote_is_training_free():
     a = majority_vote(ds)
     b = majority_vote(ds.with_features(np.random.default_rng(0).normal(size=(5, 7))))
     assert np.array_equal(a.probs, b.probs)
+
+
+def per_node_vote(dataset):
+    """majority_vote's probabilities and coverage by the per-node loop it replaced."""
+    n, c = dataset.labels.shape
+    y = dataset.labels.astype(np.float64)
+    train = dataset.train_mask
+    counts = y[train].sum(axis=0)
+    fallback = counts / counts.sum() if counts.sum() > 0 else np.full(c, 1.0 / c)
+    probs = np.empty((n, c))
+    covered = np.zeros(n, dtype=bool)
+    for v in range(n):
+        nb = dataset.graph.neighbors(v)
+        votes = y[nb[train[nb]]].sum(axis=0)
+        if train[v]:
+            probs[v], covered[v] = y[v], True
+        elif votes.sum() > 0:
+            probs[v], covered[v] = votes / votes.sum(), True
+        else:
+            probs[v] = fallback
+    test = dataset.test_mask
+    return probs, float(covered[test].mean()) if test.any() else 1.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vote_scatter_matches_per_node_loop(seed):
+    # sparse graphs leave isolated nodes, and density 0.2 without a forced
+    # label leaves empty label sets, so both fallback causes occur
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    ds = build_random_dataset(n, int(rng.integers(1, 6)), seed, n_edges=n // 2,
+                              density=0.2, ensure_nonempty=False)
+    ds = make_splits(ds, 0.4, 0.2, seed=seed)
+    out = majority_vote(ds)
+    probs, coverage = per_node_vote(ds)
+    assert np.array_equal(out.probs, probs)
+    assert out.coverage == coverage
 
 
 def test_mlp_constant_features_give_constant_predictions():

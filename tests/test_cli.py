@@ -337,6 +337,36 @@ def test_unknown_config_key_is_refused_before_any_file(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("extra", [
+    ["--n-splits", "0"],
+    ["--n-splits", "-2"],
+    ["--n-splits", "3", "--set", "seeds=[1, 2]"],
+], ids=["zero", "negative", "seed-list-length"])
+def test_unrunnable_split_count_is_refused_before_any_file(tmp_path, capsys, extra):
+    data = write_toy_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("labels, splits", [
+    ("#C=20\n0\t0\n1\t5,25\n", None),
+    ("#C=20\n0\t0\n1\t5\n", "0\ttrain\n9\ttest\n"),
+], ids=["label", "split"])
+def test_out_of_range_id_is_an_error_line(tmp_path, capsys, labels, splits):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "edges.tsv").write_text("0\t1\n")
+    (data / "labels.tsv").write_text(labels)
+    if splits:
+        (data / "splits.tsv").write_text(splits)
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of range" in err
+
+
 def test_int_value_for_a_float_config_key_is_accepted(tmp_path):
     data = write_toy_dataset(tmp_path)
     out = tmp_path / "run"

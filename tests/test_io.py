@@ -66,6 +66,23 @@ def test_split_node_out_of_range(tmp_path):
         load_dataset(edges, labels, split_path=splits)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_feature_names_its_line(tmp_path, value):
+    path = write(tmp_path, "f.csv", f"1.0,2.0\n\n0.5,{value}\n3.0,nan\n")
+    with pytest.raises(DatasetParseError, match="non-finite") as err:
+        read_feature_file(path)
+    assert err.value.line_no == 3
+
+
+def test_non_finite_binary_feature_names_the_file(tmp_path):
+    features = np.ones((3, 2))
+    features[2, 1] = np.inf
+    write_feature_file(features, tmp_path / "f.bin")
+    with pytest.raises(DatasetParseError, match="non-finite") as err:
+        read_feature_file(tmp_path / "f.bin")
+    assert err.value.path == str(tmp_path / "f.bin")
+
+
 def test_missing_label_header(tmp_path):
     edges = write(tmp_path, "e.tsv", "0\t1\n")
     labels = write(tmp_path, "l.tsv", "0\t0\n1\t0\n")

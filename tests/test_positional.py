@@ -92,7 +92,7 @@ def test_walks_and_embeddings_are_deterministic():
 
 
 def test_empty_corpus_rejected():
-    empty = WalkCorpus(np.empty((0, 10), dtype=np.int64), np.empty(0, dtype=np.int64), 10, 1)
+    empty = WalkCorpus(np.empty((0, 10), dtype=np.int64), np.empty(0, dtype=np.int64), 10)
     with pytest.raises(ValueError):
         train_skipgram(empty, 5, 8, 5, 5, 1, 0.025, seed=0)
 
