@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Print the sha256 of every artifact of a fixed matrix of `gmfx` runs.
 
-Generates a seed-4 n=300 dataset and a copy of it without features.csv.
-On each one it runs, in this process through gnn_multifix.cli.main:
-`train` with linear, mlp1 and mlp3; `ablate` with no-fr, no-lr and no-pe
-under linear and mlp1; `baseline` with majority_vote, mlp (--variant mlp1)
-and deepwalk under the degree policy. Every run takes 2 splits, 60 epochs,
-1 skip-gram epoch and 3 walks per node, with GMFX_THREADS=1.
+Generates a seed-4 n=300 dataset, a copy of it without features.csv and
+a copy that ships a splits.tsv listing every node (node v goes to train,
+train, train, val, test by v mod 5). On the first two it runs, in this
+process through gnn_multifix.cli.main: `train` with linear, mlp1 and mlp3;
+`ablate` with no-fr, no-lr and no-pe under linear and mlp1; `baseline` with
+majority_vote, mlp (--variant mlp1) and deepwalk under the degree policy.
+Then it runs `train` (linear) on the copy with splits.tsv, `eval` of the
+first linear run's split_0/probs.csv, and `dynamics` on that run. Every
+training run takes 2 splits, 60 epochs, 1 skip-gram epoch and 3 walks per
+node, with GMFX_THREADS=1.
 
 Prints "sha256  path" for every file under DIR except run.log and
 effective_config.json, paths relative to DIR. Two source trees that keep
@@ -29,6 +33,8 @@ os.environ["GMFX_THREADS"] = "1"
 # gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
 from gnn_multifix.cli import main as gmfx
 
+N = 300
+SPLIT_OF = ("train", "train", "train", "val", "test")
 SETTINGS = [
     "--n-splits", "2",
     "--set", "model.max_epochs=60",
@@ -66,13 +72,22 @@ def main():
         sys.exit(f"{out} is not empty")
 
     data = out / "data"
-    run(["generate", "--seed", "4", "--set", "synth.n=300", "--out", str(data / "features")])
-    (data / "featureless").mkdir()
-    for name in ("edges.tsv", "labels.tsv"):
-        (data / "featureless" / name).write_bytes((data / "features" / name).read_bytes())
+    run(["generate", "--seed", "4", "--set", f"synth.n={N}", "--out", str(data / "features")])
+    for kind, names in (("featureless", ["edges.tsv", "labels.tsv"]),
+                        ("split", ["edges.tsv", "labels.tsv", "features.csv"])):
+        (data / kind).mkdir()
+        for name in names:
+            (data / kind / name).write_bytes((data / "features" / name).read_bytes())
+    (data / "split" / "splits.tsv").write_text("".join(f"{v}\t{SPLIT_OF[v % 5]}\n" for v in range(N)))
     for kind in ("features", "featureless"):
         for name, argv in RUNS.items():
             run([*argv, *SETTINGS, "--data", str(data / kind), "--out", str(out / kind / name)])
+    run([*RUNS["train-linear"], *SETTINGS, "--data", str(data / "split"),
+         "--out", str(out / "split" / "train-linear")])
+    linear = out / "features" / "train-linear"
+    run(["eval", "--data", str(data / "features"), "--probs", str(linear / "split_0" / "probs.csv"),
+         "--out", str(out / "eval")])
+    run(["dynamics", "--run", str(linear)])
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name not in UNHASHED):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

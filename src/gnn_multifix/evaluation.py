@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DatasetParseError, UndefinedMetricError
 from .graph import Dataset, Graph, jaccard_per_edge
+from .io import _parse, _records
 
 HEADLINE_AP_MODE = "samples"
 N_CHECKPOINTS = 30
@@ -182,31 +183,37 @@ def export_dynamics(log: DynamicsLog, out_path):
 
 
 def import_dynamics(path) -> DynamicsLog:
-    """Rebuild a DynamicsLog from the data CSV written by export_dynamics."""
-    records: dict[int, dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "checkpoint_index,epoch,node_id,loss":
-            raise DatasetParseError(path, 1, "unexpected dynamics CSV header")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            try:
-                i, epoch, node, loss = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except (ValueError, IndexError):
-                raise DatasetParseError(path, line_no, "malformed dynamics row") from None
-            rec = records.setdefault(i, {"epoch": epoch, "losses": {}})
-            rec["losses"][node] = loss
-    if not records:
+    """Rebuild a DynamicsLog from the data CSV written by export_dynamics.
+
+    A checkpoint that lacks a node which another checkpoint holds, as in a
+    truncated file, is refused.
+    """
+    records = _records(path, comments=False)
+    line_no, header = next(records, (1, ""))
+    if header != "checkpoint_index,epoch,node_id,loss":
+        raise DatasetParseError(path, line_no, "unexpected dynamics CSV header")
+    checkpoints: dict[int, tuple[int, int, dict[int, float]]] = {}  # i -> (first line, epoch, losses)
+    for line_no, line in records:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DatasetParseError(path, line_no, "malformed dynamics row")
+        i, epoch, node = _parse(int, parts[:3], path, line_no, "malformed dynamics row")
+        (loss,) = _parse(float, parts[3:], path, line_no, "malformed dynamics row")
+        checkpoints.setdefault(i, (line_no, epoch, {}))[2][node] = loss
+    if not checkpoints:
         raise DatasetParseError(path, 1, "dynamics CSV has no data rows")
-    idx = sorted(records)
-    node_ids = np.asarray(sorted(records[idx[0]]["losses"]), dtype=np.int64)
-    epochs = np.asarray([records[i]["epoch"] for i in idx], dtype=np.int64)
-    losses = np.asarray(
-        [[records[i]["losses"][v] for v in node_ids] for i in idx], dtype=np.float64
+    idx = sorted(checkpoints)
+    node_ids = sorted(set().union(*(losses for _, _, losses in checkpoints.values())))
+    for i in idx:
+        first_line, _, losses = checkpoints[i]
+        if len(losses) != len(node_ids):
+            missing = min(set(node_ids) - set(losses))
+            raise DatasetParseError(path, first_line, f"checkpoint {i} has no loss for node {missing}")
+    return DynamicsLog(
+        node_ids=np.asarray(node_ids, dtype=np.int64),
+        epochs=np.asarray([checkpoints[i][1] for i in idx], dtype=np.int64),
+        losses=np.asarray([[checkpoints[i][2][v] for v in node_ids] for i in idx], dtype=np.float64),
     )
-    return DynamicsLog(node_ids=node_ids, epochs=epochs, losses=losses)
 
 
 @dataclass(frozen=True)
@@ -224,8 +231,8 @@ def atypical_node_report(log: DynamicsLog, k: int) -> list[AtypicalNode]:
     """
     if log.n_checkpoints < 2:
         raise ValueError("need at least 2 checkpoints for a trend")
-    if k > len(log.node_ids):
-        raise ValueError(f"k={k} exceeds the {len(log.node_ids)} train nodes")
+    if not 1 <= k <= len(log.node_ids):
+        raise ValueError(f"k={k} must lie in [1, {len(log.node_ids)}], the train node count")
     x = log.epochs.astype(np.float64)
     xc = x - x.mean()
     denom = float((xc**2).sum())

@@ -1,13 +1,20 @@
 """Dataset file formats.
 
+Text formats skip blank lines; a refused line raises DatasetParseError
+naming the path and line.
+
 Edge list    one "u<TAB>v" pair per line, 0-based integer ids, '#' comments.
-Labels       header "#C=<int>", then "node_id<TAB>c1,c2,..." (empty allowed).
+Labels       one header "#C=<C>" with C >= 0, then "node_id<TAB>c1,c2,..."
+             (empty allowed).
 Features     CSV (one row per node, D finite reals), or raw binary with an
              8-byte little-endian header (n: u32, D: u32) followed by n*D
              finite float64 values; binary is used for paths ending in ".bin".
-Splits       "node_id<TAB>{train|val|test}".
+Splits       "node_id<TAB>{train|val|test}", '#' comments; each node at most
+             once, and at least one train node.
 Probs CSV    header "node_id,p_0,...", then one "node_id,values" row per
              node id 0..n-1.
+Dynamics     "checkpoint_index,epoch,node_id,loss" (evaluation.import_dynamics);
+             every checkpoint holds one loss for every node.
 """
 
 from __future__ import annotations
@@ -22,10 +29,26 @@ from .errors import DatasetIndexError, DatasetParseError, ShapeError
 from .graph import Dataset, Graph, make_dataset
 
 
-def _read_lines(path):
+def _records(path, comments=True):
+    """Yield (line_no, line) for each line of a text file that holds data.
+
+    Blank lines are skipped, and so are lines whose first non-blank
+    character is '#' when ``comments`` is set.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            yield line_no, raw.rstrip("\n")
+            line = raw.rstrip("\n")
+            stripped = line.strip()
+            if stripped and not (comments and stripped.startswith("#")):
+                yield line_no, line
+
+
+def _parse(kind, tokens, path, line_no, message):
+    """[kind(t) for t in tokens], or DatasetParseError(path, line_no, message)."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError:
+        raise DatasetParseError(path, line_no, message) from None
 
 
 def read_edge_file(path) -> np.ndarray:
@@ -47,64 +70,45 @@ def read_edge_file(path) -> np.ndarray:
         else:
             if edges.shape[1] == 2 and not (edges < 0).any():
                 return edges
-    return np.array(_scan_edge_lines(path), dtype=np.int64).reshape(-1, 2)
-
-
-def _scan_edge_lines(path) -> list[tuple[int, int]]:
     edges = []
-    for line_no, line in _read_lines(path):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in _records(path):
         parts = line.split()
         if len(parts) != 2:
             raise DatasetParseError(path, line_no, f"expected 'u<TAB>v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetParseError(path, line_no, f"non-integer node id in {line!r}") from None
+        u, v = _parse(int, parts, path, line_no, f"non-integer node id in {line!r}")
         if u < 0 or v < 0:
             raise DatasetParseError(path, line_no, "node ids must be non-negative")
         if max(u, v) > np.iinfo(np.int64).max:
             raise DatasetParseError(path, line_no, "node id does not fit in 64 bits")
         edges.append((u, v))
-    return edges
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def read_label_file(path):
     """Parse a label file; returns (C, {node_id: [label ids]})."""
     n_labels = None
     rows: dict[int, list[int]] = {}
-    for line_no, line in _read_lines(path):
+    for line_no, line in _records(path, comments=False):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
             if stripped.startswith("#C="):
-                try:
-                    n_labels = int(stripped[3:])
-                except ValueError:
-                    raise DatasetParseError(path, line_no, f"bad label-count header {line!r}") from None
+                if n_labels is not None:
+                    raise DatasetParseError(path, line_no, "repeated '#C=' header")
+                (n_labels,) = _parse(int, [stripped[3:]], path, line_no, f"bad label-count header {line!r}")
+                if n_labels < 0:
+                    raise DatasetParseError(path, line_no, "label count must be non-negative")
             continue
         parts = line.split("\t")
         if len(parts) not in (1, 2):
             raise DatasetParseError(path, line_no, f"expected 'node<TAB>labels', got {line!r}")
-        try:
-            node = int(parts[0])
-        except ValueError:
-            raise DatasetParseError(path, line_no, f"non-integer node id in {line!r}") from None
+        (node,) = _parse(int, parts[:1], path, line_no, f"non-integer node id in {line!r}")
         if node < 0:
             raise DatasetParseError(path, line_no, "node ids must be non-negative")
         if node in rows:
             raise DatasetParseError(path, line_no, f"duplicate label line for node {node}")
         field = parts[1].strip() if len(parts) == 2 else ""
-        if field:
-            try:
-                labels = [int(t) for t in field.split(",")]
-            except ValueError:
-                raise DatasetParseError(path, line_no, f"non-integer label id in {line!r}") from None
-        else:
-            labels = []
-        rows[node] = labels
+        rows[node] = _parse(int, field.split(",") if field else [], path, line_no,
+                            f"non-integer label id in {line!r}")
     if n_labels is None:
         raise DatasetParseError(path, 1, "missing '#C=<int>' header")
     for node, labels in rows.items():
@@ -130,18 +134,10 @@ def read_feature_file(path) -> np.ndarray:
             raise DatasetParseError(path, 1, "binary feature payload holds a non-finite value")
         return features
     rows = []
-    width = None
-    for line_no, line in _read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            row = [float(t) for t in line.split(",")]
-        except ValueError:
-            raise DatasetParseError(path, line_no, f"non-numeric feature value in {line!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DatasetParseError(path, line_no, f"row has {len(row)} columns, expected {width}")
+    for line_no, line in _records(path, comments=False):
+        row = _parse(float, line.split(","), path, line_no, f"non-numeric feature value in {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise DatasetParseError(path, line_no, f"row has {len(row)} columns, expected {len(rows[0])}")
         rows.append(row)
     if not rows:
         raise DatasetParseError(path, 1, "empty feature file")
@@ -149,28 +145,27 @@ def read_feature_file(path) -> np.ndarray:
     if not np.isfinite(features).all():
         # only a refused file pays for finding the line
         row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
-        line_no = [no for no, line in _read_lines(path) if line.strip()][row]
+        line_no = [no for no, _ in _records(path, comments=False)][row]
         raise DatasetParseError(path, line_no, "non-finite feature value")
     return features
 
 
 def read_split_file(path, n: int):
+    """Read (train, val, test) masks; the file must name a train node and list each node once."""
     names = {"train": 0, "val": 1, "test": 2}
     masks = np.zeros((3, n), dtype=bool)
-    for line_no, line in _read_lines(path):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_no, line in _records(path):
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in names:
             raise DatasetParseError(path, line_no, f"expected 'node<TAB>train|val|test', got {line!r}")
-        try:
-            node = int(parts[0])
-        except ValueError:
-            raise DatasetParseError(path, line_no, f"non-integer node id in {line!r}") from None
+        (node,) = _parse(int, parts[:1], path, line_no, f"non-integer node id in {line!r}")
         if node < 0 or node >= n:
             raise DatasetIndexError(f"{path}:{line_no}: node id {node} out of range [0, {n})")
+        if masks[:, node].any():
+            raise DatasetParseError(path, line_no, f"node {node} is listed twice")
         masks[names[parts[1]], node] = True
+    if not masks[0].any():
+        raise DatasetParseError(path, 1, "split file names no train node")
     return masks[0], masks[1], masks[2]
 
 
@@ -264,24 +259,20 @@ def read_probability_csv(path) -> np.ndarray:
 
     Its rows must be as wide as its header and cover node ids 0..n-1.
     """
+    records = _records(path, comments=False)
+    line_no, header = next(records, (1, ""))
+    if not header.startswith("node_id,"):
+        raise DatasetParseError(path, line_no, "missing probability CSV header")
+    width = header.count(",") + 1
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("node_id,"):
-            raise DatasetParseError(path, 1, "missing probability CSV header")
-        width = header.count(",") + 1
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != width:
-                raise DatasetParseError(
-                    path, line_no, f"probability row has {len(parts)} fields, header has {width}"
-                )
-            try:
-                rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
-            except ValueError:
-                raise DatasetParseError(path, line_no, "malformed probability row") from None
+    for line_no, line in records:
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DatasetParseError(
+                path, line_no, f"probability row has {len(parts)} fields, header has {width}"
+            )
+        (node,) = _parse(int, parts[:1], path, line_no, "malformed probability row")
+        rows.append((node, _parse(float, parts[1:], path, line_no, "malformed probability row")))
     if not rows:
         raise DatasetParseError(path, 2, "probability CSV has no rows")
     rows.sort(key=lambda r: r[0])

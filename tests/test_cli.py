@@ -181,6 +181,33 @@ def test_dynamics_command_reports_atypical_nodes(tmp_path):
     assert len(finals) == 5
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_dynamics_refuses_k_below_one(tmp_path, capsys, k):
+    data = write_toy_dataset(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--seed", "3",
+                 "--n-splits", "1", *SMALL_MODEL]) == 0
+    capsys.readouterr()
+    assert main(["dynamics", "--run", str(out), "--k", k]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "split_0" / "atypical_nodes.csv").exists()
+
+
+def test_truncated_dynamics_csv_names_the_short_checkpoint(tmp_path, capsys):
+    data = write_toy_dataset(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--seed", "3",
+                 "--n-splits", "1", *SMALL_MODEL]) == 0
+    csv = out / "split_0" / "dynamics.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[:-3]))
+    capsys.readouterr()
+    assert main(["dynamics", "--run", str(out)]) == 1
+    last = lines[-1].split(",")[0]
+    assert re.match(rf"error: \S+dynamics\.csv:\d+: checkpoint {last} has no loss for node \d+$",
+                    capsys.readouterr().err)
+
+
 def test_dynamics_missing_run_dir_fails(tmp_path, capsys):
     rc = main(["dynamics", "--run", str(tmp_path / "nope")])
     assert rc == 1

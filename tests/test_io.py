@@ -90,6 +90,32 @@ def test_missing_label_header(tmp_path):
         load_dataset(edges, labels)
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("#C=2\n0\t0\n#C=3\n1\t2\n", 3, "repeated '#C=' header"),
+    ("#C=-2\n0\t\n", 1, "non-negative"),
+], ids=["repeated", "negative"])
+def test_label_header_must_be_one_non_negative_count(tmp_path, text, line_no, message):
+    edges = write(tmp_path, "e.tsv", "0\t1\n")
+    labels = write(tmp_path, "l.tsv", text)
+    with pytest.raises(DatasetParseError, match=message) as err:
+        load_dataset(edges, labels)
+    assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("0\tval\n1\ttest\n", 1, "no train node"),
+    ("0\ttrain\n# comment\n1\tval\n0\ttest\n", 4, "node 0 is listed twice"),
+    ("0\ttrain\n0\ttrain\n", 2, "node 0 is listed twice"),
+], ids=["no-train", "two-splits", "same-split"])
+def test_split_file_must_name_a_train_node_and_each_node_once(tmp_path, text, line_no, message):
+    edges = write(tmp_path, "e.tsv", "0\t1\n1\t2\n")
+    labels = write(tmp_path, "l.tsv", "#C=1\n0\t0\n1\t0\n2\t0\n")
+    splits = write(tmp_path, "s.tsv", text)
+    with pytest.raises(DatasetParseError, match=message) as err:
+        load_dataset(edges, labels, split_path=splits)
+    assert err.value.line_no == line_no
+
+
 def test_feature_row_shortfall(tmp_path):
     edges = write(tmp_path, "e.tsv", "0\t2\n")
     labels = write(tmp_path, "l.tsv", "#C=1\n0\t0\n")
