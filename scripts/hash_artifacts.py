@@ -7,10 +7,11 @@ train, train, val, test by v mod 5). On the first two it runs, in this
 process through gnn_multifix.cli.main: `train` with linear, mlp1 and mlp3;
 `ablate` with no-fr, no-lr and no-pe under linear and mlp1; `baseline` with
 majority_vote, mlp (--variant mlp1) and deepwalk under the degree policy.
-Then it runs `train` (linear) on the copy with splits.tsv, `eval` of the
-first linear run's split_0/probs.csv, and `dynamics` on that run. Every
-training run takes 2 splits, 60 epochs, 1 skip-gram epoch and 3 walks per
-node, with GMFX_THREADS=1.
+Then it runs `train` (linear) on the copy with splits.tsv, `train` (linear)
+on the first dataset with 2 skip-gram epochs, `eval` of the first linear
+run's split_0/probs.csv, and `dynamics` on that run. Every training run
+takes 2 splits, 60 epochs and 3 walks per node, with GMFX_THREADS=1, and all
+but the 2-epoch one take 1 skip-gram epoch.
 
 Prints "sha256  path" for every file under DIR except run.log and
 effective_config.json, paths relative to DIR. Two source trees that keep
@@ -84,6 +85,9 @@ def main():
             run([*argv, *SETTINGS, "--data", str(data / kind), "--out", str(out / kind / name)])
     run([*RUNS["train-linear"], *SETTINGS, "--data", str(data / "split"),
          "--out", str(out / "split" / "train-linear")])
+    # later skip-gram epochs shuffle the pair order again; every other run has one
+    run([*RUNS["train-linear"], *SETTINGS, "--set", "model.pe_epochs=2",
+         "--data", str(data / "features"), "--out", str(out / "features" / "train-linear-pe2")])
     linear = out / "features" / "train-linear"
     run(["eval", "--data", str(data / "features"), "--probs", str(linear / "split_0" / "probs.csv"),
          "--out", str(out / "eval")])

@@ -211,12 +211,13 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
 
     fit(dataset, run_cfg, split_dir) returns the probabilities and the
     command's own report fields, and writes the command's own artifacts. A
-    split count or seed list that cannot be run is refused before anything
-    is written. A diverging split ends the run with exit status 1, and a
-    split that raises ValueError re-raises it; either leaves a line in
-    run.log.
+    split count, seed list or model config that cannot be run is refused
+    before anything is written. A diverging split ends the run with exit
+    status 1, and a split that raises ValueError re-raises it; either leaves
+    a line in run.log.
     """
     seeds = _resolve_seeds(cfg)
+    model_cfg = ModelConfig(**cfg["model"])
     dataset = _load_data(cfg)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +227,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
         split_dir = outdir / f"split_{i}"
         split_dir.mkdir(exist_ok=True)
         try:
-            run_cfg = replace(ModelConfig(**cfg["model"]), seed=seed)
+            run_cfg = replace(model_cfg, seed=seed)
             ds = _split_for_run(dataset, cfg, seed)
             probs, fields = fit(ds, run_cfg, split_dir)
         except TrainingDivergedError as err:

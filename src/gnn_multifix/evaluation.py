@@ -186,7 +186,8 @@ def import_dynamics(path) -> DynamicsLog:
     """Rebuild a DynamicsLog from the data CSV written by export_dynamics.
 
     A checkpoint that lacks a node which another checkpoint holds, as in a
-    truncated file, is refused.
+    truncated file, is refused, and so is a second row for one (checkpoint,
+    node) or a row whose epoch differs from its checkpoint's first row.
     """
     records = _records(path, comments=False)
     line_no, header = next(records, (1, ""))
@@ -199,7 +200,14 @@ def import_dynamics(path) -> DynamicsLog:
             raise DatasetParseError(path, line_no, "malformed dynamics row")
         i, epoch, node = _parse(int, parts[:3], path, line_no, "malformed dynamics row")
         (loss,) = _parse(float, parts[3:], path, line_no, "malformed dynamics row")
-        checkpoints.setdefault(i, (line_no, epoch, {}))[2][node] = loss
+        first_line, first_epoch, losses = checkpoints.setdefault(i, (line_no, epoch, {}))
+        if epoch != first_epoch:
+            raise DatasetParseError(
+                path, line_no, f"checkpoint {i} is epoch {first_epoch} at line {first_line}, not {epoch}"
+            )
+        if node in losses:
+            raise DatasetParseError(path, line_no, f"checkpoint {i} lists node {node} twice")
+        losses[node] = loss
     if not checkpoints:
         raise DatasetParseError(path, 1, "dynamics CSV has no data rows")
     idx = sorted(checkpoints)

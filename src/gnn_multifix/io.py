@@ -12,9 +12,9 @@ Features     CSV (one row per node, D finite reals), or raw binary with an
 Splits       "node_id<TAB>{train|val|test}", '#' comments; each node at most
              once, and at least one train node.
 Probs CSV    header "node_id,p_0,...", then one "node_id,values" row per
-             node id 0..n-1.
+             node id 0..n-1, every value in [0, 1].
 Dynamics     "checkpoint_index,epoch,node_id,loss" (evaluation.import_dynamics);
-             every checkpoint holds one loss for every node.
+             every checkpoint holds one loss for every node and one epoch.
 """
 
 from __future__ import annotations
@@ -257,7 +257,9 @@ def write_probability_csv(probs: np.ndarray, path):
 def read_probability_csv(path) -> np.ndarray:
     """Read a :func:`write_probability_csv` file back.
 
-    Its rows must be as wide as its header and cover node ids 0..n-1.
+    Its rows must be as wide as its header and cover node ids 0..n-1, and
+    every probability must be a number in [0, 1]: the first row that holds
+    a nan or a value outside that range is named.
     """
     records = _records(path, comments=False)
     line_no, header = next(records, (1, ""))
@@ -272,10 +274,16 @@ def read_probability_csv(path) -> np.ndarray:
                 path, line_no, f"probability row has {len(parts)} fields, header has {width}"
             )
         (node,) = _parse(int, parts[:1], path, line_no, "malformed probability row")
-        rows.append((node, _parse(float, parts[1:], path, line_no, "malformed probability row")))
+        values = _parse(float, parts[1:], path, line_no, "malformed probability row")
+        rows.append((node, line_no, values))
     if not rows:
         raise DatasetParseError(path, 2, "probability CSV has no rows")
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise DatasetParseError(path, 1, "probability CSV must cover node ids 0..n-1")
-    return np.asarray([r[1] for r in rows], dtype=np.float64)
+    probs = np.asarray([r[2] for r in rows], dtype=np.float64)
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)).all(axis=1))
+    if len(bad):
+        line_no = min(rows[i][1] for i in bad)
+        raise DatasetParseError(path, line_no, "probability row holds nan or a value outside [0, 1]")
+    return probs

@@ -36,6 +36,7 @@ train readout of epoch t is the pre-step one of epoch t+1. Only
 from __future__ import annotations
 
 import json
+import math
 import struct
 import tempfile
 from contextlib import nullcontext
@@ -84,8 +85,21 @@ class ModelConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (self.enable_fr or self.enable_lr or self.enable_pe):
             raise ValueError("at least one of enable_fr/enable_lr/enable_pe must be true")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        # K = 0 is the feature-only MLP baseline's unpropagated features
+        for name, low in (
+            ("K", 0), ("N", 0), ("pe_dim", 1), ("hidden_dim", 1), ("patience", 1),
+            ("max_epochs", 1), ("walk_len", 2), ("walks_per_node", 1), ("window", 1),
+            ("neg_samples", 1), ("pe_epochs", 1),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("lr", "pe_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
         if self.padding not in ("zero", "uniform"):
             raise ValueError(f"unknown padding {self.padding!r}")
         if self.feature_policy not in FEATURE_POLICIES:

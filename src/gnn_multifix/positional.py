@@ -1,21 +1,23 @@
 """Positional node embeddings from truncated random walks.
 
-Walks are generated per start node with independent RNG substreams, so the
+Every walk step is drawn from one RNG substream as a single array, so the
 corpus content is the same no matter how generation is scheduled. The corpus
 is one 2-D int64 array with a row per walk and a length per row; all walks
 advance together, one vectorised step per position. Embeddings are trained
 with skip-gram and negative sampling over (center, context) pairs inside a
-sliding window. The pairs are never held as one array: a pair is a pure
-function of its walk row and its slot in the window, so each epoch shuffles
-the pair indices in place and each batch decodes its own pairs from the
-walks (:class:`PairTable`). Negatives are drawn from the corpus unigram
-distribution raised to 0.75 and shared per batch: every pair of a batch
-scores the same SHARED_NEGATIVES (S = 32) nodes, each weighted
-neg_samples / S, so the negative term of a batch is two matrix products.
-The two tables are trained in float32, as word2vec and gensim do: a batch
-step is bound by memory and element-wise passes, so half the bytes make it
-faster. Only the input-side embeddings are kept, returned as an n x dim
-float64 array.
+shrunk window, as word2vec and DeepWalk do: each (walk, position) draws a
+reach uniformly from 1..window, and a pair is kept only when its context
+lies within its center's reach. The pairs are never held as one array: a
+pair is a pure function of its walk row and its slot in the window, so the
+kept pair ids are one array that each epoch shuffles in place, and each
+batch decodes its own pairs from the walks (:class:`PairTable`). Negatives
+are drawn from the corpus unigram distribution raised to 0.75 and shared per
+batch: every pair of a batch scores the same SHARED_NEGATIVES (S = 32)
+nodes, each weighted neg_samples / S, so the negative term of a batch is two
+matrix products. The two tables are trained in float32, as word2vec and
+gensim do: a batch step is bound by memory and element-wise passes, so half
+the bytes make it faster. Only the input-side embeddings are kept, returned
+as an n x dim float64 array.
 """
 
 from __future__ import annotations
@@ -51,16 +53,15 @@ def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) 
     """Uniform random walks, walks_per_node of them from every node.
 
     A walk stops early at a node with no neighbors, so isolated nodes yield
-    length-1 walks. Each start node draws all of its step variates from its
-    own substream, walk after walk; the corpus lists pass 0 for all nodes
-    (in a seeded shuffled order), then pass 1, ...
+    length-1 walks. The step variates are one (n, walks_per_node,
+    walk_len - 1) draw from the "walks" substream: pass p of the walk from
+    node v reads row [v, p]. The corpus lists pass 0 for all nodes (in a
+    seeded shuffled order), then pass 1, ...
     """
     if walk_len < 1 or walks_per_node < 1:
         raise ValueError("walk_len and walks_per_node must be >= 1")
     n = graph.n
-    steps = np.empty((n, walks_per_node, walk_len - 1), dtype=np.float64)
-    for v in range(n):
-        steps[v] = substream(seed, "walks", v).random((walks_per_node, walk_len - 1))
+    steps = substream(seed, "walks").random((n, walks_per_node, walk_len - 1))
     starts = np.concatenate(
         [substream(seed, "walk-order", p).permutation(n) for p in range(walks_per_node)]
     )
@@ -91,8 +92,9 @@ class PairTable:
     is slot ``k % per_walk`` of full walk ``k // per_walk``, and slot j pairs
     positions ``center_pos[j]`` and ``context_pos[j]`` of its walk: offset
     by offset, the forward pairs (walk[:-off], walk[off:]) and then the same
-    pairs reversed. The full walks are kept as one flat array, int32 when
-    every node id fits.
+    pairs reversed. The table holds every slot of the full window; training
+    visits only the pair ids that :func:`kept_pairs` selects. The full walks
+    are kept as one flat array, int32 when every node id fits.
     """
 
     def __init__(self, corpus: WalkCorpus, window: int):
@@ -116,6 +118,39 @@ class PairTable:
         start = np.multiply(row, self.walk_len, dtype=np.int64)
         centers = self.walks[start + self.center_pos[slot]]
         return centers, self.walks[start + self.context_pos[slot]]
+
+
+# pair slots tested per chunk of walks in kept_pairs, which bounds its temporaries
+_KEEP_CHUNK = 1 << 13
+
+
+def kept_pairs(pairs: PairTable, window: int, seed: int) -> np.ndarray:
+    """The ids of the pairs that word2vec's shrunk window keeps, ascending.
+
+    Each (full walk, position) draws a reach uniformly from 1..window, all
+    in one draw from the "sgns-window" substream. Slot j of full walk r is
+    kept when its offset |center_pos[j] - context_pos[j]| is at most
+    reach[r, center_pos[j]], so near contexts are kept more often than far
+    ones. The ids are in the index dtype of ``pairs.m - 1``; they are
+    counted first and written into one array, chunk by chunk.
+    """
+    L, per_walk = pairs.walk_len, pairs.per_walk
+    rows = len(pairs.walks) // L
+    reach = substream(seed, "sgns-window").integers(1, window + 1, size=(rows, L))
+    # a center at position p keeps min(reach, p) contexts before it and
+    # min(reach, L - 1 - p) after it
+    pos = np.arange(L)
+    total = int(np.minimum(reach, pos).sum() + np.minimum(reach, pos[::-1]).sum())
+    kept = np.empty(total, dtype=_index_dtype(pairs.m - 1))
+    offset = np.abs(pairs.center_pos - pairs.context_pos)
+    chunk = max(1, _KEEP_CHUNK // max(per_walk, 1))
+    at = 0
+    for r in range(0, rows, chunk):
+        ids = np.flatnonzero(reach[r : r + chunk, pairs.center_pos] >= offset)
+        ids += r * per_walk
+        kept[at : at + len(ids)] = ids
+        at += len(ids)
+    return kept
 
 
 def corpus_pairs(corpus: WalkCorpus, window: int) -> np.ndarray:
@@ -195,14 +230,18 @@ def train_skipgram(
     """Train skip-gram embeddings with negative sampling over the corpus.
 
     Minibatched SGD with a linearly decaying learning rate; deterministic
-    given the seed. Each epoch visits every pair of the corpus's
-    :class:`PairTable` once, in a seeded shuffled order. Each batch draws one set of SHARED_NEGATIVES (S = 32)
-    negatives that all of its pairs share, each weighted neg_samples / S, so
-    neg_samples stays the expected number of negatives per pair. Both tables
-    are float32 while training. Returns the input embeddings as an n x dim
-    float64 array; with return_trace=True also returns a dict holding the
-    discarded (float32) output embeddings and the loss before/after
-    training on a fixed evaluation sample, which is only drawn and scored
+    given the seed. ``window`` is the largest reach: the pairs trained on are
+    the :func:`kept_pairs` of the corpus's :class:`PairTable`, one shrunk
+    window drawn per (walk, position) for the whole fit. Each epoch visits
+    every kept pair once, in a seeded shuffled order: epoch e's order is the
+    "sgns-order" permutation of the ascending kept ids. Each batch draws one
+    set of SHARED_NEGATIVES (S = 32) negatives that all of its pairs share,
+    each weighted neg_samples / S, so neg_samples stays the expected number
+    of negatives per pair. Both tables are float32 while training. Returns
+    the input embeddings as an n x dim float64 array; with return_trace=True
+    also returns a dict holding the discarded (float32) output embeddings,
+    the number of kept pairs, and the loss before/after training on a fixed
+    evaluation sample (the first kept pairs), which is only drawn and scored
     when the trace is asked for.
     """
     if dim < 1 or window < 1 or neg_samples < 1:
@@ -218,9 +257,11 @@ def train_skipgram(
     emb_out = np.zeros((n, dim), dtype=emb_in.dtype)
 
     pairs = PairTable(corpus, window)
-    m = pairs.m
+    m = 0
     trace = {}
-    if m > 0:
+    if pairs.m > 0:
+        kept = kept_pairs(pairs, window, seed)
+        m = len(kept)
         noise = unigram_table(corpus, n)
         cdf = np.cumsum(noise)
         cdf[-1] = 1.0
@@ -231,7 +272,7 @@ def train_skipgram(
             eval_rng = substream(seed, "sgns-eval")
             m_eval = min(m, 20000)
             eval_neg = _sample_negatives(eval_rng, cdf, (m_eval, neg_samples))
-            eval_pairs = pairs.decode(np.arange(m_eval))
+            eval_pairs = pairs.decode(kept[:m_eval])
             trace["initial_loss"] = _pair_loss(emb_in, emb_out, *eval_pairs, eval_neg, batch_size)
 
         n_batches_per_epoch = (m + batch_size - 1) // batch_size
@@ -241,23 +282,23 @@ def train_skipgram(
         done = 0
         for epoch in range(epochs):
             # an in-place shuffle makes the draws of permutation without its
-            # copy, and the draws do not depend on the dtype
-            order = np.arange(m, dtype=_index_dtype(m - 1))
-            substream(seed, "sgns-order", epoch).shuffle(order)
+            # copy, and the draws do not depend on the dtype; sorting first
+            # makes each epoch's order a permutation of the ascending ids
+            if epoch:
+                kept.sort()
+            substream(seed, "sgns-order", epoch).shuffle(kept)
             neg_rng = substream(seed, "sgns-neg", epoch)
             for j, i in enumerate(range(0, m, batch_size)):
-                centers, contexts = pairs.decode(order[i : i + batch_size])
+                centers, contexts = pairs.decode(kept[i : i + batch_size])
                 rate = max(lr * (1.0 - (done + j) / total_batches), lr * 1e-3)
                 negs = _sample_negatives(neg_rng, cdf, SHARED_NEGATIVES)
                 _apply_batch(emb_in, emb_out, centers, contexts, negs, weight, rate, work)
             done += n_batches_per_epoch
-            # free this epoch's order before the next one is made
-            del order
 
         if return_trace:
             trace["final_loss"] = _pair_loss(emb_in, emb_out, *eval_pairs, eval_neg, batch_size)
     trace["emb_out"] = emb_out
-    trace["n_pairs"] = int(m)
+    trace["n_pairs"] = m
     embedding = emb_in.astype(np.float64)
     return (embedding, trace) if return_trace else embedding
 

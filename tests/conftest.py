@@ -55,17 +55,38 @@ def row_major_matmul(m, X):
     return out[:, 0] if squeeze else out
 
 
+def shrunk_window_pairs(corpus, window, seed):
+    """The rows of corpus_pairs(corpus, window) that word2vec's shrunk window keeps.
+
+    Full walk r draws reach[r, p] in 1..window for each position p, and a
+    center at position p keeps the contexts at offsets 1..reach[r, p]. The
+    loop walks corpus_pairs' own order: full walk by full walk, offset by
+    offset, the forward pairs (center p, context p + off) and then the
+    reversed ones (center p + off, context p).
+    """
+    pairs = positional.corpus_pairs(corpus, window)
+    L = corpus.walk_len
+    rows = int((corpus.lengths >= 2).sum())
+    reach = substream(seed, "sgns-window").integers(1, window + 1, size=(rows, L))
+    keep = []
+    for r in range(rows):
+        for off in range(1, min(window, L - 1) + 1):
+            for shift in (0, off):
+                keep += [off <= reach[r, p + shift] for p in range(L - off)]
+    return pairs[np.array(keep, dtype=bool)]
+
+
 def pair_array_skipgram(corpus, n, dim, window, neg_samples, epochs, lr, seed, batch_size=4096):
     """train_skipgram(..., return_trace=True) by the loop that the streamed epoch replaced.
 
-    It builds every pair as one corpus_pairs array, draws each epoch's order
-    with Generator.permutation of an arange of the pairs' dtype, and indexes
-    each batch out of the array.
+    It builds every kept pair as one shrunk_window_pairs array, draws each
+    epoch's order with Generator.permutation of an arange of the pairs'
+    dtype, and indexes each batch out of the array.
     """
     batch_size = max(64, min(batch_size, 4 * n))
     emb_in = positional.initial_embedding(n, dim, seed)
     emb_out = np.zeros((n, dim), dtype=emb_in.dtype)
-    pairs = positional.corpus_pairs(corpus, window)
+    pairs = shrunk_window_pairs(corpus, window, seed)
     trace = {}
     if len(pairs) > 0:
         cdf = np.cumsum(positional.unigram_table(corpus, n))

@@ -377,6 +377,35 @@ def test_unrunnable_split_count_is_refused_before_any_file(tmp_path, capsys, ext
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("K", "-1", "K must be >= 0, got -1"),
+    ("N", "-1", "N must be >= 0, got -1"),
+    ("pe_dim", "0", "pe_dim must be >= 1, got 0"),
+    ("hidden_dim", "0", "hidden_dim must be >= 1, got 0"),
+    ("max_epochs", "0", "max_epochs must be >= 1, got 0"),
+    ("walk_len", "1", "walk_len must be >= 2, got 1"),
+    ("walks_per_node", "0", "walks_per_node must be >= 1, got 0"),
+    ("window", "0", "window must be >= 1, got 0"),
+    ("neg_samples", "0", "neg_samples must be >= 1, got 0"),
+    ("pe_epochs", "0", "pe_epochs must be >= 1, got 0"),
+    ("lr", "-0.01", "lr must be a finite number > 0, got -0.01"),
+    ("lr", "NaN", "lr must be a finite number > 0, got nan"),
+    ("pe_lr", "0", "pe_lr must be a finite number > 0, got 0"),
+    ("pe_lr", "Infinity", "pe_lr must be a finite number > 0, got inf"),
+    ("weight_decay", "-0.0005", "weight_decay must be a finite number >= 0, got -0.0005"),
+])
+def test_model_value_that_trains_nonsense_is_refused_before_any_file(
+    tmp_path, capsys, key, value, message
+):
+    data = write_toy_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
+               "--set", f"model.{key}={value}"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("labels, splits", [
     ("#C=20\n0\t0\n1\t5,25\n", None),
     ("#C=20\n0\t0\n1\t5\n", "0\ttrain\n9\ttest\n"),

@@ -14,7 +14,7 @@ from gnn_multifix import (
     import_dynamics,
     make_splits,
 )
-from gnn_multifix.errors import UndefinedMetricError
+from gnn_multifix.errors import DatasetParseError, UndefinedMetricError
 from gnn_multifix.evaluation import _quartiles
 from gnn_multifix.graph import Graph
 
@@ -326,6 +326,20 @@ def test_export_round_trip_and_determinism(tmp_path):
     assert np.array_equal(back.node_ids, log.node_ids)
     assert np.array_equal(back.epochs, log.epochs)
     assert np.abs(back.losses - log.losses).max() < 1e-9
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # the FOUND file: a repeated (checkpoint, node) row and an epoch change
+    (["0,1,5,0.5", "0,1,5,0.9", "1,2,5,0.4"], 3, "checkpoint 0 lists node 5 twice"),
+    (["0,1,5,0.5", "1,2,5,0.4", "1,7,6,0.3", "0,1,6,0.2"], 4,
+     "checkpoint 1 is epoch 2 at line 3, not 7"),
+], ids=["repeated-node", "epoch-change"])
+def test_dynamics_csv_rows_that_disagree_are_refused_at_their_line(tmp_path, rows, line, message):
+    path = tmp_path / "dynamics.csv"
+    path.write_text("\n".join(["checkpoint_index,epoch,node_id,loss", *rows]) + "\n")
+    with pytest.raises(DatasetParseError) as err:
+        import_dynamics(path)
+    assert (err.value.line_no, str(err.value)) == (line, f"{path}:{line}: {message}")
 
 
 def test_atypical_node_ordering_and_slopes():

@@ -180,6 +180,20 @@ def test_probability_csv_with_duplicated_node_id_is_refused(tmp_path):
         read_probability_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "-nan", "1.5", "-0.1", "inf", "-inf"])
+def test_probability_outside_the_unit_interval_is_refused_at_its_line(tmp_path, value):
+    # the id check reads the whole file first, so a later row may come first
+    path = write(tmp_path, "probs.csv",
+                 f"node_id,p_0,p_1\n1,0.25,0.5\n2,0.5,0.75\n0,0.0,{value}\n3,2.0,1.0\n")
+    with pytest.raises(DatasetParseError, match=r"probs\.csv:4: .*outside \[0, 1\]"):
+        read_probability_csv(path)
+
+
+def test_probability_csv_keeps_the_interval_bounds(tmp_path):
+    path = write(tmp_path, "probs.csv", "node_id,p_0,p_1\n0,0.0,1.0\n1,1,0\n")
+    assert read_probability_csv(path).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_header_only_probability_csv_is_refused(tmp_path):
     path = write(tmp_path, "probs.csv", "node_id,p_0,p_1\n")
     with pytest.raises(DatasetParseError, match="no rows"):

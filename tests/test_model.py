@@ -190,6 +190,14 @@ def test_config_requires_some_block():
         ModelConfig(enable_fr=False, enable_lr=False, enable_pe=False)
 
 
+def test_config_accepts_the_smallest_runnable_values():
+    # K = 0 is the feature-only MLP baseline's setting
+    cfg = ModelConfig(K=0, N=0, pe_dim=1, hidden_dim=1, max_epochs=1, walk_len=2,
+                      walks_per_node=1, window=1, neg_samples=1, pe_epochs=1,
+                      lr=1e-12, pe_lr=1e-12, weight_decay=0.0)
+    assert (cfg.K, cfg.walk_len, cfg.weight_decay) == (0, 2, 0.0)
+
+
 def test_config_rejects_unknown_feature_policy():
     for policy in ("identity", "degree", "none"):
         ModelConfig(feature_policy=policy)

@@ -27,6 +27,7 @@ from gnn_multifix.positional import (
     _sigmoid,
     corpus_pairs,
     initial_embedding,
+    kept_pairs,
     unigram_table,
 )
 from gnn_multifix.rng import substream
@@ -195,15 +196,14 @@ def test_distinguishability_values():
 
 
 def reference_walks(graph, walk_len, walks_per_node, seed):
+    steps = substream(seed, "walks").random((graph.n, walks_per_node, walk_len - 1))
     per_node = []
     for v in range(graph.n):
-        rng = substream(seed, "walks", v)
         walks_v = []
-        for _ in range(walks_per_node):
-            steps = rng.random(walk_len - 1)
+        for p in range(walks_per_node):
             walk = [v]
             cur = v
-            for u in steps:
+            for u in steps[v, p]:
                 nb = graph.neighbors(cur)
                 if len(nb) == 0:
                     break
@@ -478,6 +478,40 @@ def test_pair_decoder_matches_corpus_pairs(seed, walk_len, window, size, wide):
     idx = rng.integers(0, table.m, size).astype(np.int64 if wide else np.int32)
     centers, contexts = table.decode(idx)
     assert np.array_equal(np.column_stack([centers, contexts]), pairs[idx])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    walk_len=st.integers(2, 12),
+    window=st.integers(1, 15),
+    chunk=st.sampled_from([1, 7, 1 << 13]),
+)
+@example(seed=3, walk_len=10, window=1, chunk=1 << 13)
+@example(seed=4, walk_len=4, window=9, chunk=7)
+def test_kept_pairs_are_the_slots_within_their_centers_reach(seed, walk_len, window, chunk):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    g = build_random_graph(n, int(rng.integers(1, 3 * n)), seed)
+    table = PairTable(generate_walks(g, walk_len, 2, seed), window)
+    # small chunks spread the walks over many chunks, one walk or more each
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(positional, "_KEEP_CHUNK", chunk)
+        kept = kept_pairs(table, window, seed)
+    rows = len(table.walks) // walk_len
+    reach = substream(seed, "sgns-window").integers(1, window + 1, size=(rows, walk_len))
+    assert ((reach >= 1) & (reach <= window)).all()
+    row, slot = np.divmod(np.arange(table.m), table.per_walk)
+    offset = np.abs(table.center_pos[slot] - table.context_pos[slot])
+    within = offset <= reach[row, table.center_pos[slot]]
+    assert kept.dtype == np.int32
+    assert np.array_equal(kept, np.flatnonzero(within))
+    if window == 1:
+        assert len(kept) == table.m
+    elif window > walk_len - 1:
+        # a reach of walk_len - 1 or more keeps every slot of its center
+        whole = reach[row, table.center_pos[slot]] >= walk_len - 1
+        assert np.isin(np.flatnonzero(whole), kept).all()
 
 
 @settings(max_examples=30, deadline=None)
