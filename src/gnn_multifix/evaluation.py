@@ -44,18 +44,27 @@ def _row_aps(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """AP of every row with a positive, in row order: the mean precision at
     the ranks of its positives under a stable argsort of the negated scores.
 
-    The rows with p positives are averaged as one C-contiguous (rows, p)
-    array, whose row means sum like the 1-D mean of a single row.
+    A row's AP is the sum of its positives' precisions, in rank order, over
+    their count, summed as NumPy sums the row alone. Below 8 terms that sum
+    runs in order, as the axis-0 sum of a zero-padded (max count, rows) array
+    does, so every row is summed that way at once. The rows with p >= 8
+    positives, which NumPy sums pairwise, are summed again as one
+    C-contiguous (rows, p) array, whose row sums are those of the 1-D row.
     """
     order = np.argsort(-scores, axis=1, kind="stable")
     hits = np.take_along_axis(truth, order, axis=1).astype(bool)
     n_pos = hits.sum(axis=1)
-    precision = np.cumsum(hits, axis=1) / np.arange(1, scores.shape[1] + 1)
-    aps = np.empty(len(scores))
-    for p in np.flatnonzero(np.bincount(n_pos)[1:]) + 1:
-        rows = np.flatnonzero(n_pos == p)
-        aps[rows] = precision[rows][hits[rows]].reshape(len(rows), p).mean(axis=1)
-    return aps[n_pos > 0]
+    ranks = np.cumsum(hits, axis=1)
+    precision = ranks / np.arange(1, scores.shape[1] + 1)
+    rows, cols = np.nonzero(hits)
+    sums = np.zeros((n_pos.max(initial=0), len(scores)))
+    sums[ranks[rows, cols] - 1, rows] = precision[rows, cols]
+    sums = sums.sum(axis=0)
+    for p in np.flatnonzero(np.bincount(n_pos)[8:]) + 8:
+        r = np.flatnonzero(n_pos == p)
+        sums[r] = precision[r][hits[r]].reshape(len(r), p).sum(axis=1)
+    has = n_pos > 0
+    return sums[has] / n_pos[has]
 
 
 def average_precision(scores: np.ndarray, truth: np.ndarray, mode: str = "samples") -> float:

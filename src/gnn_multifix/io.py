@@ -206,8 +206,7 @@ def load_dataset(edge_path, label_path, feature_path=None, split_path=None) -> D
 def save_dataset(dataset: Dataset, edge_path, label_path, feature_path=None, split_path=None):
     """Write a dataset back out in the formats read by :func:`load_dataset`."""
     with open(edge_path, "w", encoding="utf-8") as fh:
-        for u, v in dataset.graph.edge_array():
-            fh.write(f"{u}\t{v}\n")
+        fh.write("".join(f"{u}\t{v}\n" for u, v in dataset.graph.edge_array().tolist()))
     with open(label_path, "w", encoding="utf-8") as fh:
         fh.write(f"#C={dataset.n_labels}\n")
         for v in range(dataset.n):

@@ -374,28 +374,38 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     memory, not n x n; otherwise X is propagated and then projected.
     The walk embedding is trained deterministically from config.seed.
     Blocks that config disables are None.
+
+    No operand built here is bound to a name: P under the identity policy,
+    the substituted features and the initial label matrix are built inside
+    the propagation call, which lets go of its operand after the first hop,
+    so each is freed then. A dataset's own features stay alive with it.
     """
-    H_f = H_l = pe = X = P = None
+    H_f = H_l = pe = P = None
     feature_dim = 0
     adj = None
     if config.enable_fr or config.enable_lr:
         adj = sym_norm_adjacency(dataset.graph)
     if config.enable_fr:
         linear = config.variant == "linear"
-        if linear and dataset.features is None and config.feature_policy == "identity":
-            feature_dim = dataset.n
+        policy = config.feature_policy
+        if dataset.features is not None:
+            feature_dim = dataset.features.shape[1]
         else:
-            X = substitute_features(dataset, config.feature_policy).features
-            feature_dim = X.shape[1]
-        if linear:
-            P = _feature_projection(config, feature_dim)
-        activation = "identity" if linear else "relu"
-        H_f = propagate_features(adj, P if X is None else X, config.K, activation)
-        if X is None:
-            P = None  # A^K · I · P = A^K · P is already the projected block
+            feature_dim = dataset.n if policy == "identity" else 1
+        if linear and dataset.features is None and policy == "identity":
+            # A^K · I · P = A^K · P is already the projected block
+            H_f = propagate_features(adj, _feature_projection(config, feature_dim), config.K)
+        else:
+            H_f = propagate_features(
+                adj,
+                substitute_features(dataset, policy).features,
+                config.K,
+                "identity" if linear else "relu",
+            )
+            if linear:
+                P = _feature_projection(config, feature_dim)
     if config.enable_lr:
-        H0 = init_label_matrix(dataset, config.padding)
-        H_l = propagate_labels(adj, H0, config.N)
+        H_l = propagate_labels(adj, init_label_matrix(dataset, config.padding), config.N)
     if config.enable_pe:
         corpus = generate_walks(
             dataset.graph, config.walk_len, config.walks_per_node, config.seed

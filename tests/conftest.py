@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,23 @@ def build_twin_path_dataset():
 def two_clique_split():
     ds = build_two_clique_dataset()
     return make_splits(ds, 0.6, 0.2, seed=5)
+
+
+@pytest.fixture
+def previous_operand_alive(monkeypatch):
+    """Spy on SparseMatrix.matmul_dense, holding only a weakref to each operand.
+
+    Returns a list that gains one entry at every hop after the first: whether
+    the previous hop's operand was still alive when this hop began.
+    """
+    seen, alive = [], []
+    matmul_dense = SparseMatrix.matmul_dense
+
+    def spy(self, X):
+        if seen:
+            alive.append(seen[-1]() is not None)
+        seen.append(weakref.ref(X))
+        return matmul_dense(self, X)
+
+    monkeypatch.setattr(SparseMatrix, "matmul_dense", spy)
+    return alive

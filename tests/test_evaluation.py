@@ -15,7 +15,7 @@ from gnn_multifix import (
     make_splits,
 )
 from gnn_multifix.errors import DatasetParseError, UndefinedMetricError
-from gnn_multifix.evaluation import _quartiles
+from gnn_multifix.evaluation import _quartiles, _row_aps
 from gnn_multifix.graph import Graph
 
 from conftest import build_random_dataset
@@ -155,6 +155,35 @@ def test_micro_and_macro_ap_are_bit_identical_to_one_ranking_per_call(seed, tied
     else:
         assert average_precision(scores, truth, "micro") == micro
         assert average_precision(scores, truth, "macro") == float(np.mean(per_label))
+
+
+def grouped_row_aps(scores, truth):
+    """Row APs by the per-count loop _row_aps replaced: the rows with p
+    positives are averaged as one C-contiguous (rows, p) array."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    hits = np.take_along_axis(truth, order, axis=1).astype(bool)
+    n_pos = hits.sum(axis=1)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, scores.shape[1] + 1)
+    aps = np.empty(len(scores))
+    for p in np.flatnonzero(np.bincount(n_pos)[1:]) + 1:
+        rows = np.flatnonzero(n_pos == p)
+        aps[rows] = precision[rows][hits[rows]].reshape(len(rows), p).mean(axis=1)
+    return aps[n_pos > 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60), c=st.integers(1, 30),
+       levels=st.integers(1, 12))
+def test_row_aps_are_bit_identical_to_grouped_means(seed, m, c, levels):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=(m, c)) / levels  # few levels: many ties
+    truth = np.zeros((m, c), dtype=np.int8)
+    for row, count in zip(truth, rng.integers(0, c + 1, size=m)):  # 0..C positives a row
+        row[rng.permutation(c)[:count]] = 1
+    # the row sets of samples, macro and micro mode
+    for s, t in ((scores, truth), (scores.T, truth.T), (scores.reshape(1, -1), truth.reshape(1, -1))):
+        expected = grouped_row_aps(s, t)
+        assert _row_aps(s, t).tobytes() == expected.tobytes()
 
 
 def test_ap_invariant_under_monotone_transform():

@@ -420,6 +420,22 @@ def test_identity_linear_representations_never_hold_an_n_by_n_array():
     assert peak < n * n * 8
 
 
+@pytest.mark.parametrize(
+    "variant, policy, feature_dim",
+    [("linear", "identity", 40), ("mlp1", "identity", 40), ("linear", "degree", 1), ("mlp1", "degree", 1)],
+)
+def test_compute_representations_lets_go_of_the_operands_it_builds(
+    previous_operand_alive, variant, policy, feature_dim
+):
+    # the projection P, the substituted features and the initial label
+    # matrix are each dead by the second hop of their propagation
+    ds = featureless_with_isolated_nodes(40, 3, seed=2)
+    cfg = small_config(variant=variant, feature_policy=policy, enable_pe=False, K=2, N=2)
+    reps = compute_representations(ds, cfg)
+    assert reps.feature_dim == feature_dim
+    assert previous_operand_alive == [False, False, False]
+
+
 @pytest.mark.parametrize("K", [0, 1, 2])
 def test_linear_real_features_are_propagated_then_projected(K):
     rng = np.random.default_rng(K)

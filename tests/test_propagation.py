@@ -54,6 +54,28 @@ def test_shape_mismatch_raises():
         propagate_features(path_operator(), np.ones((3, 2)), 1)
 
 
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+def test_propagate_features_lets_go_of_its_operand(previous_operand_alive, activation):
+    a = sym_norm_adjacency(build_random_graph(30, 60, seed=2))
+    propagate_features(a, np.ones((30, 4)), 3, activation)
+    assert previous_operand_alive == [False, False]
+
+
+def test_propagate_labels_lets_go_of_its_operand(previous_operand_alive):
+    a = sym_norm_adjacency(build_random_graph(30, 60, seed=2))
+    propagate_labels(a, np.ones((30, 4)), 3)
+    assert previous_operand_alive == [False, False]
+
+
+def test_relu_propagation_leaves_its_operand_unwritten():
+    a = sym_norm_adjacency(build_random_graph(30, 60, seed=3))
+    X = np.random.default_rng(3).normal(size=(30, 4))
+    before = X.copy()
+    H = propagate_features(a, X, 2, "relu")
+    assert np.array_equal(X, before)
+    assert H.min() >= 0.0
+
+
 def test_init_label_matrix_cases():
     ds = build_twin_path_dataset()
     H0 = init_label_matrix(ds, "zero")
