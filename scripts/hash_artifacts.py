@@ -33,6 +33,7 @@ os.environ["GMFX_THREADS"] = "1"
 
 # gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
 from gnn_multifix.cli import main as gmfx
+from gnn_multifix.model import VARIANTS
 
 N = 300
 SPLIT_OF = ("train", "train", "train", "val", "test")
@@ -43,7 +44,7 @@ SETTINGS = [
     "--set", "model.walks_per_node=3",
 ]
 RUNS = {
-    **{f"train-{v}": ["train", "--variant", v] for v in ("linear", "mlp1", "mlp3")},
+    **{f"train-{v}": ["train", "--variant", v] for v in VARIANTS},
     **{
         f"ablate-{v}-{a}": ["ablate", "--variant", v, "--ablate", a]
         for v in ("linear", "mlp1")

@@ -23,22 +23,19 @@ from gnn_multifix import (
     predict,
     train,
 )
+from gnn_multifix.cli import ABLATIONS as GMFX_ABLATIONS
+from gnn_multifix.model import VARIANTS
 import numpy as np
 
 
-ABLATIONS = {
-    "full": {},
-    "no-fr": {"enable_fr": False},
-    "no-lr": {"enable_lr": False},
-    "no-pe": {"enable_pe": False},
-}
+ABLATIONS = {"full": {}, **{name: {flag: False} for name, flag in GMFX_ABLATIONS.items()}}
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--regions", type=int, default=12)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--variant", default="linear", choices=("linear", "mlp1", "mlp3"))
+    ap.add_argument("--variant", default="linear", choices=VARIANTS)
     ap.add_argument("--out", default="runs/ablation")
     args = ap.parse_args()
 

@@ -24,6 +24,7 @@ from gnn_multifix import (
     predict,
     train,
 )
+from gnn_multifix.model import VARIANTS
 from gnn_multifix.synthgen import SynthSpec
 import numpy as np
 
@@ -54,7 +55,7 @@ def run_level(target, n, variant, seeds, out_dir):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=1000)
-    ap.add_argument("--variant", default="mlp1", choices=("linear", "mlp1", "mlp3"))
+    ap.add_argument("--variant", default="mlp1", choices=VARIANTS)
     ap.add_argument("--levels", type=float, nargs="+", default=[0.2, 0.4, 0.6, 0.8, 1.0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--out", default="runs/homophily_sweep")

@@ -5,9 +5,12 @@ training-dynamics instrumentation."""
 import os as _os
 
 # GMFX_THREADS caps worker threads, including the BLAS pools numpy picks up
-# at import time, so it must be applied before numpy loads.
+# at import time, so it must be applied before numpy loads; OpenBLAS would
+# read a value that is not a positive integer as "every core".
 _threads = _os.environ.get("GMFX_THREADS")
 if _threads:
+    if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
+        raise ValueError(f"GMFX_THREADS must be a positive integer, got {_threads!r}")
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",

@@ -24,11 +24,19 @@ from .errors import GenerationInfeasibleError, TrainingDivergedError
 from .evaluation import atypical_node_report, evaluate, export_dynamics, import_dynamics
 from .graph import make_splits
 from .io import load_dataset, save_dataset, write_probability_csv, read_probability_csv
-from .model import ModelConfig, compute_representations, predict, save_model, train
+from .model import VARIANTS, ModelConfig, compute_representations, predict, save_model, train
 from .synthgen import SynthSpec, generate_dataset
 
 
 DATA_KEYS = ("dir", "edges", "labels", "features", "splits")
+# --method name -> fit(dataset, run_cfg) returning a BaselineOutput
+BASELINES = {
+    "majority_vote": lambda ds, run_cfg: majority_vote(ds),
+    "mlp": mlp_baseline,
+    "deepwalk": deepwalk_baseline,
+}
+# --ablate name -> the ModelConfig flag it turns off
+ABLATIONS = {"no-fr": "enable_fr", "no-lr": "enable_lr", "no-pe": "enable_pe"}
 
 
 def default_config() -> dict:
@@ -137,8 +145,7 @@ def build_config(args) -> dict:
         node[leaf] = value
     _check_config(cfg, known)
     if getattr(args, "ablate", None):
-        flag = {"no-fr": "enable_fr", "no-lr": "enable_lr", "no-pe": "enable_pe"}[args.ablate]
-        cfg["model"][flag] = False
+        cfg["model"][ABLATIONS[args.ablate]] = False
     return cfg
 
 
@@ -239,8 +246,8 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
             raise
         report = {
             **fields,
-            "val": evaluate(probs, ds, "val").to_dict(),
-            "test": evaluate(probs, ds, "test").to_dict(),
+            "val": asdict(evaluate(probs, ds, "val")),
+            "test": asdict(evaluate(probs, ds, "test")),
             "seed": seed,
         }
         _dump_json(report, split_dir / "report.json")
@@ -273,16 +280,8 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_baseline(cfg, method: str) -> int:
-    baselines = {
-        "majority_vote": lambda ds, run_cfg: majority_vote(ds),
-        "mlp": mlp_baseline,
-        "deepwalk": deepwalk_baseline,
-    }
-    if method not in baselines:
-        raise ValueError(f"unknown baseline {method!r}")
-
     def fit(ds, run_cfg, split_dir):
-        result = baselines[method](ds, run_cfg)
+        result = BASELINES[method](ds, run_cfg)
         fields = {"method": method}
         if result.coverage is not None:
             fields["coverage"] = result.coverage
@@ -292,12 +291,12 @@ def cmd_baseline(cfg, method: str) -> int:
 
 
 def cmd_eval(cfg, probs_path, split: str) -> int:
-    dataset = _split_for_run(_load_data(cfg), cfg, cfg["model"]["seed"])
+    dataset = _split_for_run(_load_data(cfg), cfg, _resolve_seeds(cfg)[0])
     probs = read_probability_csv(probs_path)
     report = evaluate(probs, dataset, split)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    _dump_json(report.to_dict(), outdir / f"eval_{split}.json")
+    _dump_json(asdict(report), outdir / f"eval_{split}.json")
     print(f"{split} samples-AP {report.ap_samples:.4f} (micro {report.ap_micro:.4f}, macro {report.ap_macro:.4f})")
     return 0
 
@@ -345,16 +344,15 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="train the model over the configured splits")
         common(p)
         p.add_argument("--data", help="dataset directory")
-        p.add_argument("--variant", choices=("linear", "mlp1", "mlp3"))
-        p.add_argument("--ablate", choices=("no-fr", "no-lr", "no-pe"),
-                       required=(name == "ablate"))
+        p.add_argument("--variant", choices=VARIANTS)
+        p.add_argument("--ablate", choices=ABLATIONS, required=(name == "ablate"))
         p.add_argument("--n-splits", type=int, dest="n_splits")
 
     p = sub.add_parser("baseline", help="run a reference predictor")
     common(p)
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--method", required=True, choices=("majority_vote", "mlp", "deepwalk"))
-    p.add_argument("--variant", choices=("linear", "mlp1", "mlp3"))
+    p.add_argument("--method", required=True, choices=BASELINES)
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--n-splits", type=int, dest="n_splits")
 
     p = sub.add_parser("eval", help="evaluate a stored probability CSV")

@@ -7,7 +7,7 @@ mode is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +30,8 @@ class EvalReport:
     headline: str = HEADLINE_AP_MODE
 
     def to_dict(self) -> dict:
-        return {
-            "ap_micro": self.ap_micro,
-            "ap_macro": self.ap_macro,
-            "ap_samples": self.ap_samples,
-            "split": self.split,
-            "n_eval": self.n_eval,
-            "headline": self.headline,
-        }
+        # the package writes asdict(report); perfbench/run.py still calls this
+        return asdict(self)
 
 
 def _row_aps(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:

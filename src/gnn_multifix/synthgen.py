@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import GenerationInfeasibleError
-from .graph import Dataset, Graph, label_homophily, make_dataset
+from .graph import Dataset, Graph, jaccard_per_edge, label_homophily, make_dataset
 from .rng import substream
 
 GENERATOR_VERSION = "1.0"
@@ -193,14 +193,15 @@ class _PairSampler:
 
     def __init__(self, labels: np.ndarray):
         self.n = labels.shape[0]
-        self.bool_labels = labels.astype(bool)
+        self.labels = labels
         self.strata = (
             _Stratum(_label_set_groups(labels)),
             _Stratum(np.flatnonzero(labels[:, c]) for c in range(labels.shape[1])),
         )
 
     def propose(self, rng, size: int):
-        """(u, v, jaccard) arrays for `size` candidate pairs."""
+        """(u, v, jaccard) arrays for `size` candidate pairs; jaccard is NaN
+        where a label set is empty, so such a pair is never accepted."""
         strata = rng.integers(0, 3, size=size)
         for index, stratum in enumerate(self.strata):
             if stratum.cdf is None:
@@ -219,11 +220,7 @@ class _PairSampler:
             b = (rng.random(k) * (self.n - 1)).astype(np.int64)
             b = b + (b >= a)
             u[m2], v[m2] = a, b
-
-        yb = self.bool_labels
-        inter = (yb[u] & yb[v]).sum(axis=1).astype(np.float64)
-        union = (yb[u] | yb[v]).sum(axis=1).astype(np.float64)
-        jac = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
+        jac, _ = jaccard_per_edge(np.column_stack((u, v)), self.labels)
         return u, v, jac
 
 

@@ -234,6 +234,30 @@ def test_eval_command(tmp_path):
     assert report["ap_samples"] == pytest.approx(1.0)
 
 
+def test_eval_scores_the_split_of_the_runs_first_seed(tmp_path):
+    # without splits.tsv the split comes from the seed: seed 5 here, not --seed's 0
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--seed", "3", "--set", "synth.n=300"]) == 0
+    flags = ["--data", str(data), "--set", "n_splits=1", "--set", "seeds=[5]"]
+    assert main(["train", *flags, "--out", str(run), *SMALL_MODEL]) == 0
+    assert main(["eval", *flags, "--probs", str(run / "split_0" / "probs.csv"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    report = json.loads((run / "split_0" / "report.json").read_text())
+    assert json.loads((tmp_path / "eval" / "eval_test.json").read_text()) == report["test"]
+
+
+def test_eval_refuses_a_seed_list_as_train_does(tmp_path, capsys):
+    data = write_toy_dataset(tmp_path, with_split=False)
+    flags = ["--data", str(data), "--set", "n_splits=3", "--set", "seeds=[1, 2]"]
+    assert main(["train", *flags, "--out", str(tmp_path / "run")]) == 1
+    refused = capsys.readouterr().err
+    assert refused == "error: seed list has 2 entries for n_splits=3\n"
+    assert main(["eval", *flags, "--probs", str(tmp_path / "probs.csv"),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == refused
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
     data = write_toy_dataset(tmp_path)
@@ -479,3 +503,31 @@ def test_generate_and_train_do_not_import_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+
+def import_with_gmfx_threads(value, code="import gnn_multifix"):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["GMFX_THREADS"] = value
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", " 2", "1.5"])
+def test_gmfx_threads_that_is_not_a_positive_integer_is_refused(value):
+    # OpenBLAS reads such a value as "use every core"
+    out = import_with_gmfx_threads(value)
+    assert out.returncode != 0
+    assert out.stderr.strip().splitlines()[-1] == (
+        f"ValueError: GMFX_THREADS must be a positive integer, got {value!r}"
+    )
+
+
+def test_empty_gmfx_threads_means_unset():
+    out = import_with_gmfx_threads(
+        "", "import os, gnn_multifix; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "None"

@@ -95,6 +95,15 @@ def test_degree_lands_near_request():
     assert abs(avg - 20) / 20 <= 0.2
 
 
+def test_graph_links_no_node_with_an_empty_label_set():
+    # a pair's Jaccard is undefined (NaN) at an empty set, so the sampler never accepts it
+    spec = SynthSpec(n=300, seed=2)
+    labels = generate_labels(spec)
+    labels[:5] = 0
+    edges = generate_graph(labels, spec).edge_array()
+    assert len(edges) > 0 and not np.isin(edges, np.arange(5)).any()
+
+
 def test_graph_deterministic():
     spec = SynthSpec(n=300, target_homophily=0.6, seed=8, avg_degree=12)
     labels = generate_labels(spec)
