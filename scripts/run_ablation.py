@@ -28,7 +28,7 @@ from gnn_multifix.model import VARIANTS
 import numpy as np
 
 
-ABLATIONS = {"full": {}, **{name: {flag: False} for name, flag in GMFX_ABLATIONS.items()}}
+ABLATIONS = {"full": {}, **GMFX_ABLATIONS}
 
 
 def main():

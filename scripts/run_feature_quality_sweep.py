@@ -16,17 +16,24 @@ from pathlib import Path
 
 # gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
 from gnn_multifix import (
+    TRAINED_BASELINES,
     ModelConfig,
     compute_representations,
     evaluate,
     generate_dataset,
     make_splits,
-    mlp_baseline,
     predict,
     train,
 )
 from gnn_multifix.synthgen import SynthSpec
 import numpy as np
+
+
+def fit_test_ap(ds, cfg):
+    """Test samples-AP of the model fitted on ds with cfg."""
+    reps = compute_representations(ds, cfg)
+    model, _, _ = train(ds, cfg, reps=reps)
+    return evaluate(predict(model, ds, reps=reps), ds, "test").ap_samples
 
 
 def main():
@@ -49,10 +56,8 @@ def main():
             dataset, _ = generate_dataset(spec)
             ds = make_splits(dataset, 0.6, 0.2, seed)
             cfg = replace(base, seed=seed)
-            mlp_aps.append(evaluate(mlp_baseline(ds, cfg).probs, ds, "test").ap_samples)
-            reps = compute_representations(ds, cfg)
-            model, _, _ = train(ds, cfg, reps=reps)
-            model_aps.append(evaluate(predict(model, ds, reps=reps), ds, "test").ap_samples)
+            mlp_aps.append(fit_test_ap(ds, replace(cfg, **TRAINED_BASELINES["mlp"])))
+            model_aps.append(fit_test_ap(ds, cfg))
         record = {
             "r_ori_feat": r,
             "mlp": {"mean": float(np.mean(mlp_aps)), "std": float(np.std(mlp_aps))},

@@ -4,22 +4,23 @@ training-dynamics instrumentation."""
 
 import os as _os
 
-# GMFX_THREADS caps worker threads, including the BLAS pools numpy picks up
-# at import time, so it must be applied before numpy loads; OpenBLAS would
-# read a value that is not a positive integer as "every core".
-_threads = _os.environ.get("GMFX_THREADS")
-if _threads:
-    if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
-        raise ValueError(f"GMFX_THREADS must be a positive integer, got {_threads!r}")
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
+# GMFX_THREADS (1 when unset) caps worker threads, including the BLAS pools
+# numpy picks up at import time, so it must be applied before numpy loads.
+# The artifacts' bytes depend on the BLAS thread count, so an unset variable
+# gives the same bytes as GMFX_THREADS=1; OpenBLAS would read a value that is
+# not a positive integer as "every core".
+_threads = _os.environ.get("GMFX_THREADS") or "1"
+if not (_threads.isascii() and _threads.isdigit() and int(_threads) > 0):
+    raise ValueError(f"GMFX_THREADS must be a positive integer, got {_threads!r}")
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    _os.environ.setdefault(_var, _threads)
 
-from .baselines import BaselineOutput, deepwalk_baseline, majority_vote, mlp_baseline
+from .baselines import TRAINED_BASELINES, BaselineOutput, majority_vote
 from .evaluation import (
     AtypicalNode,
     DynamicsLog,
@@ -85,13 +86,13 @@ __all__ = [
     "Representations",
     "SparseMatrix",
     "SynthSpec",
+    "TRAINED_BASELINES",
     "WalkCorpus",
     "atypical_node_report",
     "average_precision",
     "bce_loss",
     "checkpoint_epochs",
     "compute_representations",
-    "deepwalk_baseline",
     "evaluate",
     "export_dynamics",
     "forward",
@@ -111,7 +112,6 @@ __all__ = [
     "majority_vote",
     "make_dataset",
     "make_splits",
-    "mlp_baseline",
     "model_loss_and_grads",
     "positional_distinguishability",
     "predict",

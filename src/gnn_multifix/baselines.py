@@ -1,24 +1,32 @@
 """Reference predictors: neighbor vote, feature-only MLP, walk embeddings.
 
-majority_vote is training-free. The other two reuse the model-module trainer
-with the non-relevant blocks disabled, so they share its loss, early
-stopping, and determinism contracts.
+majority_vote is training-free. The other two are ModelConfig presets in
+TRAINED_BASELINES: the model's own trainer with the non-relevant blocks
+disabled, so they share its loss, early stopping, artifacts and determinism
+contracts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Dataset
-from .model import ModelConfig, compute_representations, predict, train
+
+# trained baseline -> the ModelConfig fields it sets
+TRAINED_BASELINES = {
+    # feature-only classifier: the readout trained on raw X (K = 0)
+    "mlp": {"enable_fr": True, "enable_lr": False, "enable_pe": False, "K": 0},
+    # structure-only classifier: the readout trained on walk embeddings
+    "deepwalk": {"enable_fr": False, "enable_lr": False, "enable_pe": True},
+}
 
 
 @dataclass(frozen=True)
 class BaselineOutput:
     probs: np.ndarray
-    coverage: float | None = None
+    coverage: float
 
 
 def majority_vote(dataset: Dataset) -> BaselineOutput:
@@ -55,18 +63,3 @@ def majority_vote(dataset: Dataset) -> BaselineOutput:
     coverage = float(covered[dataset.test_mask].mean()) if n_test else 1.0
     return BaselineOutput(probs=probs, coverage=coverage)
 
-
-def mlp_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
-    """Feature-only classifier: the readout trained on raw X (K = 0)."""
-    cfg = replace(config, enable_fr=True, enable_lr=False, enable_pe=False, K=0)
-    reps = compute_representations(dataset, cfg)
-    model, _, _ = train(dataset, cfg, reps=reps)
-    return BaselineOutput(probs=predict(model, dataset, reps=reps))
-
-
-def deepwalk_baseline(dataset: Dataset, config: ModelConfig) -> BaselineOutput:
-    """Structure-only classifier: the readout trained on walk embeddings."""
-    cfg = replace(config, enable_fr=False, enable_lr=False, enable_pe=True)
-    reps = compute_representations(dataset, cfg)
-    model, _, _ = train(dataset, cfg, reps=reps)
-    return BaselineOutput(probs=predict(model, dataset, reps=reps))

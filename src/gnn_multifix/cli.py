@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: generate, train, ablate (train with modules disabled),
-baseline, eval, dynamics. Configuration precedence is built-in defaults,
-then the --config JSON document, then individual flags, and a key that the
-defaults do not hold is refused; the effective merged configuration is
-always dumped next to the outputs. All artifacts except the sidecar
-run.log are byte-deterministic given config and seed.
+baseline (majority vote, or train on a TRAINED_BASELINES preset), eval,
+dynamics. Configuration precedence is built-in defaults, then the --config
+JSON document, then individual flags, and a key that the defaults do not
+hold is refused; the effective merged configuration, --ablate and --method
+presets applied, is always dumped next to the outputs. All artifacts
+except the sidecar run.log are byte-deterministic given config and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import deepwalk_baseline, majority_vote, mlp_baseline
+from .baselines import TRAINED_BASELINES, majority_vote
 from .errors import GenerationInfeasibleError, TrainingDivergedError
 from .evaluation import atypical_node_report, evaluate, export_dynamics, import_dynamics
 from .graph import make_splits
@@ -29,14 +30,17 @@ from .synthgen import SynthSpec, generate_dataset
 
 
 DATA_KEYS = ("dir", "edges", "labels", "features", "splits")
-# --method name -> fit(dataset, run_cfg) returning a BaselineOutput
-BASELINES = {
-    "majority_vote": lambda ds, run_cfg: majority_vote(ds),
-    "mlp": mlp_baseline,
-    "deepwalk": deepwalk_baseline,
+# --ablate name -> the ModelConfig fields it sets, as TRAINED_BASELINES for --method
+ABLATIONS = {f"no-{block}": {f"enable_{block}": False} for block in ("fr", "lr", "pe")}
+# flag -> the config keys it sets; --data DIR replaces the whole data section
+FLAG_KEYS = {
+    "out": ("out",),
+    "seed": ("model.seed", "synth.seed"),
+    "homophily": ("synth.target_homophily",),
+    "feat_quality": ("synth.r_ori_feat",),
+    "variant": ("model.variant",),
+    "n_splits": ("n_splits",),
 }
-# --ablate name -> the ModelConfig flag it turns off
-ABLATIONS = {"no-fr": "enable_fr", "no-lr": "enable_lr", "no-pe": "enable_pe"}
 
 
 def default_config() -> dict:
@@ -120,22 +124,11 @@ def build_config(args) -> dict:
         with open(args.config, "r", encoding="utf-8") as fh:
             _deep_update(cfg, json.load(fh))
         _check_config(cfg, known)
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg["model"]["seed"] = args.seed
-        cfg["synth"]["seed"] = args.seed
-    if getattr(args, "homophily", None) is not None:
-        cfg["synth"]["target_homophily"] = args.homophily
-    if getattr(args, "feat_quality", None) is not None:
-        cfg["synth"]["r_ori_feat"] = args.feat_quality
-    if getattr(args, "variant", None):
-        cfg["model"]["variant"] = args.variant
-    if getattr(args, "n_splits", None) is not None:
-        cfg["n_splits"] = args.n_splits
+    flags = [(key, getattr(args, flag)) for flag, keys in FLAG_KEYS.items()
+             if getattr(args, flag, None) is not None for key in keys]
     if getattr(args, "data", None):
-        cfg["data"] = {"dir": args.data}
-    for key, value in getattr(args, "set", None) or []:
+        flags.append(("data", {"dir": args.data}))
+    for key, value in flags + (getattr(args, "set", None) or []):
         node = cfg
         *parents, leaf = key.split(".")
         for p in parents:
@@ -144,8 +137,8 @@ def build_config(args) -> dict:
                 raise ValueError(f"unknown config key '{key}'")
         node[leaf] = value
     _check_config(cfg, known)
-    if getattr(args, "ablate", None):
-        cfg["model"][ABLATIONS[args.ablate]] = False
+    for table, flag in ((ABLATIONS, "ablate"), (TRAINED_BASELINES, "method")):
+        cfg["model"].update(table.get(getattr(args, flag, None), {}))
     return cfg
 
 
@@ -213,30 +206,31 @@ def _split_for_run(dataset, cfg, seed):
     return make_splits(dataset, cfg["train_frac"], cfg["val_frac"], seed)
 
 
-def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
+def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
     """Fit and score every configured split; the loop `train` and `baseline` share.
 
     fit(dataset, run_cfg, split_dir) returns the probabilities and the
     command's own report fields, and writes the command's own artifacts. A
-    split count, seed list or model config that cannot be run is refused
-    before anything is written. A diverging split ends the run with exit
-    status 1, and a split that raises ValueError re-raises it; either leaves
-    a line in run.log.
+    baseline's method goes into every report and the summary. A split
+    count, seed list, split fractions or model config that cannot be run is
+    refused before anything is written. A diverging split ends the run with
+    exit status 1, and a split that raises ValueError re-raises it; either
+    leaves a line in run.log.
     """
     seeds = _resolve_seeds(cfg)
     model_cfg = ModelConfig(**cfg["model"])
     dataset = _load_data(cfg)
+    splits = [_split_for_run(dataset, cfg, seed) for seed in seeds]
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, outdir / "effective_config.json")
+    method_field = {"method": method} if method else {}
     per_split = []
-    for i, seed in enumerate(seeds):
+    for i, (seed, ds) in enumerate(zip(seeds, splits)):
         split_dir = outdir / f"split_{i}"
         split_dir.mkdir(exist_ok=True)
         try:
-            run_cfg = replace(model_cfg, seed=seed)
-            ds = _split_for_run(dataset, cfg, seed)
-            probs, fields = fit(ds, run_cfg, split_dir)
+            probs, fields = fit(ds, replace(model_cfg, seed=seed), split_dir)
         except TrainingDivergedError as err:
             print(f"split {i}: {err}", file=sys.stderr)
             _sidecar_log(outdir, f"split {i}: {err}")
@@ -246,6 +240,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
             raise
         report = {
             **fields,
+            **method_field,
             "val": asdict(evaluate(probs, ds, "val")),
             "test": asdict(evaluate(probs, ds, "test")),
             "seed": seed,
@@ -254,7 +249,7 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
         write_probability_csv(probs, split_dir / "probs.csv")
         per_split.append(report)
         print(f"split {i}: test samples-AP {report['test']['ap_samples']:.4f}")
-    summary = {"n_splits": len(per_split), "splits": per_split, **summary_fields}
+    summary = {"n_splits": len(per_split), "splits": per_split, **method_field}
     for split_name in ("val", "test"):
         summary[split_name] = {}
         for mode in ("ap_micro", "ap_macro", "ap_samples"):
@@ -266,28 +261,27 @@ def _run_splits(cfg, command: str, fit, **summary_fields) -> int:
     return 0
 
 
-def cmd_train(cfg) -> int:
-    def fit(ds, run_cfg, split_dir):
-        reps = compute_representations(ds, run_cfg)
-        model, log, best_val_ap = train(
-            ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl"
-        )
-        save_model(model, split_dir / "model.ckpt")
-        export_dynamics(log, split_dir / "dynamics.csv")
-        return predict(model, ds, reps=reps), {"best_val_ap": best_val_ap}
+def _fit_model(ds, run_cfg, split_dir):
+    """The fit of `train` and of the trained baselines: model.ckpt, metrics and dynamics."""
+    reps = compute_representations(ds, run_cfg)
+    model, log, best_val_ap = train(ds, run_cfg, reps=reps, metrics_path=split_dir / "metrics.jsonl")
+    save_model(model, split_dir / "model.ckpt")
+    export_dynamics(log, split_dir / "dynamics.csv")
+    return predict(model, ds, reps=reps), {"best_val_ap": best_val_ap}
 
-    return _run_splits(cfg, "train", fit)
+
+def _fit_majority_vote(ds, run_cfg, split_dir):
+    result = majority_vote(ds)
+    return result.probs, {"coverage": result.coverage}
+
+
+def cmd_train(cfg) -> int:
+    return _run_splits(cfg, "train", _fit_model)
 
 
 def cmd_baseline(cfg, method: str) -> int:
-    def fit(ds, run_cfg, split_dir):
-        result = BASELINES[method](ds, run_cfg)
-        fields = {"method": method}
-        if result.coverage is not None:
-            fields["coverage"] = result.coverage
-        return result.probs, fields
-
-    return _run_splits(cfg, f"baseline {method}", fit, method=method)
+    fit = _fit_model if method in TRAINED_BASELINES else _fit_majority_vote
+    return _run_splits(cfg, f"baseline {method}", fit, method)
 
 
 def cmd_eval(cfg, probs_path, split: str) -> int:
@@ -351,7 +345,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run a reference predictor")
     common(p)
     p.add_argument("--data", help="dataset directory")
-    p.add_argument("--method", required=True, choices=BASELINES)
+    p.add_argument("--method", required=True, choices=("majority_vote", *TRAINED_BASELINES))
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--n-splits", type=int, dest="n_splits")
 

@@ -1,14 +1,32 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gnn_multifix import Graph, SparseMatrix, make_dataset, make_splits
+from gnn_multifix import (
+    TRAINED_BASELINES,
+    Graph,
+    SparseMatrix,
+    compute_representations,
+    make_dataset,
+    make_splits,
+    predict,
+    train,
+)
 from gnn_multifix import graph as graph_module
 from gnn_multifix import positional
 from gnn_multifix.errors import DatasetParseError, UndefinedMetricError
 from gnn_multifix.graph import _with_self_loops
 from gnn_multifix.rng import substream
+
+
+def trained_baseline_probs(dataset, config, method):
+    """Probabilities of the TRAINED_BASELINES preset `method` fitted on dataset from config."""
+    cfg = replace(config, **TRAINED_BASELINES[method])
+    reps = compute_representations(dataset, cfg)
+    model, _, _ = train(dataset, cfg, reps=reps)
+    return predict(model, dataset, reps=reps)
 
 
 def rw_transition(graph):

@@ -25,7 +25,6 @@ from gnn_multifix import (
     majority_vote,
     make_dataset,
     make_splits,
-    mlp_baseline,
     model_loss_and_grads,
     positional_distinguishability,
     predict,
@@ -43,6 +42,7 @@ from conftest import (
     build_twin_path_dataset,
     dense_propagation_oracle,
     rw_transition,
+    trained_baseline_probs,
 )
 from test_evaluation import brute_force_ap
 from test_graph import _brute_force_homophily
@@ -264,8 +264,8 @@ def test_criterion_06b_mlp_feature_quality_trend():
                 SynthSpec(n=1000, target_homophily=0.2, r_ori_feat=r, seed=seed)
             )
             ds = make_splits(ds, 0.6, 0.2, seed)
-            out = mlp_baseline(ds, replace(cfg, seed=seed))
-            aps.append(evaluate(out.probs, ds, "test").ap_samples)
+            probs = trained_baseline_probs(ds, replace(cfg, seed=seed), "mlp")
+            aps.append(evaluate(probs, ds, "test").ap_samples)
         wins += aps[0] <= aps[1] + 1e-9 and aps[1] <= aps[2] + 1e-9
         rows.append([round(a, 3) for a in aps])
     elapsed = time.monotonic() - start

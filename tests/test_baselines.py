@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from gnn_multifix import (
-    Graph,
-    ModelConfig,
-    deepwalk_baseline,
-    evaluate,
-    majority_vote,
-    make_dataset,
-    make_splits,
-    mlp_baseline,
-)
+from gnn_multifix import Graph, ModelConfig, evaluate, majority_vote, make_dataset, make_splits
 from gnn_multifix.synthgen import SynthSpec, generate_graph, generate_labels
 
-from conftest import build_random_dataset, build_two_clique_dataset
+from conftest import build_random_dataset, build_two_clique_dataset, trained_baseline_probs
 
 
 def fast_config(**kw):
@@ -144,8 +135,8 @@ def test_vote_scatter_matches_per_node_loop(seed):
 def test_mlp_constant_features_give_constant_predictions():
     ds = build_two_clique_dataset(6)
     ds = make_splits(ds, 0.6, 0.2, seed=1).with_features(np.ones((12, 3)))
-    out = mlp_baseline(ds, fast_config())
-    assert np.abs(out.probs - out.probs[0]).max() < 1e-12
+    probs = trained_baseline_probs(ds, fast_config(), "mlp")
+    assert np.abs(probs - probs[0]).max() < 1e-12
 
 
 def test_mlp_perfect_signal_features():
@@ -156,27 +147,27 @@ def test_mlp_perfect_signal_features():
     graph = generate_graph(labels, spec)
     ds = make_dataset(graph, labels, features=labels.astype(float))
     ds = make_splits(ds, 0.6, 0.2, seed=6)
-    out = mlp_baseline(ds, fast_config(hidden_dim=32, max_epochs=400, patience=80))
-    assert evaluate(out.probs, ds, "test").ap_samples >= 0.99
+    cfg = fast_config(hidden_dim=32, max_epochs=400, patience=80)
+    probs = trained_baseline_probs(ds, cfg, "mlp")
+    assert evaluate(probs, ds, "test").ap_samples >= 0.99
 
 
 def test_mlp_deterministic():
     ds = build_two_clique_dataset(6)
     rng = np.random.default_rng(3)
     ds = make_splits(ds, 0.6, 0.2, seed=2).with_features(rng.normal(size=(12, 4)))
-    a = mlp_baseline(ds, fast_config())
-    b = mlp_baseline(ds, fast_config())
-    assert np.array_equal(a.probs, b.probs)
+    a = trained_baseline_probs(ds, fast_config(), "mlp")
+    b = trained_baseline_probs(ds, fast_config(), "mlp")
+    assert np.array_equal(a, b)
 
 
 def test_deepwalk_two_cliques_beats_constant_features():
     ds = make_splits(build_two_clique_dataset(8), 0.6, 0.2, seed=4)
     cfg = fast_config(variant="linear")
-    dw = deepwalk_baseline(ds, cfg)
-    dw_ap = evaluate(dw.probs, ds, "test").ap_samples
+    dw_ap = evaluate(trained_baseline_probs(ds, cfg, "deepwalk"), ds, "test").ap_samples
     assert dw_ap == pytest.approx(1.0)
-    flat = mlp_baseline(ds.with_features(np.ones((ds.n, 3))), cfg)
-    flat_ap = evaluate(flat.probs, ds, "test").ap_samples
+    flat = trained_baseline_probs(ds.with_features(np.ones((ds.n, 3))), cfg, "mlp")
+    flat_ap = evaluate(flat, ds, "test").ap_samples
     assert dw_ap > flat_ap
 
 
@@ -189,17 +180,17 @@ def test_deepwalk_handles_isolated_test_node():
     val = np.array([0, 0, 0, 1, 0, 0, 0], bool)
     test = np.array([0, 0, 0, 0, 0, 1, 1], bool)
     ds = make_dataset(g, labels, train_mask=train, val_mask=val, test_mask=test)
-    out = deepwalk_baseline(ds, fast_config(variant="linear", max_epochs=40))
-    assert out.probs.shape == (7, 2)
-    assert np.all(np.isfinite(out.probs))
+    probs = trained_baseline_probs(ds, fast_config(variant="linear", max_epochs=40), "deepwalk")
+    assert probs.shape == (7, 2)
+    assert np.all(np.isfinite(probs))
 
 
 def test_deepwalk_deterministic():
     ds = make_splits(build_two_clique_dataset(6), 0.6, 0.2, seed=5)
     cfg = fast_config(variant="linear", max_epochs=60)
-    a = deepwalk_baseline(ds, cfg)
-    b = deepwalk_baseline(ds, cfg)
-    assert np.array_equal(a.probs, b.probs)
+    a = trained_baseline_probs(ds, cfg, "deepwalk")
+    b = trained_baseline_probs(ds, cfg, "deepwalk")
+    assert np.array_equal(a, b)
 
 
 def test_vote_ap_rises_with_homophily_holding_degree_fixed():

@@ -277,17 +277,18 @@ def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
         assert re.search(r"^\S+ split 0: non-finite loss at epoch \d+$", log, re.M), command
 
 
+TRAIN_FILES = {"report.json", "probs.csv", "model.ckpt", "metrics.jsonl", "dynamics.csv",
+               "dynamics_summary.csv"}
+
+
 @pytest.mark.parametrize("command, files, keys", [
-    (["train"],
-     {"report.json", "probs.csv", "model.ckpt", "metrics.jsonl", "dynamics.csv",
-      "dynamics_summary.csv"},
-     {"best_val_ap", "seed", "val", "test"}),
+    (["train"], TRAIN_FILES, {"best_val_ap", "seed", "val", "test"}),
     (["baseline", "--method", "majority_vote"], {"report.json", "probs.csv"},
      {"method", "coverage", "seed", "val", "test"}),
-    (["baseline", "--method", "mlp"], {"report.json", "probs.csv"},
-     {"method", "seed", "val", "test"}),
-    (["baseline", "--method", "deepwalk"], {"report.json", "probs.csv"},
-     {"method", "seed", "val", "test"}),
+    # a trained baseline runs train's fit and writes train's files
+    (["baseline", "--method", "mlp"], TRAIN_FILES, {"best_val_ap", "method", "seed", "val", "test"}),
+    (["baseline", "--method", "deepwalk"], TRAIN_FILES,
+     {"best_val_ap", "method", "seed", "val", "test"}),
 ], ids=["train", "majority_vote", "mlp", "deepwalk"])
 def test_split_files_and_report_keys_per_command(tmp_path, command, files, keys):
     data = write_toy_dataset(tmp_path, with_split=False)
@@ -304,6 +305,36 @@ def test_split_files_and_report_keys_per_command(tmp_path, command, files, keys)
         assert set(report) == keys
         assert report["seed"] == 3 + i
         assert summary["splits"][i] == report
+
+
+def test_baseline_mlp_is_train_on_its_preset(tmp_path):
+    data = write_toy_dataset(tmp_path, with_split=False)
+    common = ["--data", str(data), "--seed", "3", "--n-splits", "1", "--variant", "mlp1",
+              *SMALL_MODEL, "--set", "model.feature_policy=degree"]
+    baseline, trained = tmp_path / "baseline", tmp_path / "train"
+    assert main(["baseline", "--method", "mlp", "--out", str(baseline), *common]) == 0
+    assert main(["train", "--out", str(trained), *common, "--set", "model.K=0",
+                 "--set", "model.enable_lr=false", "--set", "model.enable_pe=false"]) == 0
+    names = ["split_0/probs.csv", "split_0/model.ckpt", "split_0/dynamics.csv"]
+    assert read_bytes_map(baseline, names) == read_bytes_map(trained, names)
+    # effective_config.json holds the model that trained
+    model = json.loads((baseline / "effective_config.json").read_text())["model"]
+    assert (model["K"], model["enable_fr"], model["enable_lr"], model["enable_pe"]) == (
+        0, True, False, False)
+    assert model == json.loads((trained / "effective_config.json").read_text())["model"]
+
+
+def test_dynamics_reads_a_deepwalk_baseline_run(tmp_path):
+    data = write_toy_dataset(tmp_path)
+    out = tmp_path / "dw"
+    assert main(["baseline", "--method", "deepwalk", "--data", str(data), "--out", str(out),
+                 "--seed", "3", "--n-splits", "1", *SMALL_MODEL]) == 0
+    model = json.loads((out / "effective_config.json").read_text())["model"]
+    assert (model["enable_fr"], model["enable_lr"], model["enable_pe"]) == (False, False, True)
+    assert main(["dynamics", "--run", str(out), "--k", "5"]) == 0
+    report = (out / "split_0" / "atypical_nodes.csv").read_text().strip().splitlines()
+    assert report[0] == "node_id,final_loss,slope"
+    assert len(report) == 6
 
 
 def test_baseline_mlp_without_features_or_policy_exits_like_train(tmp_path, capsys):
@@ -399,6 +430,27 @@ def test_unrunnable_split_count_is_refused_before_any_file(tmp_path, capsys, ext
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *extra]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--set", "val_frac=0.5"], "train_frac + val_frac must be < 1 (got 1.1)"),
+    (["--set", "train_frac=0"], "fractions must lie in (0, 1)"),
+    (["--set", "val_frac=1.5"], "fractions must lie in (0, 1)"),
+], ids=["sum", "zero", "above-one"])
+def test_unrunnable_split_fractions_are_refused_before_any_file(tmp_path, capsys, extra, message):
+    data = write_toy_dataset(tmp_path, with_split=False)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
+                 *SMALL_MODEL, *extra]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_split_fractions_are_ignored_when_the_dataset_has_splits(tmp_path):
+    data = write_toy_dataset(tmp_path)
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
+                 *SMALL_MODEL, "--set", "val_frac=0.5"]) == 0
+    assert (tmp_path / "run" / "split_0" / "probs.csv").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -507,8 +559,11 @@ def test_generate_and_train_do_not_import_numpy_ma(tmp_path):
 
 
 def import_with_gmfx_threads(value, code="import gnn_multifix"):
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["GMFX_THREADS"] = value
+    """Run code in a child whose GMFX_THREADS is value (None: unset) and no *_NUM_THREADS is set."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "GMFX_THREADS"}
+    if value is not None:
+        env["GMFX_THREADS"] = value
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -526,8 +581,28 @@ def test_gmfx_threads_that_is_not_a_positive_integer_is_refused(value):
 
 
 def test_empty_gmfx_threads_means_unset():
-    out = import_with_gmfx_threads(
-        "", "import os, gnn_multifix; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "None"
+    # an unset GMFX_THREADS caps the BLAS pools at one thread
+    for value in (None, ""):
+        out = import_with_gmfx_threads(
+            value, "import os, gnn_multifix; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "1", value
+
+
+def test_unset_gmfx_threads_trains_the_bytes_of_one_thread(tmp_path):
+    # On a machine with one core both runs use one BLAS thread anyway, so
+    # there this test passes even without the default of one thread.
+    runs = {}
+    for name, value in (("unset", None), ("one", "1")):
+        data, run = tmp_path / name / "data", tmp_path / name / "run"
+        code = (
+            "from gnn_multifix.cli import main\n"
+            f"assert main(['generate', '--seed', '4', '--set', 'synth.n=300', '--out', {str(data)!r}]) == 0\n"
+            f"assert main(['train', '--data', {str(data)!r}, '--out', {str(run)!r}, '--n-splits', '1',"
+            " '--set', 'model.max_epochs=60', '--set', 'model.pe_epochs=1']) == 0\n"
+        )
+        out = import_with_gmfx_threads(value, code)
+        assert out.returncode == 0, out.stderr
+        runs[name] = read_bytes_map(run / "split_0", ["probs.csv", "model.ckpt"])
+    assert runs["unset"] == runs["one"]

@@ -443,7 +443,7 @@ def test_linear_real_features_are_propagated_then_projected(K):
     ds = base.with_features(rng.normal(size=(base.n, 6)))
     adj = sym_norm_adjacency(ds.graph)
     cfg = small_config(K=K, seed=K)
-    # the config mlp_baseline trains with: feature block only, K = 0
+    # the config the mlp baseline trains with: feature block only, K = 0
     baseline_cfg = replace(cfg, enable_lr=False, enable_pe=False, K=0)
     for c in (cfg, baseline_cfg):
         reps = compute_representations(ds, c)
