@@ -3,15 +3,19 @@
 
 Generates a seed-4 n=300 dataset, a copy of it without features.csv and
 a copy that ships a splits.tsv listing every node (node v goes to train,
-train, train, val, test by v mod 5). On the first two it runs, in this
-process through gnn_multifix.cli.main: `train` with linear, mlp1 and mlp3;
-`ablate` with no-fr, no-lr and no-pe under linear and mlp1; `baseline` with
+train, train, val, test by v mod 5). On the first it runs, in this process
+through gnn_multifix.cli.main: `train` with linear, mlp1 and mlp3; `ablate`
+with no-fr, no-lr and no-pe under linear and mlp1; `baseline` with
 majority_vote, mlp (--variant mlp1) and deepwalk under the degree policy.
-Then it runs `train` (linear) on the copy with splits.tsv, `train` (linear)
-on the first dataset with 2 skip-gram epochs, `eval` of the first linear
-run's split_0/probs.csv, and `dynamics` on that run. Every training run
-takes 2 splits, 60 epochs and 3 walks per node, with GMFX_THREADS=1, and all
-but the 2-epoch one take 1 skip-gram epoch.
+On the featureless copy it runs the same matrix but for the four runs that
+never read features (the majority_vote and deepwalk baselines and the two
+no-fr ablations), whose bytes would repeat the first dataset's, and adds
+`train` (linear) under the degree policy. Then it runs `train` (linear) on
+the copy with splits.tsv, `train` (linear) on the first dataset with 2
+skip-gram epochs, `eval` of the first linear run's split_0/probs.csv, and
+`dynamics` on that run. Every training run takes 2 splits, 60 epochs and 3
+walks per node, with GMFX_THREADS=1, and all but the 2-epoch one take 1
+skip-gram epoch.
 
 Prints "sha256  path" for every file under DIR except run.log and
 effective_config.json, paths relative to DIR. Two source trees that keep
@@ -55,6 +59,14 @@ RUNS = {
         for m, extra in (("majority_vote", []), ("mlp", ["--variant", "mlp1"]), ("deepwalk", []))
     },
 }
+# the featureless copy: runs that read no features would repeat the
+# first dataset's bytes, and the degree policy takes the narrow D=1 readout
+FEATURELESS_RUNS = {
+    **{name: argv for name, argv in RUNS.items()
+       if name not in ("baseline-majority_vote", "baseline-deepwalk")
+       and not name.endswith("-no-fr")},
+    "train-linear-degree": [*RUNS["train-linear"], "--set", "model.feature_policy=degree"],
+}
 UNHASHED = {"run.log", "effective_config.json"}
 
 
@@ -81,8 +93,8 @@ def main():
         for name in names:
             (data / kind / name).write_bytes((data / "features" / name).read_bytes())
     (data / "split" / "splits.tsv").write_text("".join(f"{v}\t{SPLIT_OF[v % 5]}\n" for v in range(N)))
-    for kind in ("features", "featureless"):
-        for name, argv in RUNS.items():
+    for kind, runs in (("features", RUNS), ("featureless", FEATURELESS_RUNS)):
+        for name, argv in runs.items():
             run([*argv, *SETTINGS, "--data", str(data / kind), "--out", str(out / kind / name)])
     run([*RUNS["train-linear"], *SETTINGS, "--data", str(data / "split"),
          "--out", str(out / "split" / "train-linear")])

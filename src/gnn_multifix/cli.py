@@ -165,6 +165,11 @@ def _sidecar_log(outdir: Path, message: str):
         fh.write(f"{stamp} {message}\n")
 
 
+def _describe(err: Exception) -> str:
+    """The message of an error as `gmfx` reports it; a MemoryError says it is one."""
+    return f"out of memory: {err}" if isinstance(err, MemoryError) else str(err)
+
+
 def _load_data(cfg):
     data = cfg.get("data") or {}
     if "dir" in data:
@@ -214,8 +219,8 @@ def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
     baseline's method goes into every report and the summary. A split
     count, seed list, split fractions or model config that cannot be run is
     refused before anything is written. A diverging split ends the run with
-    exit status 1, and a split that raises ValueError re-raises it; either
-    leaves a line in run.log.
+    exit status 1, and a split that raises ValueError or MemoryError
+    re-raises it; either leaves a line in run.log.
     """
     seeds = _resolve_seeds(cfg)
     model_cfg = ModelConfig(**cfg["model"])
@@ -235,8 +240,8 @@ def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
             print(f"split {i}: {err}", file=sys.stderr)
             _sidecar_log(outdir, f"split {i}: {err}")
             return 1
-        except ValueError as err:
-            _sidecar_log(outdir, f"split {i}: error: {err}")
+        except (ValueError, MemoryError) as err:
+            _sidecar_log(outdir, f"split {i}: error: {_describe(err)}")
             raise
         report = {
             **fields,
@@ -380,8 +385,8 @@ def main(argv=None) -> int:
     except GenerationInfeasibleError as err:
         print(f"generation infeasible: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        print(f"error: {_describe(err)}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")
 

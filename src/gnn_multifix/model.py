@@ -8,10 +8,13 @@ readout trained with binary cross entropy. Variants:
           projection P of the propagated features to hidden width, one
           affine readout layer; the whole map from representations to logits
           is linear. P is part of the representations, not of the model:
-          :func:`compute_representations` applies it (for identity features
-          it propagates P itself, since A^K · I · P = A^K · P, so the n x n
-          identity is never built), and checkpoints hold only trained
-          parameters.
+          :func:`compute_representations` draws it, and checkpoints hold
+          only trained parameters. Features narrower than hidden_dim stay
+          unprojected beside P, and the readout applies P to its weight
+          instead (A^K·X·P·W = A^K·X·(P·W)), so its input is D wide, not
+          hidden_dim. Identity features propagate P itself
+          (A^K · I · P = A^K · P), so the n x n identity is never built
+          and the block arrives projected.
   mlp1    ReLU feature propagation, trainable affine+ReLU feature transform,
           one affine readout layer.
   mlp3    as mlp1 but with a three-layer ReLU readout.
@@ -25,9 +28,10 @@ value, one float64 array per enabled block, which :func:`train` and
 :func:`compute_representations` alone decide what a featureless dataset
 gets. The readout input is Z, or hstack([ft(F), Z]) for the mlp variants
 with the feature block on: F is the operand of the feature transform ``ft``
-and Z every other enabled block, joined once. Training reads only the rows
+and Z every other enabled block, joined once, with the linear variant's P
+when its features come unprojected. Training reads only the rows
 it needs: the BCE and its gradient read the train nodes and early stopping
-reads the validation nodes, so :func:`train` builds (F, Z) once for each of
+reads the validation nodes, so :func:`train` builds (F, Z, P) once for each of
 those row sets, and each epoch runs one readout of each. The post-step
 train readout of epoch t is the pre-step one of epoch t+1. Only
 :func:`predict` computes every row.
@@ -155,21 +159,33 @@ def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: in
     return model
 
 
-def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
+def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None, P=None):
     """Check the enabled blocks and build the parts of the readout input that never train.
 
-    H_f, H_l and pe are the blocks of :class:`Representations`, as arrays
-    (None for a disabled block). Returns (F, Z). F is the operand of the
-    feature transform ``ft`` (the mlp variants' feature block), else None.
-    Z is every other enabled block joined once in readout order, zero
-    columns wide when F is the only block. With ``rows``, a boolean node
-    mask, F and Z hold only the masked rows, sliced before Z is joined.
+    H_f, H_l, pe and P are the fields of :class:`Representations`, as
+    arrays (None for a disabled block, or for P when H_f is projected).
+    Returns (F, Z, P). F is the operand of the feature transform ``ft`` (the
+    mlp variants' feature block), else None. Z is every other enabled block
+    joined once in readout order, zero columns wide when F is the only
+    block. P is the linear variant's projection when Z leads with the
+    unprojected feature_dim-wide features, else None. With ``rows``, a
+    boolean node mask, F and Z hold only the masked rows, sliced before Z
+    is joined.
     """
     c = model.config
     linear = c.variant == "linear"
+    if not c.enable_fr:
+        P = None
+    elif P is not None:
+        if not linear:
+            raise ShapeError(f"the {c.variant} variant's features take no projection")
+        if P.shape != (model.feature_dim, c.hidden_dim):
+            raise ShapeError(
+                f"projection is {P.shape}, expected ({model.feature_dim}, {c.hidden_dim})"
+            )
     blocks = []
     for name, block, enabled, width in (
-        ("feature", H_f, c.enable_fr, c.hidden_dim if linear else model.feature_dim),
+        ("feature", H_f, c.enable_fr, c.hidden_dim if linear and P is None else model.feature_dim),
         ("label", H_l, c.enable_lr, model.n_labels),
         ("positional", pe, c.enable_pe, c.pe_dim),
     ):
@@ -190,12 +206,19 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None):
         blocks = [b[rows] for b in blocks]
     F = blocks.pop(0) if c.enable_fr and not linear else None
     Z = np.hstack(blocks) if blocks else np.empty((len(F), 0))
-    return F, Z
+    return F, Z, P
 
 
-def _dense(model: MultiFixModel, name: str, x, cache, relu: bool):
-    """Layer ``name`` on x, keeping (x, ReLU mask or None) in cache under the name."""
-    pre = x @ model.params[f"{name}_W"] + model.params[f"{name}_b"]
+def _dense(model: MultiFixModel, name: str, x, cache, relu: bool, P=None):
+    """Layer ``name`` on x, keeping (x, ReLU mask or None) in cache under the name.
+
+    With a projection P (k x h), x's leading k columns stand for their
+    product with P, so the layer takes the weight W_eff = [P · W[:h] ; W[h:]].
+    """
+    W = model.params[f"{name}_W"]
+    if P is not None:
+        W = np.vstack([P @ W[: P.shape[1]], W[P.shape[1] :]])
+    pre = x @ W + model.params[f"{name}_b"]
     cache[name] = (x, pre > 0 if relu else None)
     return np.maximum(pre, 0.0) if relu else pre
 
@@ -204,14 +227,16 @@ def _readout(model: MultiFixModel, const):
     """One pass from the constant input to the logits; returns (logits, cache).
 
     The feature transform ``ft``, when the model has one, runs first and its
-    output leads the readout input; the readout layers follow.
+    output leads the readout input; the readout layers follow. The
+    projection P of the constant input, when there is one, goes into the
+    first readout layer's weight and into the cache under "P".
     """
-    F, Z = const
-    cache = {}
+    F, Z, P = const
+    cache = {"P": P}
     x = Z if F is None else np.hstack([_dense(model, "ft", F, cache, relu=True), Z])
     names = _readout_layers(model.config)
     for name in names:
-        x = _dense(model, name, x, cache, relu=name != names[-1])
+        x = _dense(model, name, x, cache, relu=name != names[-1], P=P if name == names[0] else None)
     return x, cache
 
 
@@ -221,9 +246,12 @@ def _backward(model: MultiFixModel, cache, probs, truth):
     probs is the unclipped sigmoid of the logits that ``cache`` came with,
     and truth holds the labels of the same rows. The gradient of a layer's
     input is formed only when a layer below needs it: the readout input's
-    only when the feature transform is in the cache.
+    only when the feature transform is in the cache. With a projection P in
+    the cache (never beside ``ft``), the first layer's gradient is taken
+    with respect to W_eff and its leading rows are mapped back through Pᵀ.
     """
     layers = (("ft",) if "ft" in cache else ()) + _readout_layers(model.config)
+    P = cache["P"]
     d = (probs - truth) / len(probs)
     grads = {}
     for i in reversed(range(len(layers))):
@@ -232,6 +260,9 @@ def _backward(model: MultiFixModel, cache, probs, truth):
         if mask is not None:
             d = d * mask
         grads[f"{name}_W"] = x.T @ d
+        if i == 0 and P is not None:
+            g = grads[f"{name}_W"]
+            grads[f"{name}_W"] = np.vstack([P.T @ g[: len(P)], g[len(P) :]])
         grads[f"{name}_b"] = d.sum(axis=0)
         if i:
             d = d @ model.params[f"{name}_W"].T
@@ -240,14 +271,17 @@ def _backward(model: MultiFixModel, cache, probs, truth):
     return grads
 
 
-def forward(model: MultiFixModel, H_f=None, H_l=None, pe=None) -> np.ndarray:
+def forward(model: MultiFixModel, H_f=None, H_l=None, pe=None, P=None) -> np.ndarray:
     """Full-graph label probabilities, clamped inside (0, 1).
 
-    The blocks are those of :class:`Representations`: for the linear variant
-    H_f is already projected (n x hidden_dim), for the mlp variants it is
-    the propagated raw features (n x feature_dim).
+    The blocks and P are those of :class:`Representations`. For the linear
+    variant H_f is either projected already (n x hidden_dim, P None) or
+    the unprojected n x feature_dim block with its feature_dim x hidden_dim
+    projection P, which the readout applies to its weight. For the mlp
+    variants H_f is the propagated raw features (n x feature_dim) and P is
+    None.
     """
-    logits, _ = _readout(model, _constant_input(model, H_f, H_l, pe))
+    logits, _ = _readout(model, _constant_input(model, H_f, H_l, pe, P=P))
     return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -267,7 +301,7 @@ def bce_loss(pred: np.ndarray, truth: np.ndarray):
     return float(per_node.mean()), per_node
 
 
-def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0):
+def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0, P=None):
     """Masked BCE (+ optional L2 on weight matrices) and its gradients.
 
     Returns (loss, grads) where grads maps every trainable parameter name to
@@ -275,8 +309,9 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
     objective includes 0.5 * wd * ||W||^2 over weight matrices (not biases),
     so the gradients can be checked against finite differences directly.
     The readout and the backward pass are the ones :func:`train` runs, on
-    the masked rows only, and the blocks follow :func:`forward`'s contract
-    (a linear model's H_f is n x hidden_dim).
+    the masked rows only, and the blocks and P follow :func:`forward`'s
+    contract: with P, a linear model's H_f is unprojected and the gradient
+    of its readout weight is mapped back through Pᵀ.
     """
     truth = np.asarray(truth, dtype=np.float64)
     node_mask = np.asarray(node_mask, dtype=bool)
@@ -284,7 +319,7 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
         raise ShapeError("node mask length does not match truth rows")
     if not node_mask.any():
         raise ValueError("node mask selects no rows")
-    logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe, rows=node_mask))
+    logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe, rows=node_mask, P=P))
     probs = _sigmoid(logits)
     rows_truth = truth[node_mask]
     loss, _ = bce_loss(probs, rows_truth)
@@ -330,17 +365,21 @@ class Representations:
 
     Each block is a float64 array with a row per node, or None when it is
     disabled: H_f the propagated features, H_l the propagated labels
-    (n x n_labels), pe the walk embedding (n x pe_dim). For the linear
-    variant H_f is already through the projection (n x hidden_dim); for the
-    mlp variants it is the propagated raw features (n x feature_dim), the
-    readout's F; every other block joins its Z. feature_dim is the width of
-    the (substituted) raw features, 0 when the feature block is off.
+    (n x n_labels), pe the walk embedding (n x pe_dim). feature_dim is the
+    width of the (substituted) raw features, 0 when the feature block is
+    off. For the mlp variants H_f is the propagated raw features
+    (n x feature_dim), the readout's F; every other block joins its Z. The
+    linear variant's H_f joins Z too: with P, its seeded feature_dim x
+    hidden_dim projection, H_f is the unprojected A^K · X and the readout
+    applies P to its weight; with P None (identity features, or
+    feature_dim >= hidden_dim) H_f is already projected, n x hidden_dim.
     """
 
     H_f: np.ndarray | None
     H_l: np.ndarray | None
     pe: np.ndarray | None
     feature_dim: int
+    P: np.ndarray | None = None
 
 
 def substitute_features(dataset: Dataset, policy: str) -> Dataset:
@@ -367,11 +406,12 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     """Fit the enabled representations for a dataset, once per split.
 
     Features are substituted by config.feature_policy when the dataset has
-    none. The linear variant's feature block is A^K · X · P, with P its
-    seeded projection to hidden_dim; it is computed here and nowhere else.
-    With the identity policy P itself is propagated instead of the n x n
-    identity (A^K · I · P = A^K · P), so the block takes n x hidden_dim
-    memory, not n x n; otherwise X is propagated and then projected.
+    none. The linear variant's P, its seeded projection to hidden_dim, is
+    drawn here and nowhere else. With the identity policy P itself is
+    propagated instead of the n x n identity (A^K · I · P = A^K · P), so
+    the block takes n x hidden_dim memory, not n x n, and arrives
+    projected. Otherwise X is propagated; A^K · X narrower than hidden_dim
+    is kept as it is with P beside it, and a wider one is projected at once.
     The walk embedding is trained deterministically from config.seed.
     Blocks that config disables are None.
 
@@ -404,6 +444,9 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
             )
             if linear:
                 P = _feature_projection(config, feature_dim)
+                if feature_dim >= config.hidden_dim:
+                    # no narrower than P's output: the projected block is the smaller one
+                    H_f, P = H_f @ P, None
     if config.enable_lr:
         H_l = propagate_labels(adj, init_label_matrix(dataset, config.padding), config.N)
     if config.enable_pe:
@@ -420,11 +463,7 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
             config.pe_lr,
             config.seed,
         )
-    if P is not None:
-        # real features are projected only after the walk embedding: skip-gram's
-        # workspace is the fit's largest transient, and until here the block is n x D
-        H_f = H_f @ P
-    return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim)
+    return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim, P=P)
 
 
 def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_path=None):
@@ -456,8 +495,8 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
     model = init_model(config, dataset.n, dataset.n_labels, feature_dim)
     opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
     train_mask, val_mask = dataset.train_mask, dataset.val_mask
-    train_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=train_mask)
-    val_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=val_mask)
+    train_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=train_mask, P=reps.P)
+    val_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=val_mask, P=reps.P)
 
     truth = dataset.labels.astype(np.float64)
     train_truth, val_truth = truth[train_mask], truth[val_mask]
@@ -537,7 +576,7 @@ def predict(model: MultiFixModel, dataset: Dataset, reps: Representations) -> np
             f"model expects {model.feature_dim}-dim features, dataset provides "
             f"{reps.feature_dim}"
         )
-    return forward(model, reps.H_f, reps.H_l, reps.pe)
+    return forward(model, reps.H_f, reps.H_l, reps.pe, reps.P)
 
 
 CHECKPOINT_MAGIC = b"GMFX2"

@@ -118,8 +118,8 @@ def test_criterion_02_gradient_check_all_variants():
                               seed=int(rng.integers(1 << 30)))
             model = init_model(cfg, n, C, D)
             H_f = rng.normal(size=(n, D))
-            if variant == "linear":
-                H_f = H_f @ _feature_projection(cfg, D)  # a linear model reads projected features
+            # D < hidden_dim: a linear model reads H_f unprojected and applies P to its weight
+            P = _feature_projection(cfg, D) if variant == "linear" else None
             H_l = rng.normal(size=(n, C))
             pe = rng.normal(size=(n, 4))
             if _relu_kink_margin(model, H_f, H_l, pe) > 1e-3:
@@ -129,7 +129,7 @@ def test_criterion_02_gradient_check_all_variants():
         if not mask.any():
             mask[0] = True
         wd = 5e-4
-        _, grads = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd)
+        _, grads = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd, P=P)
         for key, grad in grads.items():
             arr = model.params[key]
             it = np.nditer(arr, flags=["multi_index"])
@@ -137,9 +137,9 @@ def test_criterion_02_gradient_check_all_variants():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd)
+                lp, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd, P=P)
                 arr[idx] = orig - h
-                lm, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd)
+                lm, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd, P=P)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gnn_multifix import make_splits, save_dataset
+from gnn_multifix import cli, make_splits, save_dataset
 from gnn_multifix.cli import (
     DATA_KEYS,
     NULL_DEFAULT_SAMPLES,
@@ -349,6 +349,27 @@ def test_baseline_mlp_without_features_or_policy_exits_like_train(tmp_path, caps
         log = (tmp_path / command[-1] / "run.log").read_text().splitlines()
         assert len(log) == 1
         assert log[0].split(" ", 1)[1] == "split 0: " + err.strip()
+
+
+def test_memory_error_exits_with_an_error_line_and_a_log_line(tmp_path, capsys, monkeypatch):
+    # the failure a huge featureless mlp1 meets in np.eye(n), without allocating it
+    message = "Unable to allocate 6.71 GiB for an array with shape (30000, 30000)"
+
+    def out_of_memory(dataset, config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "compute_representations", out_of_memory)
+    data = write_toy_dataset(tmp_path)
+    out = tmp_path / "oom"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--seed", "3",
+               "--n-splits", "1", *SMALL_MODEL])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {message}\n"
+    log = (out / "run.log").read_text().splitlines()
+    assert len(log) == 1
+    assert log[0].split(" ", 1)[1] == "split 0: " + err.strip()
+    assert not (out / "split_0" / "report.json").exists()
 
 
 def test_metrics_stream_format(tmp_path):

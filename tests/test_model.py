@@ -447,9 +447,70 @@ def test_linear_real_features_are_propagated_then_projected(K):
     baseline_cfg = replace(cfg, enable_lr=False, enable_pe=False, K=0)
     for c in (cfg, baseline_cfg):
         reps = compute_representations(ds, c)
-        ref = propagate_features(adj, ds.features, c.K) @ _feature_projection(c, 6)
+        # 6 < hidden_dim: the block stays unprojected and the readout applies P
         assert reps.feature_dim == 6
-        assert np.array_equal(reps.H_f, ref)
+        assert np.array_equal(reps.H_f, propagate_features(adj, ds.features, c.K))
+        assert np.array_equal(reps.P, _feature_projection(c, 6))
+
+
+@pytest.mark.parametrize("features", ["real", "degree"])
+def test_narrow_linear_readout_matches_materialised_projection(features):
+    ds = featureless_with_isolated_nodes(50, 3, seed=5)
+    if features == "real":
+        ds = ds.with_features(np.random.default_rng(5).normal(size=(ds.n, 6)))
+    D = 6 if features == "real" else 1
+    cfg = small_config(feature_policy="degree", seed=5)
+    reps = compute_representations(ds, cfg)
+    assert reps.H_f.shape == (ds.n, D) and reps.P.shape == (D, cfg.hidden_dim)
+    wide = replace(reps, H_f=reps.H_f @ reps.P, P=None)  # the materialised A^K · X · P
+    model = init_model(cfg, ds.n, ds.n_labels, D)
+    rng = np.random.default_rng(6)
+    model.params = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+    probs = forward(model, reps.H_f, reps.H_l, reps.pe, reps.P)
+    assert np.abs(probs - forward(model, wide.H_f, wide.H_l, wide.pe)).max() < 1e-12
+    truth = ds.labels.astype(np.float64)
+    loss, grads = model_loss_and_grads(
+        model, reps.H_f, reps.H_l, reps.pe, truth, ds.train_mask, weight_decay=5e-4, P=reps.P
+    )
+    ref_loss, ref_grads = model_loss_and_grads(
+        model, wide.H_f, wide.H_l, wide.pe, truth, ds.train_mask, weight_decay=5e-4
+    )
+    assert abs(loss - ref_loss) < 1e-12
+    assert grads.keys() == ref_grads.keys() == model.params.keys()
+    for k in grads:
+        assert grads[k].shape == model.params[k].shape
+        assert np.abs(grads[k] - ref_grads[k]).max() < 1e-12
+    # training on either form runs the same epochs to the same parameters
+    trained, log, _ = train(ds, cfg, reps=reps)
+    ref_trained, ref_log, _ = train(ds, cfg, reps=wide)
+    assert np.array_equal(log.epochs, ref_log.epochs)
+    for k, v in ref_trained.params.items():
+        assert np.abs(trained.params[k] - v).max() < 1e-10
+    assert np.abs(predict(trained, ds, reps) - predict(ref_trained, ds, wide)).max() < 1e-10
+
+
+def test_projected_linear_features_carry_no_projection():
+    ds = featureless_with_isolated_nodes(50, 3, seed=5)
+    cfg = small_config(enable_pe=False, seed=5)
+    # the identity policy propagates P itself: n x hidden_dim, projected already
+    reps = compute_representations(ds, cfg)
+    assert reps.H_f.shape == (ds.n, cfg.hidden_dim) and reps.P is None
+    # features no narrower than hidden_dim are projected at once
+    wide = ds.with_features(np.random.default_rng(5).normal(size=(ds.n, cfg.hidden_dim)))
+    reps = compute_representations(wide, cfg)
+    ref = propagate_features(sym_norm_adjacency(ds.graph), wide.features, cfg.K)
+    assert reps.P is None
+    assert np.array_equal(reps.H_f, ref @ _feature_projection(cfg, cfg.hidden_dim))
+
+
+def test_projection_must_fit_the_linear_feature_block():
+    ds = featureless_with_isolated_nodes(30, 2, seed=1)
+    reps = compute_representations(ds, small_config(feature_policy="degree", enable_pe=False))
+    for variant, P in (("mlp1", reps.P), ("linear", reps.P[:, :-1])):
+        cfg = small_config(variant=variant, feature_policy="degree", enable_pe=False)
+        model = init_model(cfg, ds.n, ds.n_labels, 1)
+        with pytest.raises(ShapeError):
+            forward(model, reps.H_f, reps.H_l, P=P)
 
 
 def test_featureless_linear_checkpoint_holds_no_projection(tmp_path):
