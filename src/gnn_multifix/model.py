@@ -9,7 +9,7 @@ readout trained with binary cross entropy. Variants:
           affine readout layer; the whole map from representations to logits
           is linear. P is part of the representations, not of the model:
           :func:`compute_representations` draws it, and checkpoints hold
-          only trained parameters. Features narrower than hidden_dim stay
+          only trained parameters. Features other than the identity stay
           unprojected beside P, and the readout applies P to its weight
           instead (A^K·X·P·W = A^K·X·(P·W)), so its input is D wide, not
           hidden_dim. Identity features propagate P itself
@@ -371,8 +371,8 @@ class Representations:
     (n x feature_dim), the readout's F; every other block joins its Z. The
     linear variant's H_f joins Z too: with P, its seeded feature_dim x
     hidden_dim projection, H_f is the unprojected A^K · X and the readout
-    applies P to its weight; with P None (identity features, or
-    feature_dim >= hidden_dim) H_f is already projected, n x hidden_dim.
+    applies P to its weight; with P None (identity features) H_f is already
+    projected, n x hidden_dim.
     """
 
     H_f: np.ndarray | None
@@ -410,8 +410,8 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     drawn here and nowhere else. With the identity policy P itself is
     propagated instead of the n x n identity (A^K · I · P = A^K · P), so
     the block takes n x hidden_dim memory, not n x n, and arrives
-    projected. Otherwise X is propagated; A^K · X narrower than hidden_dim
-    is kept as it is with P beside it, and a wider one is projected at once.
+    projected. Otherwise X is propagated, and A^K · X is kept as it is with
+    P beside it.
     The walk embedding is trained deterministically from config.seed.
     Blocks that config disables are None.
 
@@ -444,9 +444,6 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
             )
             if linear:
                 P = _feature_projection(config, feature_dim)
-                if feature_dim >= config.hidden_dim:
-                    # no narrower than P's output: the projected block is the smaller one
-                    H_f, P = H_f @ P, None
     if config.enable_lr:
         H_l = propagate_labels(adj, init_label_matrix(dataset, config.padding), config.N)
     if config.enable_pe:
