@@ -217,8 +217,9 @@ def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
     fit(dataset, run_cfg, split_dir) returns the probabilities and the
     command's own report fields, and writes the command's own artifacts. A
     baseline's method goes into every report and the summary. A split
-    count, seed list, split fractions or model config that cannot be run is
-    refused before anything is written. A diverging split ends the run with
+    count, seed list, split fractions or model config that cannot be run,
+    and a split with no train, validation or test node, are refused before
+    anything is written. A diverging split ends the run with
     exit status 1, and a split that raises ValueError or MemoryError
     re-raises it; either leaves a line in run.log.
     """
@@ -226,6 +227,10 @@ def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
     model_cfg = ModelConfig(**cfg["model"])
     dataset = _load_data(cfg)
     splits = [_split_for_run(dataset, cfg, seed) for seed in seeds]
+    for i, ds in enumerate(splits):
+        for name, mask in (("train", ds.train_mask), ("validation", ds.val_mask), ("test", ds.test_mask)):
+            if not mask.any():
+                raise ValueError(f"split {i} has no {name} nodes")
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, outdir / "effective_config.json")

@@ -23,8 +23,8 @@ Disabled blocks are absent from the concatenation (the readout narrows).
 
 The representations are fitted once per dataset split by
 :func:`compute_representations` into a frozen :class:`Representations`
-value, one float64 array per enabled block, which :func:`train` and
-:func:`predict` both require; :func:`substitute_features` and
+value, which :func:`forward`, :func:`model_loss_and_grads`, :func:`train`
+and :func:`predict` take whole; :func:`substitute_features` and
 :func:`compute_representations` alone decide what a featureless dataset
 gets. The readout input is Z, or hstack([ft(F), Z]) for the mlp variants
 with the feature block on: F is the operand of the feature transform ``ft``
@@ -33,8 +33,8 @@ when its features come unprojected. Training reads only the rows
 it needs: the BCE and its gradient read the train nodes and early stopping
 reads the validation nodes, so :func:`train` builds (F, Z, P) once for each of
 those row sets, and each epoch runs one readout of each. The post-step
-train readout of epoch t is the pre-step one of epoch t+1. Only
-:func:`predict` computes every row.
+train readout of epoch t, loss and gradient, is the pre-step one of epoch
+t+1. Only :func:`predict` computes every row.
 """
 
 from __future__ import annotations
@@ -128,6 +128,30 @@ class MultiFixModel:
         )
 
 
+@dataclass(frozen=True)
+class Representations:
+    """The fitted inputs of the readout for one dataset split.
+
+    Each block is a float64 array with a row per node, or None when it is
+    disabled: H_f the propagated features, H_l the propagated labels
+    (n x n_labels), pe the walk embedding (n x pe_dim). feature_dim is the
+    width of the (substituted) raw features, 0 when the feature block is
+    off. For the mlp variants H_f is the propagated raw features
+    (n x feature_dim), the readout's F; every other block joins its Z, and
+    P is None. The linear variant's H_f joins Z too: with P, its seeded
+    feature_dim x hidden_dim projection, H_f is the unprojected A^K · X and
+    the readout applies P to its weight; with P None (identity features)
+    H_f is already projected, n x hidden_dim. The readout's entry points
+    take this value whole, so P never travels apart from H_f.
+    """
+
+    H_f: np.ndarray | None
+    H_l: np.ndarray | None
+    pe: np.ndarray | None
+    feature_dim: int
+    P: np.ndarray | None = None
+
+
 def _glorot(rng, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -159,24 +183,21 @@ def init_model(config: ModelConfig, n_nodes: int, n_labels: int, feature_dim: in
     return model
 
 
-def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None, P=None):
+def _constant_input(model: MultiFixModel, reps: Representations, rows=None):
     """Check the enabled blocks and build the parts of the readout input that never train.
 
-    H_f, H_l, pe and P are the fields of :class:`Representations`, as
-    arrays (None for a disabled block, or for P when H_f is projected).
     Returns (F, Z, P). F is the operand of the feature transform ``ft`` (the
     mlp variants' feature block), else None. Z is every other enabled block
-    joined once in readout order, zero columns wide when F is the only
-    block. P is the linear variant's projection when Z leads with the
-    unprojected feature_dim-wide features, else None. With ``rows``, a
+    of ``reps`` joined once in readout order, zero columns wide when F is
+    the only block. P is the linear variant's projection when Z leads with
+    the unprojected feature_dim-wide features, else None. With ``rows``, a
     boolean node mask, F and Z hold only the masked rows, sliced before Z
     is joined.
     """
     c = model.config
     linear = c.variant == "linear"
-    if not c.enable_fr:
-        P = None
-    elif P is not None:
+    P = reps.P if c.enable_fr else None
+    if P is not None:
         if not linear:
             raise ShapeError(f"the {c.variant} variant's features take no projection")
         if P.shape != (model.feature_dim, c.hidden_dim):
@@ -185,9 +206,9 @@ def _constant_input(model: MultiFixModel, H_f, H_l, pe, rows=None, P=None):
             )
     blocks = []
     for name, block, enabled, width in (
-        ("feature", H_f, c.enable_fr, c.hidden_dim if linear and P is None else model.feature_dim),
-        ("label", H_l, c.enable_lr, model.n_labels),
-        ("positional", pe, c.enable_pe, c.pe_dim),
+        ("feature", reps.H_f, c.enable_fr, c.hidden_dim if linear and P is None else model.feature_dim),
+        ("label", reps.H_l, c.enable_lr, model.n_labels),
+        ("positional", reps.pe, c.enable_pe, c.pe_dim),
     ):
         if not enabled:
             continue
@@ -271,18 +292,22 @@ def _backward(model: MultiFixModel, cache, probs, truth):
     return grads
 
 
-def forward(model: MultiFixModel, H_f=None, H_l=None, pe=None, P=None) -> np.ndarray:
-    """Full-graph label probabilities, clamped inside (0, 1).
+def _probs(model: MultiFixModel, const) -> np.ndarray:
+    """The label probabilities of the constant input's rows, clamped inside (0, 1)."""
+    return np.clip(_sigmoid(_readout(model, const)[0]), PROB_EPS, 1.0 - PROB_EPS)
 
-    The blocks and P are those of :class:`Representations`. For the linear
-    variant H_f is either projected already (n x hidden_dim, P None) or
-    the unprojected n x feature_dim block with its feature_dim x hidden_dim
-    projection P, which the readout applies to its weight. For the mlp
-    variants H_f is the propagated raw features (n x feature_dim) and P is
-    None.
-    """
-    logits, _ = _readout(model, _constant_input(model, H_f, H_l, pe, P=P))
-    return np.clip(_sigmoid(logits), PROB_EPS, 1.0 - PROB_EPS)
+
+def _loss_and_grads(model: MultiFixModel, const, truth):
+    """(loss, per_node, grads) of :func:`bce_loss` and :func:`_backward` from one readout."""
+    logits, cache = _readout(model, const)
+    probs = _sigmoid(logits)
+    loss, per_node = bce_loss(probs, truth)
+    return loss, per_node, _backward(model, cache, probs, truth)
+
+
+def forward(model: MultiFixModel, reps: Representations) -> np.ndarray:
+    """Full-graph label probabilities of ``reps``, clamped inside (0, 1)."""
+    return _probs(model, _constant_input(model, reps))
 
 
 def bce_loss(pred: np.ndarray, truth: np.ndarray):
@@ -301,17 +326,14 @@ def bce_loss(pred: np.ndarray, truth: np.ndarray):
     return float(per_node.mean()), per_node
 
 
-def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0, P=None):
+def model_loss_and_grads(model, reps: Representations, truth, node_mask, weight_decay=0.0):
     """Masked BCE (+ optional L2 on weight matrices) and its gradients.
 
     Returns (loss, grads) where grads maps every trainable parameter name to
     the analytic gradient of the full objective. With weight_decay > 0 the
     objective includes 0.5 * wd * ||W||^2 over weight matrices (not biases),
     so the gradients can be checked against finite differences directly.
-    The readout and the backward pass are the ones :func:`train` runs, on
-    the masked rows only, and the blocks and P follow :func:`forward`'s
-    contract: with P, a linear model's H_f is unprojected and the gradient
-    of its readout weight is mapped back through Pᵀ.
+    It runs :func:`train`'s readout and backward pass on the masked rows.
     """
     truth = np.asarray(truth, dtype=np.float64)
     node_mask = np.asarray(node_mask, dtype=bool)
@@ -319,11 +341,8 @@ def model_loss_and_grads(model, H_f, H_l, pe, truth, node_mask, weight_decay=0.0
         raise ShapeError("node mask length does not match truth rows")
     if not node_mask.any():
         raise ValueError("node mask selects no rows")
-    logits, cache = _readout(model, _constant_input(model, H_f, H_l, pe, rows=node_mask, P=P))
-    probs = _sigmoid(logits)
-    rows_truth = truth[node_mask]
-    loss, _ = bce_loss(probs, rows_truth)
-    grads = _backward(model, cache, probs, rows_truth)
+    const = _constant_input(model, reps, rows=node_mask)
+    loss, _, grads = _loss_and_grads(model, const, truth[node_mask])
 
     p = model.params
     if weight_decay > 0.0:
@@ -357,29 +376,6 @@ class AdamState:
             params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             if self.weight_decay > 0.0 and k.endswith("_W"):
                 params[k] -= self.lr * self.weight_decay * params[k]
-
-
-@dataclass(frozen=True)
-class Representations:
-    """The fitted inputs of the readout for one dataset split.
-
-    Each block is a float64 array with a row per node, or None when it is
-    disabled: H_f the propagated features, H_l the propagated labels
-    (n x n_labels), pe the walk embedding (n x pe_dim). feature_dim is the
-    width of the (substituted) raw features, 0 when the feature block is
-    off. For the mlp variants H_f is the propagated raw features
-    (n x feature_dim), the readout's F; every other block joins its Z. The
-    linear variant's H_f joins Z too: with P, its seeded feature_dim x
-    hidden_dim projection, H_f is the unprojected A^K · X and the readout
-    applies P to its weight; with P None (identity features) H_f is already
-    projected, n x hidden_dim.
-    """
-
-    H_f: np.ndarray | None
-    H_l: np.ndarray | None
-    pe: np.ndarray | None
-    feature_dim: int
-    P: np.ndarray | None = None
 
 
 def substitute_features(dataset: Dataset, policy: str) -> Dataset:
@@ -492,8 +488,8 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
     model = init_model(config, dataset.n, dataset.n_labels, feature_dim)
     opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
     train_mask, val_mask = dataset.train_mask, dataset.val_mask
-    train_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=train_mask, P=reps.P)
-    val_const = _constant_input(model, reps.H_f, reps.H_l, reps.pe, rows=val_mask, P=reps.P)
+    train_const = _constant_input(model, reps, rows=train_mask)
+    val_const = _constant_input(model, reps, rows=val_mask)
 
     truth = dataset.labels.astype(np.float64)
     train_truth, val_truth = truth[train_mask], truth[val_mask]
@@ -509,22 +505,16 @@ def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_
         # train readout of the current parameters: the pre-step state of
         # epoch 1, then after each step the post-step state of that epoch
         # and the pre-step state of the next
-        logits, cache = _readout(model, train_const)
-        probs = _sigmoid(logits)
-        if not np.isfinite(bce_loss(probs, train_truth)[0]):
+        train_loss, _, grads = _loss_and_grads(model, train_const, train_truth)
+        if not np.isfinite(train_loss):
             raise TrainingDivergedError(1)
         for epoch in range(1, config.max_epochs + 1):
-            opt.step(model.params, _backward(model, cache, probs, train_truth))
+            opt.step(model.params, grads)
 
-            logits, cache = _readout(model, train_const)
-            probs = _sigmoid(logits)
-            train_loss, per_node = bce_loss(probs, train_truth)
+            train_loss, per_node, grads = _loss_and_grads(model, train_const, train_truth)
             if not np.isfinite(train_loss):
                 raise TrainingDivergedError(epoch)
-            val_probs = _sigmoid(_readout(model, val_const)[0])
-            val_ap = average_precision(
-                np.clip(val_probs, PROB_EPS, 1.0 - PROB_EPS), val_truth, "samples"
-            )
+            val_ap = average_precision(_probs(model, val_const), val_truth, "samples")
             spill.write(per_node.data)
             last_epoch = epoch
             if metrics_fh:
@@ -573,7 +563,7 @@ def predict(model: MultiFixModel, dataset: Dataset, reps: Representations) -> np
             f"model expects {model.feature_dim}-dim features, dataset provides "
             f"{reps.feature_dim}"
         )
-    return forward(model, reps.H_f, reps.H_l, reps.pe, reps.P)
+    return forward(model, reps)
 
 
 CHECKPOINT_MAGIC = b"GMFX2"

@@ -292,7 +292,8 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec, tolerance: float = 0.02)
     achieved = None
     for it in range(50):
         beta = 0.5 * (lo_b + hi_b)
-        achieved = _edge_homophily(_build_edges(sampler, spec, beta, m_tune))
+        edges = _build_edges(sampler, spec, beta, m_tune)
+        achieved = _edge_homophily(edges)
         if abs(achieved - target) <= 0.5 * tolerance:
             break
         if achieved < target:
@@ -300,8 +301,9 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec, tolerance: float = 0.02)
         else:
             hi_b = beta
 
-    edges = _build_edges(sampler, spec, beta, m_target)
-    achieved = _edge_homophily(edges)
+    if m_tune < m_target:
+        edges = _build_edges(sampler, spec, beta, m_target)
+        achieved = _edge_homophily(edges)
     if abs(achieved - target) > 0.75 * tolerance:
         # the full-size draw can drift off a tuning done on a subsample;
         # refine toward a stricter goal so the final value has margin

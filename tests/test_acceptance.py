@@ -13,6 +13,7 @@ import pytest
 from gnn_multifix import (
     Graph,
     ModelConfig,
+    Representations,
     average_precision,
     compute_representations,
     evaluate,
@@ -129,7 +130,8 @@ def test_criterion_02_gradient_check_all_variants():
         if not mask.any():
             mask[0] = True
         wd = 5e-4
-        _, grads = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd, P=P)
+        reps = Representations(H_f, H_l, pe, feature_dim=D, P=P)
+        _, grads = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
         for key, grad in grads.items():
             arr = model.params[key]
             it = np.nditer(arr, flags=["multi_index"])
@@ -137,9 +139,9 @@ def test_criterion_02_gradient_check_all_variants():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd, P=P)
+                lp, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
                 arr[idx] = orig - h
-                lm, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd, P=P)
+                lm, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8)

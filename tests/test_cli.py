@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gnn_multifix import cli, make_splits, save_dataset
@@ -457,12 +458,34 @@ def test_unrunnable_split_count_is_refused_before_any_file(tmp_path, capsys, ext
     (["--set", "val_frac=0.5"], "train_frac + val_frac must be < 1 (got 1.1)"),
     (["--set", "train_frac=0"], "fractions must lie in (0, 1)"),
     (["--set", "val_frac=1.5"], "fractions must lie in (0, 1)"),
-], ids=["sum", "zero", "above-one"])
+    (["--set", "val_frac=0.01"], "split 0 has no validation nodes"),
+    (["--set", "train_frac=0.01"], "split 0 has no train nodes"),
+], ids=["sum", "zero", "above-one", "no-val-node", "no-train-node"])
 def test_unrunnable_split_fractions_are_refused_before_any_file(tmp_path, capsys, extra, message):
     data = write_toy_dataset(tmp_path, with_split=False)
     before = sorted(tmp_path.rglob("*"))
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
                  *SMALL_MODEL, *extra]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("empty, message", [
+    ("val", "split 0 has no validation nodes"),
+    ("test", "split 0 has no test nodes"),
+])
+def test_split_file_with_an_empty_set_is_refused_before_any_file(tmp_path, capsys, empty, message):
+    # a splits.tsv that lists the nodes of the emptied set as train nodes
+    data = write_toy_dataset(tmp_path, with_split=False)
+    ds = make_splits(build_two_clique_dataset(10), 0.6, 0.2, seed=5)
+    masks = {"train": ds.train_mask, "val": ds.val_mask, "test": ds.test_mask}
+    masks["train"] = masks["train"] | masks[empty]
+    masks[empty] = np.zeros(ds.n, bool)
+    save_dataset(ds.with_masks(*masks.values()), data / "edges.tsv", data / "labels.tsv",
+                 split_path=data / "splits.tsv")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
+                 *SMALL_MODEL]) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -9,6 +9,7 @@ import pytest
 from gnn_multifix import (
     Graph,
     ModelConfig,
+    Representations,
     average_precision,
     bce_loss,
     compute_representations,
@@ -78,14 +79,14 @@ def random_inputs(variant, seed=0, n=12, C=3, D=4, hidden=5, pe_dim=3):
     truth = (rng.random((n, C)) < 0.4).astype(float)
     mask = np.zeros(n, bool)
     mask[: max(2, n // 2)] = True
-    return model, H_f, H_l, pe, truth, mask
+    return model, Representations(H_f, H_l, pe, feature_dim=D), truth, mask
 
 
 def test_zero_weights_give_half_everywhere():
-    model, H_f, H_l, pe, _, _ = random_inputs("linear")
+    model, reps, _, _ = random_inputs("linear")
     for k in model.params:
         model.params[k][:] = 0.0
-    probs = forward(model, H_f, H_l, pe)
+    probs = forward(model, reps)
     assert probs == pytest.approx(np.full(probs.shape, 0.5))
 
 
@@ -98,14 +99,14 @@ def test_single_block_closed_form():
     model.params["out_W"][:] = w
     model.params["out_b"][:] = 0.0
     x = np.array([[0.3], [-1.2], [0.0], [2.0]])
-    probs = forward(model, pe=x)
+    probs = forward(model, Representations(H_f=None, H_l=None, pe=x, feature_dim=0))
     assert probs == pytest.approx(_sigmoid(w * np.repeat(x, 2, axis=1)))
 
 
 def test_forward_stays_inside_open_interval():
-    model, H_f, H_l, pe, _, _ = random_inputs("mlp3")
+    model, reps, _, _ = random_inputs("mlp3")
     model.params["out_b"][:] = 60.0  # saturate the sigmoid
-    probs = forward(model, H_f, H_l, pe)
+    probs = forward(model, reps)
     assert probs.min() > 0.0 and probs.max() < 1.0
 
 
@@ -132,9 +133,9 @@ def test_bce_perfect_prediction_bound():
 def test_gradients_match_finite_differences():
     h = 1e-5
     for variant in ("linear", "mlp1", "mlp3"):
-        model, H_f, H_l, pe, truth, mask = random_inputs(variant, seed=3)
+        model, reps, truth, mask = random_inputs(variant, seed=3)
         wd = 5e-4
-        _, grads = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd)
+        _, grads = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
         for key, grad in grads.items():
             arr = model.params[key]
             flat_idx = np.unravel_index(
@@ -142,9 +143,9 @@ def test_gradients_match_finite_differences():
             )  # check the largest-gradient entry per parameter
             orig = arr[flat_idx]
             arr[flat_idx] = orig + h
-            lp, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd)
+            lp, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
             arr[flat_idx] = orig - h
-            lm, _ = model_loss_and_grads(model, H_f, H_l, pe, truth, mask, weight_decay=wd)
+            lm, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
             arr[flat_idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad[flat_idx]) / max(abs(fd), abs(grad[flat_idx]), 1e-8) < 1e-4
@@ -252,9 +253,9 @@ def two_pass_train(dataset, config, reps):
     losses = []
     best_ap, best_epoch, best_params = -np.inf, 0, None
     for epoch in range(1, config.max_epochs + 1):
-        _, grads = model_loss_and_grads(model, reps.H_f, reps.H_l, reps.pe, truth, train_mask)
+        _, grads = model_loss_and_grads(model, reps, truth, train_mask)
         opt.step(model.params, grads)
-        probs = forward(model, reps.H_f, reps.H_l, reps.pe)
+        probs = forward(model, reps)
         losses.append(bce_loss(probs[train_mask], truth[train_mask])[1])
         val_ap = average_precision(probs[val_mask], truth[val_mask], "samples")
         if val_ap > best_ap:
@@ -339,7 +340,7 @@ def full_row_train_losses(dataset, config, reps):
     """Per-epoch per-train-node losses of an epoch loop that reads every row."""
     model = init_model(config, dataset.n, dataset.n_labels, reps.feature_dim)
     opt = AdamState(model.params, lr=config.lr, weight_decay=config.weight_decay)
-    const = _constant_input(model, reps.H_f, reps.H_l, reps.pe)
+    const = _constant_input(model, reps)
     truth = dataset.labels.astype(np.float64)
     mask = dataset.train_mask
     logits, cache = _readout(model, const)
@@ -390,7 +391,7 @@ def test_identity_features_project_then_propagate(K):
         ref = unprojected_identity_features(ds, K) @ proj
         assert np.abs(reps.H_f - ref).max() < 1e-12
     with pytest.raises(ShapeError):
-        forward(init_model(replace(cfg, variant="mlp1"), ds.n, ds.n_labels, ds.n), reps.H_f)
+        forward(init_model(replace(cfg, variant="mlp1"), ds.n, ds.n_labels, ds.n), reps)
 
 
 def test_identity_features_train_and_predict_match_unprojected_path():
@@ -466,15 +467,11 @@ def test_narrow_linear_readout_matches_materialised_projection(features):
     model = init_model(cfg, ds.n, ds.n_labels, D)
     rng = np.random.default_rng(6)
     model.params = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
-    probs = forward(model, reps.H_f, reps.H_l, reps.pe, reps.P)
-    assert np.abs(probs - forward(model, wide.H_f, wide.H_l, wide.pe)).max() < 1e-12
+    probs = forward(model, reps)
+    assert np.abs(probs - forward(model, wide)).max() < 1e-12
     truth = ds.labels.astype(np.float64)
-    loss, grads = model_loss_and_grads(
-        model, reps.H_f, reps.H_l, reps.pe, truth, ds.train_mask, weight_decay=5e-4, P=reps.P
-    )
-    ref_loss, ref_grads = model_loss_and_grads(
-        model, wide.H_f, wide.H_l, wide.pe, truth, ds.train_mask, weight_decay=5e-4
-    )
+    loss, grads = model_loss_and_grads(model, reps, truth, ds.train_mask, weight_decay=5e-4)
+    ref_loss, ref_grads = model_loss_and_grads(model, wide, truth, ds.train_mask, weight_decay=5e-4)
     assert abs(loss - ref_loss) < 1e-12
     assert grads.keys() == ref_grads.keys() == model.params.keys()
     for k in grads:
@@ -509,7 +506,7 @@ def test_projection_must_fit_the_linear_feature_block():
         cfg = small_config(variant=variant, feature_policy="degree", enable_pe=False)
         model = init_model(cfg, ds.n, ds.n_labels, 1)
         with pytest.raises(ShapeError):
-            forward(model, reps.H_f, reps.H_l, P=P)
+            forward(model, replace(reps, P=P))
 
 
 def test_featureless_linear_checkpoint_holds_no_projection(tmp_path):

@@ -12,6 +12,7 @@ from gnn_multifix import (
     make_splits,
     save_dataset,
 )
+from gnn_multifix import synthgen
 from gnn_multifix.synthgen import (
     SynthSpec,
     generate_dataset,
@@ -102,6 +103,25 @@ def test_graph_links_no_node_with_an_empty_label_set():
     labels[:5] = 0
     edges = generate_graph(labels, spec).edge_array()
     assert len(edges) > 0 and not np.isin(edges, np.arange(5)).any()
+
+
+@pytest.mark.parametrize("n, homophily", [(500, 0.6), (800, 0.2)], ids=["full-budget", "reduced-budget"])
+def test_graph_builds_no_edge_set_twice(monkeypatch, n, homophily):
+    # n=800 at homophily 0.2 takes the dense preset: over 30 000 edges, so
+    # bisection runs on a reduced budget and the full-size set is drawn after
+    spec = SynthSpec(n=n, target_homophily=homophily, seed=1)
+    build, calls = synthgen._build_edges, []
+
+    def recording_build(sampler, spec, beta, m_target):
+        calls.append((beta, m_target))
+        return build(sampler, spec, beta, m_target)
+
+    monkeypatch.setattr(synthgen, "_build_edges", recording_build)
+    generate_graph(generate_labels(spec), spec)
+    m_target = round(spec.n * spec.resolved_avg_degree() / 2)
+    assert calls[-1][1] == m_target
+    assert (min(m for _, m in calls) < m_target) == (m_target > 30000)
+    assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def test_graph_deterministic():
