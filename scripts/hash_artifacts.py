@@ -15,7 +15,11 @@ the copy with splits.tsv, `train` (linear) on the first dataset with 2
 skip-gram epochs, `eval` of the first linear run's split_0/probs.csv, and
 `dynamics` on that run. Every training run takes 2 splits, 60 epochs and 3
 walks per node, with GMFX_THREADS=1, and all but the 2-epoch one take 1
-skip-gram epoch.
+skip-gram epoch. Three more seed-4 `generate` runs cover the generator
+paths that n=300 at the default homophily misses: the n=3000 default,
+which tunes on a reduced edge budget before it builds the full graph, and
+n=300 at target homophily 1.0 (the identical-set graph) and 0.2 (the dense
+degree preset).
 
 Prints "sha256  path" for every file under DIR except run.log and
 effective_config.json, paths relative to DIR. Two source trees that keep
@@ -67,6 +71,12 @@ FEATURELESS_RUNS = {
        and not name.endswith("-no-fr")},
     "train-linear-degree": [*RUNS["train-linear"], "--set", "model.feature_policy=degree"],
 }
+# generator paths the n=300 matrix does not take
+GENERATE_ONLY = {
+    "generate-default": [],
+    "generate-h1.0": ["--set", f"synth.n={N}", "--set", "synth.target_homophily=1.0"],
+    "generate-h0.2": ["--set", f"synth.n={N}", "--set", "synth.target_homophily=0.2"],
+}
 UNHASHED = {"run.log", "effective_config.json"}
 
 
@@ -105,6 +115,8 @@ def main():
     run(["eval", "--data", str(data / "features"), "--probs", str(linear / "split_0" / "probs.csv"),
          "--out", str(out / "eval")])
     run(["dynamics", "--run", str(linear)])
+    for name, settings in GENERATE_ONLY.items():
+        run(["generate", "--seed", "4", *settings, "--out", str(data / name)])
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name not in UNHASHED):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetParseError, UndefinedMetricError
-from .graph import Dataset, Graph, jaccard_per_edge
+from .graph import Dataset, Graph, label_homophily, make_dataset
 from .io import _parse, _records
 
 HEADLINE_AP_MODE = "samples"
@@ -39,26 +39,36 @@ def _row_aps(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     the ranks of its positives under a stable argsort of the negated scores.
 
     A row's AP is the sum of its positives' precisions, in rank order, over
-    their count, summed as NumPy sums the row alone. Below 8 terms that sum
-    runs in order, as the axis-0 sum of a zero-padded (max count, rows) array
-    does, so every row is summed that way at once. The rows with p >= 8
-    positives, which NumPy sums pairwise, are summed again as one
-    C-contiguous (rows, p) array, whose row sums are those of the 1-D row.
+    their count, summed as NumPy sums the row alone. With the rows sorted by
+    positive count, those of p positives form one C-contiguous (rows, p)
+    block of precisions, and the row sums of a C-contiguous array equal
+    NumPy's sum of each row taken as a 1-D array.
     """
     order = np.argsort(-scores, axis=1, kind="stable")
     hits = np.take_along_axis(truth, order, axis=1).astype(bool)
     n_pos = hits.sum(axis=1)
-    ranks = np.cumsum(hits, axis=1)
-    precision = ranks / np.arange(1, scores.shape[1] + 1)
-    rows, cols = np.nonzero(hits)
-    sums = np.zeros((n_pos.max(initial=0), len(scores)))
-    sums[ranks[rows, cols] - 1, rows] = precision[rows, cols]
-    sums = sums.sum(axis=0)
-    for p in np.flatnonzero(np.bincount(n_pos)[8:]) + 8:
-        r = np.flatnonzero(n_pos == p)
-        sums[r] = precision[r][hits[r]].reshape(len(r), p).sum(axis=1)
+    by_count = np.argsort(n_pos, kind="stable")
+    hits = hits[by_count]
+    precision = np.cumsum(hits, axis=1) / np.arange(1, scores.shape[1] + 1)
+    flat = precision[hits]
+    counts = np.bincount(n_pos)
+    sums = np.zeros(len(scores))
+    row = entry = 0
+    for p in np.flatnonzero(counts).tolist():
+        k = int(counts[p])
+        sums[by_count[row:row + k]] = flat[entry:entry + k * p].reshape(k, p).sum(axis=1)
+        row, entry = row + k, entry + k * p
     has = n_pos > 0
     return sums[has] / n_pos[has]
+
+
+# each mode's (m, C) -> rows view, applied to scores and truth alike, and
+# why its AP is undefined when no row of that view has a positive
+_AP_VIEWS = {
+    "micro": (lambda a: a.reshape(1, -1), "no positive entries"),
+    "macro": (np.transpose, "no label has a positive"),
+    "samples": (lambda a: a, "no row has a positive"),
+}
 
 
 def average_precision(scores: np.ndarray, truth: np.ndarray, mode: str = "samples") -> float:
@@ -72,22 +82,13 @@ def average_precision(scores: np.ndarray, truth: np.ndarray, mode: str = "sample
     truth = np.asarray(truth)
     if scores.shape != truth.shape:
         raise ValueError(f"scores {scores.shape} and truth {truth.shape} differ")
-    if mode == "micro":
-        vals = _row_aps(scores.reshape(1, -1), truth.reshape(1, -1))
-        if len(vals) == 0:
-            raise UndefinedMetricError("micro AP undefined: no positive entries")
-        return float(vals[0])
-    if mode == "macro":
-        vals = _row_aps(scores.T, truth.T)
-        if len(vals) == 0:
-            raise UndefinedMetricError("macro AP undefined: no label has a positive")
-        return float(np.mean(vals))
-    if mode == "samples":
-        vals = _row_aps(scores, truth)
-        if len(vals) == 0:
-            raise UndefinedMetricError("samples AP undefined: no row has a positive")
-        return float(np.mean(vals))
-    raise ValueError(f"unknown AP mode {mode!r}")
+    if mode not in _AP_VIEWS:
+        raise ValueError(f"unknown AP mode {mode!r}")
+    view, reason = _AP_VIEWS[mode]
+    vals = _row_aps(view(scores), view(truth))
+    if len(vals) == 0:
+        raise UndefinedMetricError(f"{mode} AP undefined: {reason}")
+    return float(np.mean(vals))
 
 
 def evaluate(probs: np.ndarray, dataset: Dataset, split: str) -> EvalReport:
@@ -268,11 +269,5 @@ def homophily_recovery(probs: np.ndarray, graph: Graph, threshold: float = 0.5) 
     pred = probs >= threshold
     empty = ~pred.any(axis=1)
     if empty.any():
-        tops = probs[empty].argmax(axis=1)
-        pred = pred.copy()
-        pred[np.flatnonzero(empty), tops] = True
-    edges = graph.edge_array()
-    if len(edges) == 0:
-        raise UndefinedMetricError("homophily recovery needs at least one edge")
-    jac, valid = jaccard_per_edge(edges, pred.astype(np.int8))
-    return float(jac[valid].mean())
+        pred[np.flatnonzero(empty), probs[empty].argmax(axis=1)] = True
+    return label_homophily(make_dataset(graph, pred))

@@ -424,12 +424,9 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     if config.enable_fr:
         linear = config.variant == "linear"
         policy = config.feature_policy
-        if dataset.features is not None:
-            feature_dim = dataset.features.shape[1]
-        else:
-            feature_dim = dataset.n if policy == "identity" else 1
         if linear and dataset.features is None and policy == "identity":
             # A^K · I · P = A^K · P is already the projected block
+            feature_dim = dataset.n
             H_f = propagate_features(adj, _feature_projection(config, feature_dim), config.K)
         else:
             H_f = propagate_features(
@@ -438,6 +435,7 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
                 config.K,
                 "identity" if linear else "relu",
             )
+            feature_dim = H_f.shape[1]
             if linear:
                 P = _feature_projection(config, feature_dim)
     if config.enable_lr:

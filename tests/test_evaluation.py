@@ -14,7 +14,7 @@ from gnn_multifix import (
     import_dynamics,
     make_splits,
 )
-from gnn_multifix.errors import DatasetParseError, UndefinedMetricError
+from gnn_multifix.errors import DatasetParseError, ShapeError, UndefinedMetricError
 from gnn_multifix.evaluation import _quartiles, _row_aps
 from gnn_multifix.graph import Graph
 
@@ -419,3 +419,15 @@ def test_homophily_recovery_threshold_validated():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         homophily_recovery(np.ones((2, 2)) * 0.5, g, 1.5)
+
+
+def test_homophily_recovery_is_undefined_without_edges():
+    g = Graph.from_edges(3, [])
+    with pytest.raises(UndefinedMetricError, match="edgeless graph"):
+        homophily_recovery(np.full((3, 2), 0.9), g, 0.5)
+
+
+def test_homophily_recovery_refuses_probs_of_another_node_count():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ShapeError):
+        homophily_recovery(np.full((2, 2), 0.9), g, 0.5)
