@@ -218,8 +218,9 @@ def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
     command's own report fields, and writes the command's own artifacts. A
     baseline's method goes into every report and the summary. A split
     count, seed list, split fractions or model config that cannot be run,
-    and a split with no train, validation or test node, are refused before
-    anything is written. A diverging split ends the run with
+    a split with no train, validation or test node, and one whose
+    validation or test nodes carry no label, are refused before anything
+    is written. A diverging split ends the run with
     exit status 1, and a split that raises ValueError or MemoryError
     re-raises it; either leaves a line in run.log.
     """
@@ -231,6 +232,9 @@ def _run_splits(cfg, command: str, fit, method: str | None = None) -> int:
         for name, mask in (("train", ds.train_mask), ("validation", ds.val_mask), ("test", ds.test_mask)):
             if not mask.any():
                 raise ValueError(f"split {i} has no {name} nodes")
+            # both sets are scored, and AP is undefined without a positive
+            if name != "train" and not ds.labels[mask].any():
+                raise ValueError(f"split {i} has no labelled {name} nodes")
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, outdir / "effective_config.json")
@@ -349,8 +353,9 @@ def make_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--data", help="dataset directory")
         p.add_argument("--variant", choices=VARIANTS)
-        p.add_argument("--ablate", choices=ABLATIONS, required=(name == "ablate"))
         p.add_argument("--n-splits", type=int, dest="n_splits")
+        if name == "ablate":
+            p.add_argument("--ablate", choices=ABLATIONS, required=True)
 
     p = sub.add_parser("baseline", help="run a reference predictor")
     common(p)

@@ -33,7 +33,8 @@ class GenerationInfeasibleError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss. Carries the offending epoch."""
+    """Training produced a non-finite loss or fitted block. Carries the
+    offending epoch, 0 for a block fitted before the readout trains."""
 
     def __init__(self, epoch, message=None):
         self.epoch = epoch

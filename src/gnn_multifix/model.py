@@ -409,7 +409,9 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     projected. Otherwise X is propagated, and A^K · X is kept as it is with
     P beside it.
     The walk embedding is trained deterministically from config.seed.
-    Blocks that config disables are None.
+    Blocks that config disables are None. A fitted block that holds a
+    non-finite value raises TrainingDivergedError naming the block, so the
+    readout never trains on it.
 
     No operand built here is bound to a name: P under the identity policy,
     the substituted features and the initial label matrix are built inside
@@ -454,6 +456,9 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
             config.pe_lr,
             config.seed,
         )
+    for name, block in (("feature", H_f), ("label", H_l), ("positional", pe)):
+        if block is not None and not np.isfinite(block).all():
+            raise TrainingDivergedError(0, f"the fitted {name} block is not finite")
     return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim, P=P)
 
 

@@ -2,12 +2,14 @@
 
 Label sets are drawn with a truncated-geometric size distribution calibrated
 to the requested mean (median 3, max 12 at the defaults). A share of nodes
-copy one of a small pool of prototype sets; the share grows with the
+copy one of a pool of at least two prototype sets; the share grows with the
 homophily target so that enough identical-set pairs exist for the edge
 sampler. Edges come from accept/reject pairing: candidate pairs are drawn
 from mixed strata (identical-set, shared-label, uniform) and accepted with a
 probability exponential in their Jaccard similarity; the exponent is tuned
-by bisection until the measured homophily hits the target within 0.02.
+by bisection until the measured homophily hits the target within
+HOMOPHILY_TOLERANCE. At target 1.0 every node copies a prototype and edges
+join only identical sets, each group a clique or, past deg + 1 members, a ring.
 Features are a random linear read-out of the labels plus Gaussian noise,
 with a configurable share of columns decorrelated by row permutation.
 
@@ -27,6 +29,8 @@ from .graph import Dataset, Graph, jaccard_per_edge, label_homophily, make_datas
 from .rng import substream
 
 GENERATOR_VERSION = "1.0"
+HOMOPHILY_TOLERANCE = 0.02
+PAIRS_PER_DRAW = 32768
 
 
 @dataclass
@@ -36,7 +40,7 @@ class SynthSpec:
     target_homophily: float = 0.6
     mean_labels: float = 3.23
     max_labels: int = 12
-    avg_degree: int | None = None
+    avg_degree: float | None = None
     r_ori_feat: float = 1.0
     feat_dim: int = 10
     seed: int = 0
@@ -50,8 +54,12 @@ class SynthSpec:
             raise ValueError("r_ori_feat must lie in [0, 1]")
         if self.mean_labels > self.C:
             raise ValueError("mean_labels cannot exceed the number of labels")
+        for name, low in (("n", 2), ("feat_dim", 0), ("mean_labels", 1), ("avg_degree", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
-    def resolved_avg_degree(self) -> int:
+    def resolved_avg_degree(self) -> float:
         """Degree preset: 30, except a dense regime for low homophily targets."""
         if self.avg_degree is not None:
             return self.avg_degree
@@ -110,15 +118,16 @@ def _copy_fraction(target: float) -> float:
     so even low targets get a sizeable share (a dense graph cannot average
     0.2 without some identical-set edges).
     """
-    return float(np.clip(0.28 + 0.6 * target, 0.0, 1.0))
+    return 0.28 + 0.6 * target
 
 
 def generate_labels(spec: SynthSpec) -> np.ndarray:
     """Binary label matrix with calibrated per-node set sizes.
 
-    At target homophily 1.0 every node copies a prototype and every
-    prototype is assigned at least two nodes, so identical-set-only edge
-    placement is always possible.
+    At target homophily 1.0 every node copies one of at least two prototype
+    sets, each taken by two nodes or more once n >= 4, so identical-set-only
+    edge placement is always possible. Below it a node copies a random
+    prototype with probability _copy_fraction(target), else draws its own.
     """
     rng = substream(spec.seed, "labels")
     pmf = _size_distribution(spec.mean_labels, spec.max_labels)
@@ -126,34 +135,26 @@ def generate_labels(spec: SynthSpec) -> np.ndarray:
     dist_median = int(np.searchsorted(np.cumsum(pmf), 0.5)) + 1
 
     p_copy = _copy_fraction(spec.target_homophily)
-    deg = spec.resolved_avg_degree()
-    labels = np.zeros((spec.n, spec.C), dtype=np.int8)
-
-    proto_sets: list[np.ndarray] = []
-    if p_copy > 0.0:
-        members = (deg + 1) * (1 + round(2 * p_copy))
-        n_proto = max(2, min(spec.n // 2, round(p_copy * spec.n / members)))
-        # keep the prototype pool's own size statistics on target, since a
-        # large node share inherits them
-        for _ in range(200):
-            sizes = rng.choice(len(pmf), size=n_proto, p=pmf) + 1
-            if abs(sizes.mean() - spec.mean_labels) <= 0.2 and int(np.median(sizes)) == dist_median:
-                break
-        proto_sets = [rng.choice(spec.C, size=int(k), replace=False, p=pop) for k in sizes]
+    members = (spec.resolved_avg_degree() + 1) * (1 + round(2 * p_copy))
+    n_proto = max(2, min(spec.n // 2, round(p_copy * spec.n / members)))
+    # keep the prototype pool's own size statistics on target, since a
+    # large node share inherits them
+    for _ in range(200):
+        sizes = rng.choice(len(pmf), size=n_proto, p=pmf) + 1
+        if abs(sizes.mean() - spec.mean_labels) <= 0.2 and int(np.median(sizes)) == dist_median:
+            break
+    protos = np.zeros((n_proto, spec.C), dtype=np.int8)
+    for row, k in zip(protos, sizes):
+        row[rng.choice(spec.C, size=int(k), replace=False, p=pop)] = 1
 
     if spec.target_homophily >= 1.0:
-        assignment = rng.permutation(spec.n) % len(proto_sets)
-        for v in range(spec.n):
-            labels[v, proto_sets[assignment[v]]] = 1
-        return labels
+        return protos[rng.permutation(spec.n) % n_proto]
 
-    copy_mask = rng.random(spec.n) < p_copy if proto_sets else np.zeros(spec.n, dtype=bool)
-    proto_choice = rng.integers(len(proto_sets), size=spec.n) if proto_sets else None
-    for v in range(spec.n):
-        if copy_mask[v]:
-            labels[v, proto_sets[proto_choice[v]]] = 1
-        else:
-            labels[v, _sample_label_set(rng, pmf, pop, spec.C)] = 1
+    copy_mask = rng.random(spec.n) < p_copy
+    labels = protos[rng.integers(n_proto, size=spec.n)]
+    for v in np.flatnonzero(~copy_mask):
+        labels[v] = 0
+        labels[v, _sample_label_set(rng, pmf, pop, spec.C)] = 1
     return labels
 
 
@@ -175,7 +176,7 @@ class _Stratum:
         self.sizes = np.asarray([len(g) for g in groups], dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])[:-1]
         weights = self.sizes * (self.sizes - 1) / 2.0
-        self.cdf = np.cumsum(weights / weights.sum()) if weights.sum() > 0 else None
+        self.cdf = np.cumsum(weights / weights.sum())
 
     def draw(self, rng, k: int):
         which = np.searchsorted(self.cdf, rng.random(k), side="right")
@@ -204,27 +205,26 @@ class _PairSampler:
         where a label set is empty, so such a pair is never accepted."""
         strata = rng.integers(0, 3, size=size)
         for index, stratum in enumerate(self.strata):
-            if stratum.cdf is None:
+            if not len(stratum.cdf):
                 strata[strata == index] = 2
         u = np.empty(size, dtype=np.int64)
         v = np.empty(size, dtype=np.int64)
 
+        # a zero-size draw leaves the generator as it was: no empty-stratum guard
         for index, stratum in enumerate(self.strata):
             mask = strata == index
-            if mask.any():
-                u[mask], v[mask] = stratum.draw(rng, int(mask.sum()))
+            u[mask], v[mask] = stratum.draw(rng, int(mask.sum()))
         m2 = strata == 2
-        if m2.any():
-            k = int(m2.sum())
-            a = (rng.random(k) * self.n).astype(np.int64)
-            b = (rng.random(k) * (self.n - 1)).astype(np.int64)
-            b = b + (b >= a)
-            u[m2], v[m2] = a, b
+        k = int(m2.sum())
+        a = (rng.random(k) * self.n).astype(np.int64)
+        b = (rng.random(k) * (self.n - 1)).astype(np.int64)
+        b = b + (b >= a)
+        u[m2], v[m2] = a, b
         jac, _ = jaccard_per_edge(np.column_stack((u, v)), self.labels)
         return u, v, jac
 
 
-def _build_edges(sampler, spec, beta, m_target, batch=32768):
+def _build_edges(sampler, spec, beta, m_target):
     """Accept/reject edges until m_target or the proposal budget runs out."""
     rng = substream(spec.seed, "edges")
     edges = {}
@@ -232,10 +232,10 @@ def _build_edges(sampler, spec, beta, m_target, batch=32768):
     spent = 0
     n = sampler.n
     while len(edges) < m_target and spent < budget:
-        u, v, jac = sampler.propose(rng, batch)
-        spent += batch
+        u, v, jac = sampler.propose(rng, PAIRS_PER_DRAW)
+        spent += PAIRS_PER_DRAW
         acc = np.minimum(np.exp(beta * (jac - 0.5)), 1.0)
-        keep = rng.random(batch) < acc
+        keep = rng.random(PAIRS_PER_DRAW) < acc
         lo = np.minimum(u[keep], v[keep])
         hi = np.maximum(u[keep], v[keep])
         for a, b, j in zip(lo, hi, jac[keep]):
@@ -252,30 +252,28 @@ def _edge_homophily(edges) -> float:
 
 
 def _identical_only_graph(labels, spec, deg) -> Graph:
+    """Edges inside each shuffled group of identical label sets: a clique of
+    at most deg + 1 members, else a ring to the int(deg) // 2 next members."""
     rng = substream(spec.seed, "edges")
     pairs = []
     for group in _label_set_groups(labels):
         g = np.asarray(group)
         rng.shuffle(g)
         s = len(g)
-        if s < 2:
-            continue
         if s <= deg + 1:
-            for i in range(s):
-                for j in range(i + 1, s):
-                    pairs.append((g[i], g[j]))
+            i, j = np.triu_indices(s, k=1)
         else:
-            for off in range(1, deg // 2 + 1):
-                for i in range(s):
-                    pairs.append((g[i], g[(i + off) % s]))
-    return Graph.from_edges(spec.n, pairs)
+            i = np.tile(np.arange(s), int(deg) // 2)
+            j = (i + np.repeat(np.arange(1, int(deg) // 2 + 1), s)) % s
+        pairs.append(np.column_stack((g[i], g[j])))
+    return Graph.from_edges(spec.n, np.concatenate(pairs))
 
 
-def generate_graph(labels: np.ndarray, spec: SynthSpec, tolerance: float = 0.02) -> Graph:
+def generate_graph(labels: np.ndarray, spec: SynthSpec) -> Graph:
     """Graph whose measured label homophily matches the target.
 
     Bisection runs on a reduced edge budget first and is then verified at
-    full size; failure to land within the tolerance raises
+    full size; failure to land within HOMOPHILY_TOLERANCE raises
     GenerationInfeasibleError carrying the achieved value.
     """
     deg = spec.resolved_avg_degree()
@@ -294,7 +292,7 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec, tolerance: float = 0.02)
         beta = 0.5 * (lo_b + hi_b)
         edges = _build_edges(sampler, spec, beta, m_tune)
         achieved = _edge_homophily(edges)
-        if abs(achieved - target) <= 0.5 * tolerance:
+        if abs(achieved - target) <= 0.5 * HOMOPHILY_TOLERANCE:
             break
         if achieved < target:
             lo_b = beta
@@ -304,7 +302,7 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec, tolerance: float = 0.02)
     if m_tune < m_target:
         edges = _build_edges(sampler, spec, beta, m_target)
         achieved = _edge_homophily(edges)
-    if abs(achieved - target) > 0.75 * tolerance:
+    if abs(achieved - target) > 0.75 * HOMOPHILY_TOLERANCE:
         # the full-size draw can drift off a tuning done on a subsample;
         # refine toward a stricter goal so the final value has margin
         for _ in range(20):
@@ -315,9 +313,9 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec, tolerance: float = 0.02)
             beta = 0.5 * (lo_b + hi_b)
             edges = _build_edges(sampler, spec, beta, m_target)
             achieved = _edge_homophily(edges)
-            if abs(achieved - target) <= 0.75 * tolerance:
+            if abs(achieved - target) <= 0.75 * HOMOPHILY_TOLERANCE:
                 break
-        if abs(achieved - target) > tolerance:
+        if abs(achieved - target) > HOMOPHILY_TOLERANCE:
             raise GenerationInfeasibleError(target, achieved)
 
     if len(edges) < 0.8 * m_target:

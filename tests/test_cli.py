@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnn_multifix import cli, make_splits, save_dataset
+from gnn_multifix import cli, load_dataset, make_dataset, make_splits, save_dataset
 from gnn_multifix.cli import (
     DATA_KEYS,
     NULL_DEFAULT_SAMPLES,
@@ -122,6 +122,15 @@ def test_ablate_disables_module_in_effective_config(tmp_path):
     assert rc == 0
     cfg = json.loads((out / "effective_config.json").read_text())
     assert cfg["model"]["enable_pe"] is False
+
+
+def test_train_takes_no_ablate_flag(tmp_path):
+    # `gmfx ablate --ablate X` is the one spelling of an ablation
+    data = write_toy_dataset(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--ablate", "no-pe"])
+    assert exit_.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_baseline_majority_vote_reports_coverage(tmp_path):
@@ -278,6 +287,20 @@ def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
         assert re.search(r"^\S+ split 0: non-finite loss at epoch \d+$", log, re.M), command
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_walk_embedding_exit_names_the_block(tmp_path, capsys):
+    # skip-gram's float32 tables overflow at this step size
+    data = write_toy_dataset(tmp_path)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data), "--out", str(out), "--seed", "3", "--n-splits", "1",
+               *SMALL_MODEL, "--set", "model.pe_lr=1000"])
+    assert rc == 1
+    assert capsys.readouterr().err == "split 0: the fitted positional block is not finite\n"
+    log = (out / "run.log").read_text()
+    assert re.search(r"^\S+ split 0: the fitted positional block is not finite$", log, re.M)
+    assert not (out / "split_0" / "metrics.jsonl").exists()
+
+
 TRAIN_FILES = {"report.json", "probs.csv", "model.ckpt", "metrics.jsonl", "dynamics.csv",
                "dynamics_summary.csv"}
 
@@ -385,6 +408,22 @@ def test_metrics_stream_format(tmp_path):
         assert rec["epoch"] == i
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "1", "n must be >= 2, got 1"),
+    ("n", "0", "n must be >= 2, got 0"),
+    ("feat_dim", "-1", "feat_dim must be >= 0, got -1"),
+    ("mean_labels", "0.5", "mean_labels must be >= 1, got 0.5"),
+    ("avg_degree", "0", "avg_degree must be >= 1, got 0"),
+])
+def test_synth_value_that_crashes_or_misleads_is_refused_before_any_file(
+    tmp_path, capsys, key, value, message
+):
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["generate", "--out", str(tmp_path / "gen"), "--set", f"synth.{key}={value}"]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_generate_infeasible_target_exits_nonzero(tmp_path, capsys):
     # a 1-label universe cannot express homophily 0.5: every edge is 0 or 1
     rc = main([
@@ -490,6 +529,27 @@ def test_split_file_with_an_empty_set_is_refused_before_any_file(tmp_path, capsy
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("unlabelled, message", [
+    ("val", "split 0 has no labelled validation nodes"),
+    ("test", "split 0 has no labelled test nodes"),
+])
+def test_split_file_whose_scored_set_has_no_label_is_refused_before_any_file(
+    tmp_path, capsys, unlabelled, message
+):
+    # AP is undefined on a set without a positive, so the run could only fail after training
+    data = write_toy_dataset(tmp_path, with_split=False)
+    ds = make_splits(build_two_clique_dataset(10), 0.6, 0.2, seed=5)
+    labels = ds.labels.copy()
+    labels[getattr(ds, f"{unlabelled}_mask")] = 0
+    ds = make_dataset(ds.graph, labels, None, ds.train_mask, ds.val_mask, ds.test_mask)
+    save_dataset(ds, data / "edges.tsv", data / "labels.tsv", split_path=data / "splits.tsv")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
+                 *SMALL_MODEL]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_split_fractions_are_ignored_when_the_dataset_has_splits(tmp_path):
     data = write_toy_dataset(tmp_path)
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
@@ -541,6 +601,24 @@ def test_out_of_range_id_is_an_error_line(tmp_path, capsys, labels, splits):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "out of range" in err
+
+
+def test_data_section_paths_train_the_bytes_of_a_data_dir(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--seed", "3", "--set", "synth.n=150"]) == 0
+    ds = make_splits(load_dataset(data / "edges.tsv", data / "labels.tsv", data / "features.csv"),
+                     0.6, 0.2, seed=5)
+    save_dataset(ds, data / "edges.tsv", data / "labels.tsv", split_path=data / "splits.tsv")
+    config = tmp_path / "config.json"
+    files = {"edges": "edges.tsv", "labels": "labels.tsv", "features": "features.csv",
+             "splits": "splits.tsv"}
+    config.write_text(json.dumps({"data": {key: str(data / name) for key, name in files.items()}}))
+    common = ["--seed", "3", "--n-splits", "1", *SMALL_MODEL]
+    by_dir, by_paths = tmp_path / "by_dir", tmp_path / "by_paths"
+    assert main(["train", "--data", str(data), "--out", str(by_dir), *common]) == 0
+    assert main(["train", "--config", str(config), "--out", str(by_paths), *common]) == 0
+    names = ["summary.json", *(f"split_0/{name}" for name in TRAIN_FILES)]
+    assert read_bytes_map(by_dir, names) == read_bytes_map(by_paths, names)
 
 
 def test_int_value_for_a_float_config_key_is_accepted(tmp_path):

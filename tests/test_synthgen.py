@@ -206,3 +206,23 @@ def test_position_benchmark_structure():
     degs = ds.graph.deg.reshape(4, 20)
     assert np.array_equal(degs[0], degs[1])
     assert np.array_equal(degs[0], degs[3])
+
+
+@pytest.mark.parametrize("n, avg_degree, clique", [(40, None, True), (300, 8.5, False)],
+                         ids=["clique", "ring-fractional-degree"])
+def test_identical_set_graph_links_each_group_alone(n, avg_degree, clique):
+    # a group of at most deg + 1 members is a clique, a larger one a ring
+    # to the int(deg) // 2 next members on each side
+    spec = SynthSpec(n=n, target_homophily=1.0, avg_degree=avg_degree, seed=0)
+    labels = generate_labels(spec)
+    graph = generate_graph(labels, spec)
+    deg = spec.resolved_avg_degree()
+    groups = synthgen._label_set_groups(labels)
+    assert all((len(g) <= deg + 1) == clique for g in groups)
+    for group in groups:
+        for v in group:
+            nb = set(graph.neighbors(v).tolist())
+            if clique:
+                assert nb == set(group) - {v}
+            else:
+                assert nb < set(group) and len(nb) == 2 * (int(deg) // 2)
