@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the sha256 of every artifact of a fixed matrix of `gmfx` runs.
 
-Generates a seed-4 n=300 dataset, a copy of it without features.csv and
-a copy that ships a splits.tsv listing every node (node v goes to train,
-train, train, val, test by v mod 5). On the first it runs, in this process
+Generates a seed-4 n=300 dataset, a copy of it without features.csv, a
+copy that ships a splits.tsv listing every node (node v goes to train,
+train, train, val, test by v mod 5) and a featureless copy with five
+label-only nodes, 300-304, which have no edge (node 300 + i holds label i),
+so their walks stop at once. On the first it runs, in this process
 through gnn_multifix.cli.main: `train` with linear, mlp1 and mlp3; `ablate`
 with no-fr, no-lr and no-pe under linear and mlp1; `baseline` with
 majority_vote, mlp (--variant mlp1) and deepwalk under the degree policy.
@@ -11,15 +13,15 @@ On the featureless copy it runs the same matrix but for the four runs that
 never read features (the majority_vote and deepwalk baselines and the two
 no-fr ablations), whose bytes would repeat the first dataset's, and adds
 `train` (linear) under the degree policy. Then it runs `train` (linear) on
-the copy with splits.tsv, `train` (linear) on the first dataset with 2
-skip-gram epochs, `eval` of the first linear run's split_0/probs.csv, and
-`dynamics` on that run. Every training run takes 2 splits, 60 epochs and 3
-walks per node, with GMFX_THREADS=1, and all but the 2-epoch one take 1
-skip-gram epoch. Three more seed-4 `generate` runs cover the generator
-paths that n=300 at the default homophily misses: the n=3000 default,
-which tunes on a reduced edge budget before it builds the full graph, and
-n=300 at target homophily 1.0 (the identical-set graph) and 0.2 (the dense
-degree preset).
+the copy with splits.tsv and on the copy with label-only nodes, `train`
+(linear) on the first dataset with 2 skip-gram epochs, `eval` of the first
+linear run's split_0/probs.csv, and `dynamics` on that run. Every training
+run takes 2 splits, 60 epochs and 3 walks per node, with GMFX_THREADS=1,
+and all but the 2-epoch one take 1 skip-gram epoch. Three more seed-4
+`generate` runs cover the generator paths that n=300 at the default
+homophily misses: the n=3000 default, which tunes on a reduced edge budget
+before it builds the full graph, and n=300 at target homophily 1.0 (the
+identical-set graph) and 0.2 (the dense degree preset).
 
 Prints "sha256  path" for every file under DIR except run.log and
 effective_config.json, paths relative to DIR. Two source trees that keep
@@ -44,6 +46,7 @@ from gnn_multifix.cli import main as gmfx
 from gnn_multifix.model import VARIANTS
 
 N = 300
+ISOLATED = 5
 SPLIT_OF = ("train", "train", "train", "val", "test")
 SETTINGS = [
     "--n-splits", "2",
@@ -98,16 +101,20 @@ def main():
     data = out / "data"
     run(["generate", "--seed", "4", "--set", f"synth.n={N}", "--out", str(data / "features")])
     for kind, names in (("featureless", ["edges.tsv", "labels.tsv"]),
-                        ("split", ["edges.tsv", "labels.tsv", "features.csv"])):
+                        ("split", ["edges.tsv", "labels.tsv", "features.csv"]),
+                        ("isolated", ["edges.tsv", "labels.tsv"])):
         (data / kind).mkdir()
         for name in names:
             (data / kind / name).write_bytes((data / "features" / name).read_bytes())
     (data / "split" / "splits.tsv").write_text("".join(f"{v}\t{SPLIT_OF[v % 5]}\n" for v in range(N)))
+    with open(data / "isolated" / "labels.tsv", "a") as labels:
+        labels.write("".join(f"{N + i}\t{i}\n" for i in range(ISOLATED)))
     for kind, runs in (("features", RUNS), ("featureless", FEATURELESS_RUNS)):
         for name, argv in runs.items():
             run([*argv, *SETTINGS, "--data", str(data / kind), "--out", str(out / kind / name)])
-    run([*RUNS["train-linear"], *SETTINGS, "--data", str(data / "split"),
-         "--out", str(out / "split" / "train-linear")])
+    for kind in ("split", "isolated"):
+        run([*RUNS["train-linear"], *SETTINGS, "--data", str(data / kind),
+             "--out", str(out / kind / "train-linear")])
     # later skip-gram epochs shuffle the pair order again; every other run has one
     run([*RUNS["train-linear"], *SETTINGS, "--set", "model.pe_epochs=2",
          "--data", str(data / "features"), "--out", str(out / "features" / "train-linear-pe2")])

@@ -190,9 +190,9 @@ def _load_data(cfg):
 
 def cmd_generate(cfg) -> int:
     spec = SynthSpec(**cfg["synth"])
+    dataset, meta = generate_dataset(spec)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    dataset, meta = generate_dataset(spec)
     feature_path = outdir / "features.csv" if dataset.features is not None else None
     save_dataset(dataset, outdir / "edges.tsv", outdir / "labels.tsv", feature_path)
     _dump_json(meta, outdir / "meta.json")

@@ -2,8 +2,9 @@
 
 Every walk step is drawn from one RNG substream as a single array, so the
 corpus content is the same no matter how generation is scheduled. The corpus
-is one 2-D int64 array with a row per walk and a length per row; all walks
-advance together, one vectorised step per position. Embeddings are trained
+is one 2-D array with a row per full walk, in the narrowest index dtype,
+plus the start nodes of the walks that stop at once; all walks advance
+together, one vectorised step per position. Embeddings are trained
 with skip-gram and negative sampling over (center, context) pairs inside a
 shrunk window, as word2vec and DeepWalk do: each (walk, position) draws a
 reach uniformly from 1..window, and a pair is kept only when its context
@@ -35,18 +36,23 @@ from .rng import substream
 SHARED_NEGATIVES = 32
 
 
+def _index_dtype(top: int):
+    """int32 when every value up to ``top`` fits, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(frozen=True)
 class WalkCorpus:
-    """Walks as rows of a (walks_per_node * n, walk_len) int64 array.
+    """The walks of a corpus, in corpus order, split by where they stop.
 
-    Row ``r`` holds ``lengths[r]`` nodes followed by -1 padding. In an
-    undirected graph a walk only stops early at a start node with no
-    neighbors, so every length is either ``walk_len`` or 1.
+    ``walks`` is a (walks, walk_len) array with a row per walk from a node
+    that has a neighbor: in an undirected graph such a walk never stops
+    early. ``isolated`` lists the start nodes of the walks that stop at once,
+    from nodes with no neighbor. Both are in the index dtype of ``n - 1``.
     """
 
     walks: np.ndarray
-    lengths: np.ndarray
-    walk_len: int
+    isolated: np.ndarray
 
 
 def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) -> WalkCorpus:
@@ -68,38 +74,32 @@ def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) 
     passes = np.repeat(np.arange(walks_per_node), n)
 
     degree = graph.deg
-    lengths = np.where(degree[starts] > 0, walk_len, 1)
-    walks = np.full((len(starts), walk_len), -1, dtype=np.int64)
-    walks[:, 0] = starts
-    moving = np.flatnonzero(lengths > 1)
+    dtype = _index_dtype(n - 1)
+    moving = degree[starts] > 0
     cur = starts[moving]
+    walks = np.empty((len(cur), walk_len), dtype=dtype)
+    walks[:, 0] = cur
     draws = steps[cur, passes[moving]].T
     for t, u in enumerate(draws, start=1):
         cur = graph.col_idx[graph.row_ptr[cur] + (u * degree[cur]).astype(np.int64)]
-        walks[moving, t] = cur
-    return WalkCorpus(walks=walks, lengths=lengths, walk_len=walk_len)
-
-
-def _index_dtype(top: int):
-    """int32 when every value up to ``top`` fits, else int64."""
-    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+        walks[:, t] = cur
+    return WalkCorpus(walks=walks, isolated=starts[~moving].astype(dtype))
 
 
 class PairTable:
     """The (center, context) pairs of a corpus, decoded from the walks on demand.
 
-    Only walks of full length hold pairs, ``per_walk`` of them each. Pair k
-    is slot ``k % per_walk`` of full walk ``k // per_walk``, and slot j pairs
+    Only the full walks hold pairs, ``per_walk`` of them each. Pair k is
+    slot ``k % per_walk`` of full walk ``k // per_walk``, and slot j pairs
     positions ``center_pos[j]`` and ``context_pos[j]`` of its walk: offset
     by offset, the forward pairs (walk[:-off], walk[off:]) and then the same
     pairs reversed. The table holds every slot of the full window; training
-    visits only the pair ids that :func:`kept_pairs` selects. The full walks
-    are kept as one flat array, int32 when every node id fits.
+    visits only the pair ids that :func:`kept_pairs` selects. ``walks`` is a
+    flat view of the corpus's full walks.
     """
 
     def __init__(self, corpus: WalkCorpus, window: int):
-        L = corpus.walk_len
-        full = corpus.walks[corpus.lengths >= 2]
+        rows, L = corpus.walks.shape
         center, context = [], []
         for off in range(1, min(window, L - 1) + 1):
             head, tail = list(range(L - off)), list(range(off, L))
@@ -109,8 +109,8 @@ class PairTable:
         self.context_pos = np.array(context, dtype=np.int64)
         self.per_walk = len(self.center_pos)
         self.walk_len = L
-        self.walks = full.reshape(-1).astype(_index_dtype(full.max(initial=0)), copy=False)
-        self.m = len(full) * self.per_walk
+        self.walks = corpus.walks.reshape(-1)
+        self.m = rows * self.per_walk
 
     def decode(self, idx: np.ndarray):
         """The centers and contexts of pairs ``idx``, in the walks' dtype."""
@@ -165,9 +165,9 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> np.ndarray:
 
 def unigram_table(corpus: WalkCorpus, n: int) -> np.ndarray:
     """Negative-sampling distribution: corpus occurrence counts ** 0.75, as in word2vec."""
-    nodes = corpus.walks[corpus.walks >= 0]
-    counts = np.bincount(nodes, minlength=n).astype(np.float64)
-    weights = counts**0.75
+    counts = np.bincount(corpus.walks.reshape(-1), minlength=n)
+    counts += np.bincount(corpus.isolated, minlength=n)
+    weights = counts.astype(np.float64) ** 0.75
     total = weights.sum()
     if total == 0:
         raise ValueError("empty corpus")
@@ -246,10 +246,11 @@ def train_skipgram(
     """
     if dim < 1 or window < 1 or neg_samples < 1:
         raise ValueError("dim, window, and neg_samples must be >= 1")
-    if len(corpus.lengths) == 0:
+    if len(corpus.walks) + len(corpus.isolated) == 0:
         raise ValueError("empty corpus")
-    if corpus.walks.max() >= n:
-        raise ValueError(f"corpus holds node ids >= n ({n})")
+    for ids in (corpus.walks, corpus.isolated):
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(f"corpus holds node ids outside [0, {n})")
     # batched updates accumulate every pair that touches a node; keep the
     # per-node step bounded by sizing batches relative to the vocabulary
     batch_size = max(64, min(batch_size, 4 * n))
@@ -362,7 +363,7 @@ def _apply_batch(emb_in, emb_out, c, x, negatives, weight, lr, work):
     """
     w = {name: buf[: len(c)] for name, buf in work.items()}
     # mode="clip" lets take write straight into its buffer; it never clips,
-    # since train_skipgram checks that every node id is below n
+    # since train_skipgram checks that every node id lies in [0, n)
     vc = np.take(emb_in, c, axis=0, out=w["vc"], mode="clip")
     ux = np.take(emb_out, x, axis=0, out=w["ux"], mode="clip")
     us = emb_out[negatives]

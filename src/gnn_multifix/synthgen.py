@@ -269,21 +269,33 @@ def _identical_only_graph(labels, spec, deg) -> Graph:
     return Graph.from_edges(spec.n, np.concatenate(pairs))
 
 
+def _refuse_shortfall(placed, m_target, target, achieved):
+    if placed < 0.8 * m_target:
+        raise GenerationInfeasibleError(
+            target, achieved, f"only {placed} of {m_target} edges could be placed"
+        )
+
+
 def generate_graph(labels: np.ndarray, spec: SynthSpec) -> Graph:
     """Graph whose measured label homophily matches the target.
 
     Bisection runs on a reduced edge budget first and is then verified at
     full size; failure to land within HOMOPHILY_TOLERANCE raises
-    GenerationInfeasibleError carrying the achieved value.
+    GenerationInfeasibleError carrying the achieved value. So does a graph
+    with fewer than 80% of the n * avg_degree / 2 edges asked for, on
+    either path.
     """
     deg = spec.resolved_avg_degree()
-    if spec.target_homophily >= 1.0:
-        return _identical_only_graph(labels, spec, deg)
-
     m_target = max(1, round(spec.n * deg / 2))
+    target = spec.target_homophily
+    if target >= 1.0:
+        graph = _identical_only_graph(labels, spec, deg)
+        # every edge joins two identical label sets
+        _refuse_shortfall(graph.n_edges, m_target, target, float(graph.n_edges > 0))
+        return graph
+
     sampler = _PairSampler(labels)
     m_tune = min(m_target, 30000)
-    target = spec.target_homophily
 
     lo_b, hi_b = -40.0, 40.0
     beta = 0.0
@@ -318,10 +330,7 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec) -> Graph:
         if abs(achieved - target) > HOMOPHILY_TOLERANCE:
             raise GenerationInfeasibleError(target, achieved)
 
-    if len(edges) < 0.8 * m_target:
-        raise GenerationInfeasibleError(
-            target, achieved, f"only {len(edges)} of {m_target} edges could be placed"
-        )
+    _refuse_shortfall(len(edges), m_target, target, achieved)
     n = spec.n
     pairs = [(k // n, k % n) for k in edges]
     return Graph.from_edges(n, pairs)

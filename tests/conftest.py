@@ -85,8 +85,7 @@ def shrunk_window_pairs(corpus, window, seed):
     reversed ones (center p + off, context p).
     """
     pairs = positional.corpus_pairs(corpus, window)
-    L = corpus.walk_len
-    rows = int((corpus.lengths >= 2).sum())
+    rows, L = corpus.walks.shape
     reach = substream(seed, "sgns-window").integers(1, window + 1, size=(rows, L))
     keep = []
     for r in range(rows):

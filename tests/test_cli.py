@@ -433,6 +433,19 @@ def test_generate_infeasible_target_exits_nonzero(tmp_path, capsys):
     ])
     assert rc == 1
     assert "achieved" in capsys.readouterr().err
+    # the output directory is made only once generation has succeeded
+    assert not (tmp_path / "bad").exists()
+
+
+def test_generate_identical_set_degree_shortfall_exits_nonzero(tmp_path, capsys):
+    # 40 nodes fall into groups of at most 20, so no node reaches degree 30
+    rc = main(["generate", "--out", str(tmp_path / "short"), "--homophily", "1.0",
+               "--set", "synth.n=40"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        "generation infeasible: only 380 of 600 edges could be placed"
+    )
+    assert not (tmp_path / "short").exists()
 
 
 MISTYPED_CONFIG_ERRORS = {

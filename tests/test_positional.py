@@ -40,8 +40,19 @@ def clique_edges(nodes):
 
 
 def walk_lists(corpus):
-    """Each walk of the corpus as a list, without its padding."""
-    return [row[:length].tolist() for row, length in zip(corpus.walks, corpus.lengths)]
+    """The full walks of the corpus as lists, then the walks that stop at once."""
+    return corpus.walks.tolist() + [[v] for v in corpus.isolated.tolist()]
+
+
+def split_by_start(graph, walks):
+    """Walks as lists: those whose start node has a neighbor, then the rest.
+
+    Each part keeps its corpus order. At walk_len 1 every walk has length 1,
+    so the split is by the start node, not by the length.
+    """
+    moving = [graph.deg[w[0]] > 0 for w in walks]
+    return ([w.tolist() for w, m in zip(walks, moving) if m]
+            + [w.tolist() for w, m in zip(walks, moving) if not m])
 
 
 def test_isolated_node_walk_has_length_one():
@@ -75,7 +86,7 @@ def test_walk_steps_are_edges(seed):
     n = int(rng.integers(2, 30))
     g = build_random_graph(n, 2 * n, seed)
     corpus = generate_walks(g, walk_len=8, walks_per_node=2, seed=seed)
-    assert len(corpus.walks) == 2 * n
+    assert len(corpus.walks) + len(corpus.isolated) == 2 * n
     for walk in walk_lists(corpus):
         for a, b in zip(walk[:-1], walk[1:]):
             assert g.has_edge(int(a), int(b))
@@ -86,14 +97,14 @@ def test_walks_and_embeddings_are_deterministic():
     c1 = generate_walks(g, 10, 5, seed=9)
     c2 = generate_walks(g, 10, 5, seed=9)
     assert np.array_equal(c1.walks, c2.walks)
-    assert np.array_equal(c1.lengths, c2.lengths)
+    assert np.array_equal(c1.isolated, c2.isolated)
     e1 = train_skipgram(c1, 20, 8, 5, 5, 2, 0.025, seed=9)
     e2 = train_skipgram(c2, 20, 8, 5, 5, 2, 0.025, seed=9)
     assert np.array_equal(e1, e2)
 
 
 def test_empty_corpus_rejected():
-    empty = WalkCorpus(np.empty((0, 10), dtype=np.int64), np.empty(0, dtype=np.int64), 10)
+    empty = WalkCorpus(np.empty((0, 10), dtype=np.int32), np.empty(0, dtype=np.int32))
     with pytest.raises(ValueError):
         train_skipgram(empty, 5, 8, 5, 5, 1, 0.025, seed=0)
 
@@ -103,6 +114,26 @@ def test_corpus_with_nodes_beyond_n_rejected():
     corpus = generate_walks(g, walk_len=4, walks_per_node=1, seed=1)
     with pytest.raises(ValueError):
         train_skipgram(corpus, 3, 8, 5, 5, 1, 0.025, seed=1)
+
+
+def test_corpus_with_negative_node_ids_rejected():
+    g = build_random_graph(6, 12, seed=1)
+    corpus = generate_walks(g, walk_len=4, walks_per_node=1, seed=1)
+    walks = corpus.walks.copy()
+    walks[0, 2] = -3
+    for bad in (WalkCorpus(walks, corpus.isolated), WalkCorpus(corpus.walks, np.array([-1]))):
+        with pytest.raises(ValueError, match="outside"):
+            train_skipgram(bad, 6, 8, 5, 5, 1, 0.025, seed=1)
+
+
+def test_pair_table_views_the_corpus_walks():
+    # a 30-ring and node 30 with no neighbor, whose walks stop at once
+    g = Graph.from_edges(31, [(v, (v + 1) % 30) for v in range(30)])
+    corpus = generate_walks(g, 10, 2, seed=3)
+    assert corpus.isolated.tolist() == [30, 30]
+    assert corpus.walks.dtype == np.int32
+    assert (corpus.walks >= 0).all()
+    assert np.shares_memory(PairTable(corpus, 5).walks, corpus.walks)
 
 
 def test_single_length_one_walk_keeps_initialization():
@@ -276,10 +307,11 @@ def test_walk_corpus_matches_per_walk_reference(seed):
     corpus = generate_walks(g, walk_len, walks_per_node, seed)
     ref = reference_walks(g, walk_len, walks_per_node, seed)
 
-    assert corpus.walks.shape == (n * walks_per_node, walk_len)
-    assert corpus.lengths.tolist() == [len(w) for w in ref]
-    assert walk_lists(corpus) == [w.tolist() for w in ref]
-    assert (corpus.walks[np.arange(walk_len) >= corpus.lengths[:, None]] == -1).all()
+    moving = sum(g.deg[w[0]] > 0 for w in ref)
+    assert corpus.walks.shape == (moving, walk_len)
+    assert corpus.isolated.shape == (n * walks_per_node - moving,)
+    assert corpus.walks.dtype == corpus.isolated.dtype == np.int32
+    assert walk_lists(corpus) == split_by_start(g, ref)
     for window in (1, 3, 5):
         assert np.array_equal(corpus_pairs(corpus, window), reference_pairs(ref, window))
     assert np.array_equal(unigram_table(corpus, n), reference_unigram(ref, n))
@@ -399,10 +431,11 @@ def test_int32_pairs_train_the_same_bytes_as_int64(monkeypatch):
     assert corpus_pairs(corpus, 5).dtype == np.int32
     assert PairTable(corpus, 5).walks.dtype == np.int32
     narrow = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
-    # int64 walk table and int64 epoch order
+    # int64 walks and int64 epoch order: the corpus picks the walks' dtype
     monkeypatch.setattr(positional, "_index_dtype", lambda top: np.int64)
-    assert PairTable(corpus, 5).walks.dtype == np.int64
-    wide = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
+    wide_corpus = generate_walks(g, 10, 5, seed=7)
+    assert PairTable(wide_corpus, 5).walks.dtype == np.int64
+    wide = train_skipgram(wide_corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
     assert narrow.tobytes() == wide.tobytes()
 
 

@@ -208,7 +208,7 @@ def test_position_benchmark_structure():
     assert np.array_equal(degs[0], degs[3])
 
 
-@pytest.mark.parametrize("n, avg_degree, clique", [(40, None, True), (300, 8.5, False)],
+@pytest.mark.parametrize("n, avg_degree, clique", [(40, 19, True), (300, 8.5, False)],
                          ids=["clique", "ring-fractional-degree"])
 def test_identical_set_graph_links_each_group_alone(n, avg_degree, clique):
     # a group of at most deg + 1 members is a clique, a larger one a ring
