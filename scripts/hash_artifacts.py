@@ -5,8 +5,10 @@ Generates a seed-4 n=300 dataset, a copy of it without features.csv, a
 copy that ships a splits.tsv listing every node (node v goes to train,
 train, train, val, test by v mod 5) and a featureless copy with five
 label-only nodes, 300-304, which have no edge (node 300 + i holds label i),
-so their walks stop at once. On the first it runs, in this process
-through gnn_multifix.cli.main: `train` with linear, mlp1 and mlp3; `ablate`
+so their walks stop at once. It also saves the seed-4 position benchmark
+with 4 regions (featureless structural twins) and its splits.tsv. On the
+first dataset it runs, in this process through gnn_multifix.cli.main:
+`train` with linear, mlp1 and mlp3; `ablate`
 with no-fr, no-lr and no-pe under linear and mlp1; `baseline` with
 majority_vote, mlp (--variant mlp1) and deepwalk under the degree policy.
 On the featureless copy it runs the same matrix but for the four runs that
@@ -14,6 +16,7 @@ never read features (the majority_vote and deepwalk baselines and the two
 no-fr ablations), whose bytes would repeat the first dataset's, and adds
 `train` (linear) under the degree policy. Then it runs `train` (linear) on
 the copy with splits.tsv and on the copy with label-only nodes, `train`
+(linear) under the degree policy on the position benchmark, `train`
 (linear) on the first dataset with 2 skip-gram epochs, `eval` of the first
 linear run's split_0/probs.csv, and `dynamics` on that run. Every training
 run takes 2 splits, 60 epochs and 3 walks per node, with GMFX_THREADS=1,
@@ -42,8 +45,10 @@ from pathlib import Path
 os.environ["GMFX_THREADS"] = "1"
 
 # gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
+from gnn_multifix import save_dataset
 from gnn_multifix.cli import main as gmfx
 from gnn_multifix.model import VARIANTS
+from gnn_multifix.synthgen import generate_position_benchmark
 
 N = 300
 ISOLATED = 5
@@ -109,12 +114,18 @@ def main():
     (data / "split" / "splits.tsv").write_text("".join(f"{v}\t{SPLIT_OF[v % 5]}\n" for v in range(N)))
     with open(data / "isolated" / "labels.tsv", "a") as labels:
         labels.write("".join(f"{N + i}\t{i}\n" for i in range(ISOLATED)))
+    position = data / "position"
+    position.mkdir()
+    save_dataset(generate_position_benchmark(n_regions=4, seed=4), position / "edges.tsv",
+                 position / "labels.tsv", split_path=position / "splits.tsv")
     for kind, runs in (("features", RUNS), ("featureless", FEATURELESS_RUNS)):
         for name, argv in runs.items():
             run([*argv, *SETTINGS, "--data", str(data / kind), "--out", str(out / kind / name)])
     for kind in ("split", "isolated"):
         run([*RUNS["train-linear"], *SETTINGS, "--data", str(data / kind),
              "--out", str(out / kind / "train-linear")])
+    run([*FEATURELESS_RUNS["train-linear-degree"], *SETTINGS, "--data", str(position),
+         "--out", str(out / "position" / "train-linear-degree")])
     # later skip-gram epochs shuffle the pair order again; every other run has one
     run([*RUNS["train-linear"], *SETTINGS, "--set", "model.pe_epochs=2",
          "--data", str(data / "features"), "--out", str(out / "features" / "train-linear-pe2")])

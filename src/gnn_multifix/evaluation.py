@@ -190,8 +190,10 @@ def import_dynamics(path) -> DynamicsLog:
     """Rebuild a DynamicsLog from the data CSV written by export_dynamics.
 
     A checkpoint that lacks a node which another checkpoint holds, as in a
-    truncated file, is refused, and so is a second row for one (checkpoint,
-    node) or a row whose epoch differs from its checkpoint's first row.
+    truncated file, is refused, and so is a checkpoint whose epoch is not
+    above the previous checkpoint's. So are a non-finite loss, a second row
+    for one (checkpoint, node) and a row whose epoch differs from its
+    checkpoint's first row, at their line.
     """
     records = _records(path, comments=False)
     line_no, header = next(records, (1, ""))
@@ -204,6 +206,8 @@ def import_dynamics(path) -> DynamicsLog:
             raise DatasetParseError(path, line_no, "malformed dynamics row")
         i, epoch, node = _parse(int, parts[:3], path, line_no, "malformed dynamics row")
         (loss,) = _parse(float, parts[3:], path, line_no, "malformed dynamics row")
+        if not np.isfinite(loss):
+            raise DatasetParseError(path, line_no, "non-finite loss")
         first_line, first_epoch, losses = checkpoints.setdefault(i, (line_no, epoch, {}))
         if epoch != first_epoch:
             raise DatasetParseError(
@@ -221,6 +225,12 @@ def import_dynamics(path) -> DynamicsLog:
         if len(losses) != len(node_ids):
             missing = min(set(node_ids) - set(losses))
             raise DatasetParseError(path, first_line, f"checkpoint {i} has no loss for node {missing}")
+    # the report's slopes need distinct epochs, and its final loss the latest
+    for prev, i in zip(idx, idx[1:]):
+        first_line, epoch, _ = checkpoints[i]
+        if epoch <= checkpoints[prev][1]:
+            message = f"checkpoint {i} is epoch {epoch}, not above checkpoint {prev}'s epoch {checkpoints[prev][1]}"
+            raise DatasetParseError(path, first_line, message)
     return DynamicsLog(
         node_ids=np.asarray(node_ids, dtype=np.int64),
         epochs=np.asarray([checkpoints[i][1] for i in idx], dtype=np.int64),

@@ -166,6 +166,13 @@ def _label_set_groups(labels: np.ndarray) -> list[list[int]]:
     return list(sets.values())
 
 
+def _distinct_pair(rng, k: int, s):
+    """k index pairs (a, b) with a != b, both below s (a scalar or one per pair)."""
+    a = (rng.random(k) * s).astype(np.int64)
+    b = (rng.random(k) * (s - 1)).astype(np.int64)
+    return a, b + (b >= a)
+
+
 class _Stratum:
     """Pairs of distinct members of one node group, picking a group of s
     members with weight s(s-1)/2; groups of fewer than two are dropped."""
@@ -180,10 +187,7 @@ class _Stratum:
 
     def draw(self, rng, k: int):
         which = np.searchsorted(self.cdf, rng.random(k), side="right")
-        s = self.sizes[which]
-        a = (rng.random(k) * s).astype(np.int64)
-        b = (rng.random(k) * (s - 1)).astype(np.int64)
-        b = b + (b >= a)
+        a, b = _distinct_pair(rng, k, self.sizes[which])
         base = self.offsets[which]
         return self.flat[base + a], self.flat[base + b]
 
@@ -215,17 +219,17 @@ class _PairSampler:
             mask = strata == index
             u[mask], v[mask] = stratum.draw(rng, int(mask.sum()))
         m2 = strata == 2
-        k = int(m2.sum())
-        a = (rng.random(k) * self.n).astype(np.int64)
-        b = (rng.random(k) * (self.n - 1)).astype(np.int64)
-        b = b + (b >= a)
-        u[m2], v[m2] = a, b
+        u[m2], v[m2] = _distinct_pair(rng, int(m2.sum()), self.n)
         jac, _ = jaccard_per_edge(np.column_stack((u, v)), self.labels)
         return u, v, jac
 
 
 def _build_edges(sampler, spec, beta, m_target):
-    """Accept/reject edges until m_target or the proposal budget runs out."""
+    """Accept/reject edges until m_target or the proposal budget runs out.
+
+    Returns the keys u * n + v (u < v) in acceptance order and their mean
+    Jaccard, the graph's label homophily (0.0 with no edge).
+    """
     rng = substream(spec.seed, "edges")
     edges = {}
     budget = 200 * m_target
@@ -244,11 +248,8 @@ def _build_edges(sampler, spec, beta, m_target):
                 edges[key] = j
                 if len(edges) >= m_target:
                     break
-    return edges
-
-
-def _edge_homophily(edges) -> float:
-    return float(np.mean(list(edges.values()))) if edges else 0.0
+    achieved = float(np.mean(list(edges.values()))) if edges else 0.0
+    return np.fromiter(edges, np.int64, len(edges)), achieved
 
 
 def _identical_only_graph(labels, spec, deg) -> Graph:
@@ -279,8 +280,10 @@ def _refuse_shortfall(placed, m_target, target, achieved):
 def generate_graph(labels: np.ndarray, spec: SynthSpec) -> Graph:
     """Graph whose measured label homophily matches the target.
 
-    Bisection runs on a reduced edge budget first and is then verified at
-    full size; failure to land within HOMOPHILY_TOLERANCE raises
+    One bisection on the acceptance exponent serves two goals: it tunes on
+    a reduced edge budget to within 0.5 x HOMOPHILY_TOLERANCE, then, if the
+    full-size graph misses by more than 0.75 x, refines at full size toward
+    that. A final miss beyond HOMOPHILY_TOLERANCE raises
     GenerationInfeasibleError carrying the achieved value. So does a graph
     with fewer than 80% of the n * avg_degree / 2 edges asked for, on
     either path.
@@ -295,45 +298,30 @@ def generate_graph(labels: np.ndarray, spec: SynthSpec) -> Graph:
         return graph
 
     sampler = _PairSampler(labels)
+
+    def bisect(lo, hi, m, goal, steps):
+        # a build that misses the goal narrows the bracket before the next
+        for _ in range(steps):
+            beta = 0.5 * (lo + hi)
+            keys, achieved = _build_edges(sampler, spec, beta, m)
+            if abs(achieved - target) <= goal:
+                break
+            lo, hi = (beta, hi) if achieved < target else (lo, beta)
+        return lo, hi, beta, keys, achieved
+
     m_tune = min(m_target, 30000)
-
-    lo_b, hi_b = -40.0, 40.0
-    beta = 0.0
-    achieved = None
-    for it in range(50):
-        beta = 0.5 * (lo_b + hi_b)
-        edges = _build_edges(sampler, spec, beta, m_tune)
-        achieved = _edge_homophily(edges)
-        if abs(achieved - target) <= 0.5 * HOMOPHILY_TOLERANCE:
-            break
-        if achieved < target:
-            lo_b = beta
-        else:
-            hi_b = beta
-
+    lo, hi, beta, keys, achieved = bisect(-40.0, 40.0, m_tune, 0.5 * HOMOPHILY_TOLERANCE, 50)
     if m_tune < m_target:
-        edges = _build_edges(sampler, spec, beta, m_target)
-        achieved = _edge_homophily(edges)
+        keys, achieved = _build_edges(sampler, spec, beta, m_target)
     if abs(achieved - target) > 0.75 * HOMOPHILY_TOLERANCE:
         # the full-size draw can drift off a tuning done on a subsample;
         # refine toward a stricter goal so the final value has margin
-        for _ in range(20):
-            if achieved < target:
-                lo_b = beta
-            else:
-                hi_b = beta
-            beta = 0.5 * (lo_b + hi_b)
-            edges = _build_edges(sampler, spec, beta, m_target)
-            achieved = _edge_homophily(edges)
-            if abs(achieved - target) <= 0.75 * HOMOPHILY_TOLERANCE:
-                break
-        if abs(achieved - target) > HOMOPHILY_TOLERANCE:
-            raise GenerationInfeasibleError(target, achieved)
-
-    _refuse_shortfall(len(edges), m_target, target, achieved)
-    n = spec.n
-    pairs = [(k // n, k % n) for k in edges]
-    return Graph.from_edges(n, pairs)
+        lo, hi = (beta, hi) if achieved < target else (lo, beta)
+        *_, keys, achieved = bisect(lo, hi, m_target, 0.75 * HOMOPHILY_TOLERANCE, 20)
+    if abs(achieved - target) > HOMOPHILY_TOLERANCE:
+        raise GenerationInfeasibleError(target, achieved)
+    _refuse_shortfall(len(keys), m_target, target, achieved)
+    return Graph.from_edges(spec.n, np.column_stack(np.divmod(keys, spec.n)))
 
 
 def generate_features(labels: np.ndarray, spec: SynthSpec) -> np.ndarray:
@@ -390,8 +378,16 @@ def generate_position_benchmark(
     connect to unlabeled bridge (validation) nodes, so propagated labels
     reach no test node while walk embeddings separate the regions cleanly.
     """
-    rng = substream(seed, "region-template")
     a, b, h = train_per_region, test_per_region, bridges_per_region
+    for name, value in (("n_regions", n_regions), ("bridges_per_region", h), ("bridge_links", bridge_links)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if bridge_links > h:
+        raise ValueError(f"bridge_links must be <= bridges_per_region ({h}), got {bridge_links}")
+    for name, value in (("train_per_region", a), ("test_per_region", b)):
+        if intra_degree >= 2 and value < 2:
+            raise ValueError(f"{name} must be >= 2 when intra_degree >= 2, got {value}")
+    rng = substream(seed, "region-template")
     size = a + b + h
     template = set()
 
@@ -413,19 +409,12 @@ def generate_position_benchmark(
         template.add((bridge_start + i, bridge_start + (i + 1) % h))
 
     n = n_regions * size
-    c = n_regions
-    edges = []
-    labels = np.zeros((n, c), dtype=np.int8)
-    train = np.zeros(n, dtype=bool)
-    val = np.zeros(n, dtype=bool)
-    test = np.zeros(n, dtype=bool)
-    for r in range(n_regions):
-        off = r * size
-        edges.extend((off + u, off + v) for u, v in template)
-        labels[off : off + size, r] = 1
-        labels[off : off + size, (r + 1) % c] = 1
-        train[off : off + a] = True
-        test[off + a : off + a + b] = True
-        val[off + a + b : off + size] = True
-    graph = Graph.from_edges(n, edges)
-    return make_dataset(graph, labels, train_mask=train, val_mask=val, test_mask=test)
+    region, pos = np.divmod(np.arange(n), size)
+    labels = np.zeros((n, n_regions), dtype=np.int8)
+    labels[np.arange(n), region] = 1
+    labels[np.arange(n), (region + 1) % n_regions] = 1
+    # region r is the template shifted by r * size
+    edges = np.array(sorted(template)) + size * np.arange(n_regions)[:, None, None]
+    graph = Graph.from_edges(n, edges.reshape(-1, 2))
+    return make_dataset(graph, labels, train_mask=pos < a, val_mask=pos >= a + b,
+                        test_mask=(pos >= a) & (pos < a + b))

@@ -16,7 +16,7 @@ from gnn_multifix import (
 )
 from gnn_multifix import graph as graph_module
 from gnn_multifix import positional
-from gnn_multifix.errors import DatasetParseError, UndefinedMetricError
+from gnn_multifix.errors import DatasetParseError, GenerationInfeasibleError, UndefinedMetricError
 from gnn_multifix.graph import _with_self_loops
 from gnn_multifix.rng import substream
 
@@ -205,6 +205,43 @@ def dense_propagation_oracle(P, Y_padded, N):
     for _ in range(N):
         out = dense @ out
     return out
+
+
+def reference_homophily_search(build, target, m_target, tolerance=0.02):
+    """The achieved homophily of the two-loop search generate_graph once ran.
+
+    build(beta, m) returns the homophily of an m-edge graph drawn at
+    exponent beta. Tuning bisects on min(m_target, 30000) edges toward half
+    the tolerance; a full-size graph off by more than 0.75 of it is refined
+    for 20 more steps, each narrowing by the last result before its build.
+    A final miss beyond the tolerance raises GenerationInfeasibleError.
+    """
+    m_tune = min(m_target, 30000)
+    lo_b, hi_b = -40.0, 40.0
+    for _ in range(50):
+        beta = 0.5 * (lo_b + hi_b)
+        achieved = build(beta, m_tune)
+        if abs(achieved - target) <= 0.5 * tolerance:
+            break
+        if achieved < target:
+            lo_b = beta
+        else:
+            hi_b = beta
+    if m_tune < m_target:
+        achieved = build(beta, m_target)
+    if abs(achieved - target) > 0.75 * tolerance:
+        for _ in range(20):
+            if achieved < target:
+                lo_b = beta
+            else:
+                hi_b = beta
+            beta = 0.5 * (lo_b + hi_b)
+            achieved = build(beta, m_target)
+            if abs(achieved - target) <= 0.75 * tolerance:
+                break
+        if abs(achieved - target) > tolerance:
+            raise GenerationInfeasibleError(target, achieved)
+    return achieved
 
 
 def build_random_graph(n, n_edges, seed):

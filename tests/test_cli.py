@@ -218,6 +218,34 @@ def test_truncated_dynamics_csv_names_the_short_checkpoint(tmp_path, capsys):
                     capsys.readouterr().err)
 
 
+def run_dynamics_on_rows(tmp_path, capsys, rows):
+    """Exit code and stderr of `gmfx dynamics` on a run whose split_0/dynamics.csv holds rows."""
+    csv = tmp_path / "run" / "split_0" / "dynamics.csv"
+    csv.parent.mkdir(parents=True)
+    csv.write_text("\n".join(["checkpoint_index,epoch,node_id,loss", *rows]) + "\n")
+    rc = main(["dynamics", "--run", str(tmp_path / "run")])
+    assert not (csv.parent / "atypical_nodes.csv").exists()
+    return rc, capsys.readouterr().err, csv
+
+
+def test_dynamics_refuses_two_checkpoints_at_one_epoch(tmp_path, capsys):
+    # equal epochs leave the slope's denominator at zero
+    rc, err, csv = run_dynamics_on_rows(tmp_path, capsys, ["0,5,0,0.5", "0,5,1,0.4", "1,5,0,0.3", "1,5,1,0.2"])
+    assert (rc, err) == (1, f"error: {csv}:4: checkpoint 1 is epoch 5, not above checkpoint 0's epoch 5\n")
+
+
+def test_dynamics_refuses_a_checkpoint_earlier_than_the_previous(tmp_path, capsys):
+    # the final loss must be the latest epoch's
+    rc, err, csv = run_dynamics_on_rows(tmp_path, capsys, ["0,9,0,0.5", "0,9,1,0.4", "1,3,0,0.3", "1,3,1,0.2"])
+    assert (rc, err) == (1, f"error: {csv}:4: checkpoint 1 is epoch 3, not above checkpoint 0's epoch 9\n")
+
+
+@pytest.mark.parametrize("loss", ["nan", "inf", "-inf"])
+def test_dynamics_refuses_a_non_finite_loss_at_its_line(tmp_path, capsys, loss):
+    rc, err, csv = run_dynamics_on_rows(tmp_path, capsys, ["0,1,0,0.5", f"0,1,1,{loss}", "1,2,0,0.3", "1,2,1,0.2"])
+    assert (rc, err) == (1, f"error: {csv}:3: non-finite loss\n")
+
+
 def test_dynamics_missing_run_dir_fails(tmp_path, capsys):
     rc = main(["dynamics", "--run", str(tmp_path / "nope")])
     assert rc == 1
@@ -432,7 +460,7 @@ def test_generate_infeasible_target_exits_nonzero(tmp_path, capsys):
         "--set", "synth.mean_labels=1.0", "--set", "synth.avg_degree=6",
     ])
     assert rc == 1
-    assert "achieved" in capsys.readouterr().err
+    assert capsys.readouterr().err == "generation infeasible: could not reach target 0.5000; achieved 0.0000\n"
     # the output directory is made only once generation has succeeded
     assert not (tmp_path / "bad").exists()
 

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gnn_multifix import (
     evaluate,
@@ -13,6 +16,7 @@ from gnn_multifix import (
     save_dataset,
 )
 from gnn_multifix import synthgen
+from gnn_multifix.errors import GenerationInfeasibleError
 from gnn_multifix.synthgen import (
     SynthSpec,
     generate_dataset,
@@ -21,6 +25,8 @@ from gnn_multifix.synthgen import (
     generate_labels,
     generate_position_benchmark,
 )
+
+from conftest import reference_homophily_search
 
 
 def test_label_statistics_at_defaults():
@@ -124,6 +130,94 @@ def test_graph_builds_no_edge_set_twice(monkeypatch, n, homophily):
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
+# a logistic in beta from floor to ceiling, a wiggle that breaks its
+# monotonicity, an optional rounding to multiples of `quantum`, and a drift
+# added to every graph above the 30 000-edge tuning budget
+LANDSCAPES = st.fixed_dictionaries({
+    "floor": st.floats(0.0, 0.5), "ceiling": st.floats(0.5, 1.0), "center": st.floats(-45.0, 45.0),
+    "scale": st.floats(1e-6, 30.0), "wiggle": st.floats(0.0, 0.05),
+    "quantum": st.one_of(st.just(0.0), st.floats(0.001, 0.4)), "drift": st.floats(-0.1, 0.1),
+})
+# tuning takes all 50 steps (the rounded values 0.4 and 0.8 never come
+# within 0.01 of 0.5), and the full-size draw, 0.2 higher, crosses 0.5
+CROSSING = {"floor": 0.3, "ceiling": 0.7, "center": 1.0, "scale": 1.0, "wiggle": 0.0,
+            "quantum": 0.4, "drift": 0.2}
+
+
+def landscape_searches(landscape, target, avg_degree):
+    """The (beta, m) builds and the refused value (None if reached) of
+    generate_graph and of reference_homophily_search on one fake landscape."""
+    spec = SynthSpec(n=300, target_homophily=target, avg_degree=avg_degree, seed=0)
+    labels = generate_labels(spec)
+    keys = np.flatnonzero(np.triu(np.ones((spec.n, spec.n), dtype=bool), 1))
+
+    def achieved(beta, m):
+        z = min(max((beta - landscape["center"]) / landscape["scale"], -500.0), 500.0)
+        h = landscape["floor"] + (landscape["ceiling"] - landscape["floor"]) / (1.0 + math.exp(-z))
+        h += landscape["wiggle"] * math.sin(7.0 * beta)
+        if landscape["quantum"]:
+            h = round(h / landscape["quantum"]) * landscape["quantum"]
+        return min(max(h + landscape["drift"] * (m > 30000), 0.0), 1.0)
+
+    def graph_search(build):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthgen, "_build_edges", lambda sampler, spec, beta, m: (keys[:m], build(beta, m)))
+            generate_graph(labels, spec)
+
+    def reference_search(build):
+        reference_homophily_search(build, target, round(spec.n * avg_degree / 2))
+
+    results = []
+    for search in (graph_search, reference_search):
+        calls = []
+
+        def build(beta, m):
+            calls.append((beta, m))
+            return achieved(beta, m)
+
+        try:
+            search(build)
+            results.append((calls, None))
+        except GenerationInfeasibleError as err:
+            results.append((calls, err.achieved))
+    return results
+
+
+def test_full_size_draw_that_crosses_the_target_narrows_once_more():
+    # avg_degree 250 asks for 37 500 edges, so tuning runs on 30 000
+    (calls, refused), reference = landscape_searches(CROSSING, 0.5, 250)
+    assert (calls, refused) == reference
+    assert [m for _, m in calls[:50]] == [30000] * 50
+    # the last tuning build fell short and the full-size one overshot, so
+    # the bracket closes on the tuned beta and every refinement rebuilds it
+    assert calls[50:] == [(calls[49][0], 37500)] * 21 and refused == pytest.approx(0.6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(landscape=LANDSCAPES, target=st.floats(0.05, 0.95), avg_degree=st.sampled_from([30, 250]))
+@example(landscape=CROSSING, target=0.5, avg_degree=250)
+def test_one_bisection_routine_searches_as_the_two_loops_did(landscape, target, avg_degree):
+    graph_search, reference = landscape_searches(landscape, target, avg_degree)
+    assert graph_search == reference
+
+
+@pytest.mark.parametrize("spec, sizes, achieved", [
+    (SynthSpec(n=500, target_homophily=0.1, seed=0), [30000] * 50 + [33250] * 21, 0.1494827597632109),
+    (SynthSpec(n=300, target_homophily=0.95, seed=2), [4500] * 70, 0.8927619047619048),
+], ids=["tuned-then-refined", "full-budget"])
+def test_infeasible_targets_end_on_the_pinned_search(monkeypatch, spec, sizes, achieved):
+    build, calls = synthgen._build_edges, []
+
+    def recording_build(sampler, spec, beta, m_target):
+        calls.append(m_target)
+        return build(sampler, spec, beta, m_target)
+
+    monkeypatch.setattr(synthgen, "_build_edges", recording_build)
+    with pytest.raises(GenerationInfeasibleError) as err:
+        generate_graph(generate_labels(spec), spec)
+    assert (calls, err.value.achieved) == (sizes, achieved)
+
+
 def test_graph_deterministic():
     spec = SynthSpec(n=300, target_homophily=0.6, seed=8, avg_degree=12)
     labels = generate_labels(spec)
@@ -208,7 +302,28 @@ def test_position_benchmark_structure():
     assert np.array_equal(degs[0], degs[3])
 
 
-@pytest.mark.parametrize("n, avg_degree, clique", [(40, 19, True), (300, 8.5, False)],
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_regions": 0}, "n_regions must be >= 1, got 0"),
+    ({"bridges_per_region": 0}, "bridges_per_region must be >= 1, got 0"),
+    ({"bridge_links": 0}, "bridge_links must be >= 1, got 0"),
+    ({"bridges_per_region": 3, "bridge_links": 5}, "bridge_links must be <= bridges_per_region (3), got 5"),
+    ({"train_per_region": 1}, "train_per_region must be >= 2 when intra_degree >= 2, got 1"),
+    ({"test_per_region": 1}, "test_per_region must be >= 2 when intra_degree >= 2, got 1"),
+    ({"test_per_region": 0, "intra_degree": 2}, "test_per_region must be >= 2 when intra_degree >= 2, got 0"),
+])
+def test_position_benchmark_refuses_sizes_it_cannot_build(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        generate_position_benchmark(**kwargs)
+    assert str(err.value) == message
+
+
+def test_position_benchmark_single_member_sides_need_no_intra_links():
+    ds = generate_position_benchmark(n_regions=2, train_per_region=1, test_per_region=1,
+                                      bridges_per_region=1, intra_degree=1, bridge_links=1)
+    assert ds.n == 6 and ds.train_mask.sum() == ds.val_mask.sum() == ds.test_mask.sum() == 2
+
+
+@pytest.mark.parametrize("n, avg_degree, clique",[(40, 19, True), (300, 8.5, False)],
                          ids=["clique", "ring-fractional-degree"])
 def test_identical_set_graph_links_each_group_alone(n, avg_degree, clique):
     # a group of at most deg + 1 members is a clique, a larger one a ring
