@@ -145,7 +145,7 @@ def build_config(args) -> dict:
 def _resolve_seeds(cfg) -> list[int]:
     if cfg["n_splits"] < 1:
         raise ValueError(f"n_splits must be >= 1, got {cfg['n_splits']}")
-    if cfg["seeds"]:
+    if cfg["seeds"] is not None:
         seeds = [int(s) for s in cfg["seeds"]]
         if len(seeds) != cfg["n_splits"]:
             raise ValueError(f"seed list has {len(seeds)} entries for n_splits={cfg['n_splits']}")
@@ -171,7 +171,9 @@ def _describe(err: Exception) -> str:
 
 
 def _load_data(cfg):
-    data = cfg.get("data") or {}
+    data = {key: path for key, path in (cfg.get("data") or {}).items() if path is not None}
+    if "dir" in data and len(data) > 1:
+        raise ValueError("the data section takes dir, or edges and labels, not both")
     if "dir" in data:
         d = Path(data["dir"])
         features = None
@@ -181,11 +183,12 @@ def _load_data(cfg):
                 break
         splits = d / "splits.tsv" if (d / "splits.tsv").exists() else None
         return load_dataset(d / "edges.tsv", d / "labels.tsv", features, splits)
-    if "edges" in data and "labels" in data:
-        return load_dataset(
-            data["edges"], data["labels"], data.get("features"), data.get("splits")
-        )
-    raise ValueError("no dataset configured: pass --data DIR or a data section in --config")
+    if not data:
+        raise ValueError("no dataset configured: pass --data DIR or a data section in --config")
+    for key in ("edges", "labels"):
+        if key not in data:
+            raise ValueError(f"the data section names no {key} file")
+    return load_dataset(data["edges"], data["labels"], data.get("features"), data.get("splits"))
 
 
 def cmd_generate(cfg) -> int:
@@ -312,12 +315,10 @@ def cmd_eval(cfg, probs_path, split: str) -> int:
 def cmd_dynamics(cfg, run_dir, k: int) -> int:
     run = Path(run_dir) if run_dir else Path(cfg["out"])
     if not run.exists():
-        print(f"run directory {run} does not exist", file=sys.stderr)
-        return 1
+        raise ValueError(f"run directory {run} does not exist")
     csvs = sorted(run.glob("split_*/dynamics.csv"))
     if not csvs:
-        print(f"no dynamics.csv found under {run}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no dynamics.csv found under {run}")
     for csv in csvs:
         log = import_dynamics(csv)
         k_eff = min(k, len(log.node_ids))

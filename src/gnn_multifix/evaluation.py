@@ -267,16 +267,14 @@ def atypical_node_report(log: DynamicsLog, k: int) -> list[AtypicalNode]:
     ]
 
 
-def homophily_recovery(probs: np.ndarray, graph: Graph, threshold: float = 0.5) -> float:
-    """Label homophily of the graph under thresholded predictions.
+def homophily_recovery(probs: np.ndarray, graph: Graph) -> float:
+    """Label homophily of the graph under predictions thresholded at 0.5.
 
     Rows whose thresholded prediction is empty keep their single top-scoring
     label, so every node has a nonempty predicted set.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
     probs = np.asarray(probs, dtype=np.float64)
-    pred = probs >= threshold
+    pred = probs >= 0.5
     empty = ~pred.any(axis=1)
     if empty.any():
         pred[np.flatnonzero(empty), probs[empty].argmax(axis=1)] = True

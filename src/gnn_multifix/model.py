@@ -326,14 +326,14 @@ def bce_loss(pred: np.ndarray, truth: np.ndarray):
     return float(per_node.mean()), per_node
 
 
-def model_loss_and_grads(model, reps: Representations, truth, node_mask, weight_decay=0.0):
-    """Masked BCE (+ optional L2 on weight matrices) and its gradients.
+def model_loss_and_grads(model, reps: Representations, truth, node_mask):
+    """Masked BCE and its gradients: the objective :func:`train` steps on.
 
     Returns (loss, grads) where grads maps every trainable parameter name to
-    the analytic gradient of the full objective. With weight_decay > 0 the
-    objective includes 0.5 * wd * ||W||^2 over weight matrices (not biases),
-    so the gradients can be checked against finite differences directly.
-    It runs :func:`train`'s readout and backward pass on the masked rows.
+    the analytic gradient of the mean BCE over the masked rows, so the
+    gradients can be checked against finite differences directly. It runs
+    :func:`train`'s readout and backward pass on the masked rows. Weight
+    decay is no part of it: :class:`AdamState` applies it to the weights.
     """
     truth = np.asarray(truth, dtype=np.float64)
     node_mask = np.asarray(node_mask, dtype=bool)
@@ -343,13 +343,6 @@ def model_loss_and_grads(model, reps: Representations, truth, node_mask, weight_
         raise ValueError("node mask selects no rows")
     const = _constant_input(model, reps, rows=node_mask)
     loss, _, grads = _loss_and_grads(model, const, truth[node_mask])
-
-    p = model.params
-    if weight_decay > 0.0:
-        for k in p:
-            if k.endswith("_W"):
-                grads[k] = grads[k] + weight_decay * p[k]
-                loss += 0.5 * weight_decay * float((p[k] ** 2).sum())
     return loss, grads
 
 

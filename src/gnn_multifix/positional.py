@@ -34,6 +34,8 @@ from .rng import substream
 # summed update of a whole batch, so too few rows take very large steps:
 # S = 8 collapsed test AP to 0.42 where S = 32 held it.
 SHARED_NEGATIVES = 32
+# pairs per SGD batch, capped at 4 n (and at least 64) by train_skipgram
+BATCH_SIZE = 4096
 
 
 def _index_dtype(top: int):
@@ -165,8 +167,10 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> np.ndarray:
 
 def unigram_table(corpus: WalkCorpus, n: int) -> np.ndarray:
     """Negative-sampling distribution: corpus occurrence counts ** 0.75, as in word2vec."""
-    counts = np.bincount(corpus.walks.reshape(-1), minlength=n)
-    counts += np.bincount(corpus.isolated, minlength=n)
+    # bincount converts its input to intp; column by column, each copy is one column
+    counts = np.bincount(corpus.isolated, minlength=n)
+    for column in corpus.walks.T:
+        counts += np.bincount(column, minlength=n)
     weights = counts.astype(np.float64) ** 0.75
     total = weights.sum()
     if total == 0:
@@ -224,7 +228,6 @@ def train_skipgram(
     epochs: int,
     lr: float,
     seed: int,
-    batch_size: int = 4096,
     return_trace: bool = False,
 ):
     """Train skip-gram embeddings with negative sampling over the corpus.
@@ -242,7 +245,8 @@ def train_skipgram(
     also returns a dict holding the discarded (float32) output embeddings,
     the number of kept pairs, and the loss before/after training on a fixed
     evaluation sample (the first kept pairs), which is only drawn and scored
-    when the trace is asked for.
+    when the trace is asked for. Only tests ask for it today; it stays for
+    the run report, which is to record skip-gram's initial and final loss.
     """
     if dim < 1 or window < 1 or neg_samples < 1:
         raise ValueError("dim, window, and neg_samples must be >= 1")
@@ -253,7 +257,7 @@ def train_skipgram(
             raise ValueError(f"corpus holds node ids outside [0, {n})")
     # batched updates accumulate every pair that touches a node; keep the
     # per-node step bounded by sizing batches relative to the vocabulary
-    batch_size = max(64, min(batch_size, 4 * n))
+    batch_size = max(64, min(BATCH_SIZE, 4 * n))
     emb_in = initial_embedding(n, dim, seed)
     emb_out = np.zeros((n, dim), dtype=emb_in.dtype)
 

@@ -361,15 +361,12 @@ def generate_dataset(spec: SynthSpec):
     return dataset, meta
 
 
-def generate_position_benchmark(
-    n_regions: int = 12,
-    train_per_region: int = 50,
-    test_per_region: int = 30,
-    bridges_per_region: int = 8,
-    intra_degree: int = 6,
-    bridge_links: int = 2,
-    seed: int = 0,
-) -> Dataset:
+# a twin region's train, test and bridge nodes; each train or test node draws
+# INTRA_DEGREE // 2 links inside its side and BRIDGE_LINKS to the bridges
+REGION_TRAIN, REGION_TEST, REGION_BRIDGES, INTRA_DEGREE, BRIDGE_LINKS = 50, 30, 8, 6, 2
+
+
+def generate_position_benchmark(n_regions: int = 12, seed: int = 0) -> Dataset:
     """Featureless benchmark where only node position carries the labels.
 
     One random region template is copied n_regions times, so corresponding
@@ -377,16 +374,11 @@ def generate_position_benchmark(
     the region index. Train nodes and test nodes never touch directly: both
     connect to unlabeled bridge (validation) nodes, so propagated labels
     reach no test node while walk embeddings separate the regions cleanly.
+    A region holds REGION_TRAIN + REGION_TEST + REGION_BRIDGES = 88 nodes.
     """
-    a, b, h = train_per_region, test_per_region, bridges_per_region
-    for name, value in (("n_regions", n_regions), ("bridges_per_region", h), ("bridge_links", bridge_links)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if bridge_links > h:
-        raise ValueError(f"bridge_links must be <= bridges_per_region ({h}), got {bridge_links}")
-    for name, value in (("train_per_region", a), ("test_per_region", b)):
-        if intra_degree >= 2 and value < 2:
-            raise ValueError(f"{name} must be >= 2 when intra_degree >= 2, got {value}")
+    if n_regions < 1:
+        raise ValueError(f"n_regions must be >= 1, got {n_regions}")
+    a, b, h = REGION_TRAIN, REGION_TEST, REGION_BRIDGES
     rng = substream(seed, "region-template")
     size = a + b + h
     template = set()
@@ -394,11 +386,11 @@ def generate_position_benchmark(
     def add_random_links(side_start, side_size, bridge_start):
         for i in range(side_size):
             node = side_start + i
-            for _ in range(intra_degree // 2):
+            for _ in range(INTRA_DEGREE // 2):
                 other = side_start + int(rng.integers(side_size - 1))
                 other = other + (other >= node)
                 template.add((min(node, other), max(node, other)))
-            picks = rng.permutation(h)[:bridge_links]
+            picks = rng.permutation(h)[:BRIDGE_LINKS]
             for p in picks:
                 template.add((node, bridge_start + int(p)))
 

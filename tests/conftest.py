@@ -95,7 +95,8 @@ def shrunk_window_pairs(corpus, window, seed):
     return pairs[np.array(keep, dtype=bool)]
 
 
-def pair_array_skipgram(corpus, n, dim, window, neg_samples, epochs, lr, seed, batch_size=4096):
+def pair_array_skipgram(corpus, n, dim, window, neg_samples, epochs, lr, seed,
+                        batch_size=positional.BATCH_SIZE):
     """train_skipgram(..., return_trace=True) by the loop that the streamed epoch replaced.
 
     It builds every kept pair as one shrunk_window_pairs array, draws each

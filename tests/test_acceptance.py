@@ -129,9 +129,8 @@ def test_criterion_02_gradient_check_all_variants():
         mask = rng.random(n) < 0.6
         if not mask.any():
             mask[0] = True
-        wd = 5e-4
         reps = Representations(H_f, H_l, pe, feature_dim=D, P=P)
-        _, grads = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
+        _, grads = model_loss_and_grads(model, reps, truth, mask)
         for key, grad in grads.items():
             arr = model.params[key]
             it = np.nditer(arr, flags=["multi_index"])
@@ -139,9 +138,9 @@ def test_criterion_02_gradient_check_all_variants():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
+                lp, _ = model_loss_and_grads(model, reps, truth, mask)
                 arr[idx] = orig - h
-                lm, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
+                lm, _ = model_loss_and_grads(model, reps, truth, mask)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-8)
@@ -308,7 +307,7 @@ def test_criterion_07_homophily_recovery():
         run_cfg = replace(cfg, seed=seed)
         reps = compute_representations(ds, run_cfg)
         model, _, _ = train(ds, run_cfg, reps=reps)
-        recovered.append(homophily_recovery(predict(model, ds, reps=reps), ds.graph, 0.5))
+        recovered.append(homophily_recovery(predict(model, ds, reps=reps), ds.graph))
     mean = float(np.mean(recovered))
     elapsed = time.monotonic() - start
     report(7, "thresholded predictions recover target homophily 0.8",

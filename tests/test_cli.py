@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,7 @@ def test_dynamics_refuses_a_non_finite_loss_at_its_line(tmp_path, capsys, loss):
 def test_dynamics_missing_run_dir_fails(tmp_path, capsys):
     rc = main(["dynamics", "--run", str(tmp_path / "nope")])
     assert rc == 1
+    assert capsys.readouterr().err == f"error: run directory {tmp_path / 'nope'} does not exist\n"
 
 
 def test_dynamics_with_data_does_not_train_a_missing_run(tmp_path, capsys):
@@ -521,16 +523,18 @@ def test_unknown_config_key_is_refused_before_any_file(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("extra", [
-    ["--n-splits", "0"],
-    ["--n-splits", "-2"],
-    ["--n-splits", "3", "--set", "seeds=[1, 2]"],
-], ids=["zero", "negative", "seed-list-length"])
-def test_unrunnable_split_count_is_refused_before_any_file(tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra, message", [
+    (["--n-splits", "0"], "n_splits must be >= 1, got 0"),
+    (["--n-splits", "-2"], "n_splits must be >= 1, got -2"),
+    (["--n-splits", "3", "--set", "seeds=[1, 2]"], "seed list has 2 entries for n_splits=3"),
+    # an empty list is a seed list of the wrong length, not "no seed list"
+    (["--n-splits", "2", "--set", "seeds=[]"], "seed list has 0 entries for n_splits=2"),
+], ids=["zero", "negative", "seed-list-length", "empty-seed-list"])
+def test_unrunnable_split_count_is_refused_before_any_file(tmp_path, capsys, extra, message):
     data = write_toy_dataset(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *extra]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -662,6 +666,36 @@ def test_data_section_paths_train_the_bytes_of_a_data_dir(tmp_path):
     assert read_bytes_map(by_dir, names) == read_bytes_map(by_paths, names)
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("key", ["edges", "features"])
+def test_data_dir_with_file_paths_is_refused_before_any_file(tmp_path, capsys, command, key):
+    data = write_toy_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "run"), "--n-splits", "1",
+            "--set", f"data.{key}={data / 'edges.tsv'}"]
+    if command == "eval":
+        argv = [arg for arg in argv if arg not in ("--n-splits", "1")] + ["--probs", "p.csv"]
+    assert main(argv) == 1
+    message = "the data section takes dir, or edges and labels, not both"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"edges": "edges.tsv"}, "the data section names no labels file"),
+    ({"labels": "labels.tsv"}, "the data section names no edges file"),
+    ({"dir": None}, "no dataset configured: pass --data DIR or a data section in --config"),
+], ids=["no-labels", "no-edges", "null-dir"])
+def test_incomplete_data_section_is_refused_before_any_file(tmp_path, capsys, section, message):
+    data = write_toy_dataset(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {k: v and str(data / v) for k, v in section.items()}}))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_int_value_for_a_float_config_key_is_accepted(tmp_path):
     data = write_toy_dataset(tmp_path)
     out = tmp_path / "run"
@@ -720,7 +754,6 @@ def test_generate_and_train_do_not_import_numpy_ma(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-
 def import_with_gmfx_threads(value, code="import gnn_multifix"):
     """Run code in a child whose GMFX_THREADS is value (None: unset) and no *_NUM_THREADS is set."""
     env = {k: v for k, v in os.environ.items()
@@ -769,3 +802,76 @@ def test_unset_gmfx_threads_trains_the_bytes_of_one_thread(tmp_path):
         assert out.returncode == 0, out.stderr
         runs[name] = read_bytes_map(run / "split_0", ["probs.csv", "model.ckpt"])
     assert runs["unset"] == runs["one"]
+
+
+# a valid three-node dataset with its own split, which each case below breaks
+# in one file; every path in a message is relative to tmp_path
+REFUSAL_DATA = {
+    "data/edges.tsv": "0\t1\n1\t2\n",
+    "data/labels.tsv": "#C=2\n0\t0\n1\t1\n2\t0,1\n",
+    "data/splits.tsv": "0\ttrain\n1\tval\n2\ttest\n",
+}
+TRAIN_DATA = ["train", "--data", "data", "--out", "run", "--n-splits", "1"]
+DYNAMICS = ["dynamics", "--run", "run"]
+DYNAMICS_CSV = "run/split_0/dynamics.csv"
+DYNAMICS_HEADER = "checkpoint_index,epoch,node_id,loss\n"
+
+
+@pytest.mark.parametrize("files, argv, status, message", [
+    ({"data/labels.tsv": "#C=2\n0\t0\t1\n"}, TRAIN_DATA, 1,
+     "error: data/labels.tsv:2: expected 'node<TAB>labels', got '0\\t0\\t1'"),
+    ({"data/labels.tsv": "#C=2\n-1\t0\n"}, TRAIN_DATA, 1,
+     "error: data/labels.tsv:2: node ids must be non-negative"),
+    ({"data/labels.tsv": "#C=2\n0\t0\n0\t1\n"}, TRAIN_DATA, 1,
+     "error: data/labels.tsv:3: duplicate label line for node 0"),
+    ({"data/features.bin": b"\x03\x00"}, TRAIN_DATA, 1,
+     "error: data/features.bin:1: binary feature file shorter than its header"),
+    ({"data/features.bin": struct.pack("<II", 3, 1) + bytes(8)}, TRAIN_DATA, 1,
+     "error: data/features.bin:1: binary feature payload is 16 bytes, expected 32"),
+    ({"data/features.csv": "1,2\n3\n4,5\n"}, TRAIN_DATA, 1,
+     "error: data/features.csv:2: row has 1 columns, expected 2"),
+    ({"data/features.csv": ""}, TRAIN_DATA, 1, "error: data/features.csv:1: empty feature file"),
+    ({"data/splits.tsv": "0\ttrain\n1\tvalid\n"}, TRAIN_DATA, 1,
+     "error: data/splits.tsv:2: expected 'node<TAB>train|val|test', got '1\\tvalid'"),
+    ({"data/edges.tsv": "", "data/labels.tsv": "#C=2\n"}, TRAIN_DATA, 1,
+     "error: data/edges.tsv:1: dataset defines no nodes"),
+    ({"probs.csv": "0,0.5,0.5\n"}, ["eval", "--data", "data", "--probs", "probs.csv", "--out", "eval"], 1,
+     "error: probs.csv:1: missing probability CSV header"),
+    ({DYNAMICS_CSV: "a,b,c,d\n0,1,0,0.5\n"}, DYNAMICS, 1,
+     f"error: {DYNAMICS_CSV}:1: unexpected dynamics CSV header"),
+    ({DYNAMICS_CSV: DYNAMICS_HEADER + "0,1,0\n"}, DYNAMICS, 1,
+     f"error: {DYNAMICS_CSV}:2: malformed dynamics row"),
+    ({DYNAMICS_CSV: DYNAMICS_HEADER}, DYNAMICS, 1, f"error: {DYNAMICS_CSV}:1: dynamics CSV has no data rows"),
+    ({"run/split_0/metrics.jsonl": ""}, DYNAMICS, 1, "error: no dynamics.csv found under run"),
+    ({}, ["generate", "--out", "gen", "--homophily", "1.5"], 1, "error: target_homophily must lie in [0, 1]"),
+    ({}, ["generate", "--out", "gen", "--set", "synth.max_labels=0"], 1, "error: max_labels must lie in [1, C]"),
+    ({}, ["generate", "--out", "gen", "--feat-quality", "2"], 1, "error: r_ori_feat must lie in [0, 1]"),
+    ({}, ["train", "--data", "data", "--set", "foo"], 2,
+     "gmfx train: error: argument --set: --set expects key=value, got 'foo'"),
+], ids=[
+    "labels-three-fields", "labels-negative-node", "labels-duplicate-node", "features-bin-short-header",
+    "features-bin-payload-size", "features-csv-ragged", "features-csv-empty", "splits-malformed-line",
+    "no-nodes", "eval-probs-no-header", "dynamics-header", "dynamics-three-fields",
+    "dynamics-header-only", "dynamics-no-csv", "generate-homophily", "generate-max-labels",
+    "generate-feat-quality", "set-without-equals",
+])
+def test_outside_input_refusal_is_one_error_line_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, files, argv, status, message
+):
+    for name, content in {**REFUSAL_DATA, **files}.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    try:
+        rc = main(argv)
+    except SystemExit as exit:  # argparse refuses before main's handler runs
+        rc = exit.code
+    assert rc == status
+    err = capsys.readouterr().err
+    assert err.endswith(f"{message}\n") and (status == 2 or err == f"{message}\n")
+    assert sorted(tmp_path.rglob("*")) == before

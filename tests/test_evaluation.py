@@ -396,7 +396,7 @@ def test_homophily_recovery_identity_predictions():
     from gnn_multifix import label_homophily
 
     true = label_homophily(ds)
-    assert homophily_recovery(ds.labels.astype(float) * 0.9 + 0.05, ds.graph, 0.5) == pytest.approx(
+    assert homophily_recovery(ds.labels.astype(float) * 0.9 + 0.05, ds.graph) == pytest.approx(
         true
     )
 
@@ -405,29 +405,23 @@ def test_homophily_recovery_constant_predictions():
     ds = build_random_dataset(25, 4, seed=10)
     probs = np.zeros(ds.labels.shape)
     probs[:, 1] = 0.9
-    assert homophily_recovery(probs, ds.graph, 0.5) == pytest.approx(1.0)
+    assert homophily_recovery(probs, ds.graph) == pytest.approx(1.0)
 
 
 def test_homophily_recovery_empty_rows_keep_top_label():
     g = Graph.from_edges(2, [(0, 1)])
     probs = np.array([[0.2, 0.4, 0.1], [0.1, 0.45, 0.1]])
     # thresholded sets are empty; both keep label 1, so the edge is a match
-    assert homophily_recovery(probs, g, 0.5) == pytest.approx(1.0)
-
-
-def test_homophily_recovery_threshold_validated():
-    g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        homophily_recovery(np.ones((2, 2)) * 0.5, g, 1.5)
+    assert homophily_recovery(probs, g) == pytest.approx(1.0)
 
 
 def test_homophily_recovery_is_undefined_without_edges():
     g = Graph.from_edges(3, [])
     with pytest.raises(UndefinedMetricError, match="edgeless graph"):
-        homophily_recovery(np.full((3, 2), 0.9), g, 0.5)
+        homophily_recovery(np.full((3, 2), 0.9), g)
 
 
 def test_homophily_recovery_refuses_probs_of_another_node_count():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ShapeError):
-        homophily_recovery(np.full((2, 2), 0.9), g, 0.5)
+        homophily_recovery(np.full((2, 2), 0.9), g)

@@ -134,8 +134,7 @@ def test_gradients_match_finite_differences():
     h = 1e-5
     for variant in ("linear", "mlp1", "mlp3"):
         model, reps, truth, mask = random_inputs(variant, seed=3)
-        wd = 5e-4
-        _, grads = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
+        _, grads = model_loss_and_grads(model, reps, truth, mask)
         for key, grad in grads.items():
             arr = model.params[key]
             flat_idx = np.unravel_index(
@@ -143,9 +142,9 @@ def test_gradients_match_finite_differences():
             )  # check the largest-gradient entry per parameter
             orig = arr[flat_idx]
             arr[flat_idx] = orig + h
-            lp, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
+            lp, _ = model_loss_and_grads(model, reps, truth, mask)
             arr[flat_idx] = orig - h
-            lm, _ = model_loss_and_grads(model, reps, truth, mask, weight_decay=wd)
+            lm, _ = model_loss_and_grads(model, reps, truth, mask)
             arr[flat_idx] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad[flat_idx]) / max(abs(fd), abs(grad[flat_idx]), 1e-8) < 1e-4
@@ -454,6 +453,24 @@ def test_linear_real_features_are_propagated_then_projected(K):
         assert np.array_equal(reps.P, _feature_projection(c, 6))
 
 
+def test_adam_first_step_decays_weight_matrices_only():
+    # from a zero state the bias-corrected moments are g and g**2, so the
+    # first step is p - lr * g / (|g| + eps), then * (1 - lr * wd) on *_W keys
+    rng = np.random.default_rng(11)
+    shapes = {"ft_W": (4, 3), "ft_b": (3,), "out_W": (3, 2), "out_b": (2,)}
+    params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    lr, wd = 0.01, 5e-4
+    before = {k: v.copy() for k, v in params.items()}
+    opt = AdamState(params, lr=lr, weight_decay=wd)
+    opt.step(params, grads)
+    for k, g in grads.items():
+        expected = before[k] - lr * g / (np.abs(g) + AdamState.eps)
+        if k.endswith("_W"):
+            expected = expected * (1 - lr * wd)
+        np.testing.assert_allclose(params[k], expected, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("features", ["real", "degree"])
 def test_narrow_linear_readout_matches_materialised_projection(features):
     ds = featureless_with_isolated_nodes(50, 3, seed=5)
@@ -470,8 +487,8 @@ def test_narrow_linear_readout_matches_materialised_projection(features):
     probs = forward(model, reps)
     assert np.abs(probs - forward(model, wide)).max() < 1e-12
     truth = ds.labels.astype(np.float64)
-    loss, grads = model_loss_and_grads(model, reps, truth, ds.train_mask, weight_decay=5e-4)
-    ref_loss, ref_grads = model_loss_and_grads(model, wide, truth, ds.train_mask, weight_decay=5e-4)
+    loss, grads = model_loss_and_grads(model, reps, truth, ds.train_mask)
+    ref_loss, ref_grads = model_loss_and_grads(model, wide, truth, ds.train_mask)
     assert abs(loss - ref_loss) < 1e-12
     assert grads.keys() == ref_grads.keys() == model.params.keys()
     for k in grads:

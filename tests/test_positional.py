@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -430,12 +431,12 @@ def test_int32_pairs_train_the_same_bytes_as_int64(monkeypatch):
     corpus = generate_walks(g, 10, 5, seed=7)
     assert corpus_pairs(corpus, 5).dtype == np.int32
     assert PairTable(corpus, 5).walks.dtype == np.int32
-    narrow = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
+    narrow = train_skipgram(corpus, 40, 16, 5, 5, 2, 0.025, seed=7)
     # int64 walks and int64 epoch order: the corpus picks the walks' dtype
     monkeypatch.setattr(positional, "_index_dtype", lambda top: np.int64)
     wide_corpus = generate_walks(g, 10, 5, seed=7)
     assert PairTable(wide_corpus, 5).walks.dtype == np.int64
-    wide = train_skipgram(wide_corpus, 40, 16, 5, 5, 2, 0.025, seed=7, batch_size=256)
+    wide = train_skipgram(wide_corpus, 40, 16, 5, 5, 2, 0.025, seed=7)
     assert narrow.tobytes() == wide.tobytes()
 
 
@@ -480,7 +481,8 @@ def test_streamed_skipgram_matches_pair_array_loop(
     window = 1 + window_extra % (walk_len + 1)
     corpus = generate_walks(g, walk_len, walks_per_node, seed)
     args = (corpus, n, dim, window, 5, epochs, 0.025, seed)
-    emb, trace = train_skipgram(*args, batch_size=batch_size, return_trace=True)
+    with mock.patch.object(positional, "BATCH_SIZE", batch_size):
+        emb, trace = train_skipgram(*args, return_trace=True)
     ref_emb, ref_trace = pair_array_skipgram(*args, batch_size=batch_size)
     assert emb.tobytes() == ref_emb.tobytes()
     assert trace["emb_out"].tobytes() == ref_trace["emb_out"].tobytes()
@@ -561,16 +563,34 @@ def test_in_place_shuffle_draws_the_permutation_of_either_dtype(m, seed):
         )
 
 
-def test_skipgram_peak_stays_below_the_pair_array():
+def test_skipgram_peak_stays_below_the_pair_array(monkeypatch):
     g = build_random_graph(300, 1200, seed=5)
     corpus = generate_walks(g, 10, 12, seed=5)
     m = PairTable(corpus, 5).m
     assert m >= 200_000
     pair_array_bytes = m * 2 * corpus_pairs(corpus, 5).itemsize
+    monkeypatch.setattr(positional, "BATCH_SIZE", 64)
     tracemalloc.start()
     try:
-        train_skipgram(corpus, 300, 8, 5, 5, 2, 0.025, seed=5, batch_size=64)
+        train_skipgram(corpus, 300, 8, 5, 5, 2, 0.025, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < pair_array_bytes
+
+
+def test_unigram_table_counts_without_an_intp_copy_of_the_corpus():
+    n = 1000
+    walks = np.random.default_rng(3).integers(0, n, size=(100_000, 10), dtype=np.int32)
+    corpus = WalkCorpus(walks=walks, isolated=np.arange(0, n, 7, dtype=np.int32))
+    tracemalloc.start()
+    try:
+        table = unigram_table(corpus, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one bincount of the whole corpus converts it to an 8-byte copy first
+    assert peak < 8 * walks.size / 2
+    counts = np.bincount(walks.reshape(-1), minlength=n) + np.bincount(corpus.isolated, minlength=n)
+    weights = counts.astype(np.float64) ** 0.75
+    assert table.tobytes() == (weights / weights.sum()).tobytes()

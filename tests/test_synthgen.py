@@ -287,40 +287,29 @@ def test_vote_ap_rises_from_low_to_mid_homophily():
 
 
 def test_position_benchmark_structure():
-    ds = generate_position_benchmark(n_regions=4, train_per_region=10, test_per_region=6,
-                                      bridges_per_region=4, seed=0)
-    assert ds.n == 4 * 20
+    ds = generate_position_benchmark(n_regions=4, seed=0)
+    assert ds.n == 4 * 88
     assert ds.n_labels == 4
     assert ds.features is None
+    assert ds.train_mask.sum() == 4 * 50 and ds.test_mask.sum() == 4 * 30
+    assert ds.val_mask.sum() == 4 * 8
     # train and test nodes never touch: label propagation cannot reach tests
     for v in np.flatnonzero(ds.test_mask):
         nb = ds.graph.neighbors(v)
         assert not ds.train_mask[nb].any()
     # regions are exact structural copies: degree sequences match per region
-    degs = ds.graph.deg.reshape(4, 20)
+    degs = ds.graph.deg.reshape(4, 88)
     assert np.array_equal(degs[0], degs[1])
     assert np.array_equal(degs[0], degs[3])
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_regions": 0}, "n_regions must be >= 1, got 0"),
-    ({"bridges_per_region": 0}, "bridges_per_region must be >= 1, got 0"),
-    ({"bridge_links": 0}, "bridge_links must be >= 1, got 0"),
-    ({"bridges_per_region": 3, "bridge_links": 5}, "bridge_links must be <= bridges_per_region (3), got 5"),
-    ({"train_per_region": 1}, "train_per_region must be >= 2 when intra_degree >= 2, got 1"),
-    ({"test_per_region": 1}, "test_per_region must be >= 2 when intra_degree >= 2, got 1"),
-    ({"test_per_region": 0, "intra_degree": 2}, "test_per_region must be >= 2 when intra_degree >= 2, got 0"),
 ])
 def test_position_benchmark_refuses_sizes_it_cannot_build(kwargs, message):
     with pytest.raises(ValueError) as err:
         generate_position_benchmark(**kwargs)
     assert str(err.value) == message
-
-
-def test_position_benchmark_single_member_sides_need_no_intra_links():
-    ds = generate_position_benchmark(n_regions=2, train_per_region=1, test_per_region=1,
-                                      bridges_per_region=1, intra_degree=1, bridge_links=1)
-    assert ds.n == 6 and ds.train_mask.sum() == ds.val_mask.sum() == ds.test_mask.sum() == 2
 
 
 @pytest.mark.parametrize("n, avg_degree, clique",[(40, 19, True), (300, 8.5, False)],
