@@ -176,11 +176,10 @@ def _load_data(cfg):
         raise ValueError("the data section takes dir, or edges and labels, not both")
     if "dir" in data:
         d = Path(data["dir"])
-        features = None
-        for cand in ("features.csv", "features.bin"):
-            if (d / cand).exists():
-                features = d / cand
-                break
+        found = [d / name for name in ("features.csv", "features.bin") if (d / name).exists()]
+        if len(found) > 1:
+            raise ValueError(f"data directory {d} holds both features.csv and features.bin; keep one")
+        features = found[0] if found else None
         splits = d / "splits.tsv" if (d / "splits.tsv").exists() else None
         return load_dataset(d / "edges.tsv", d / "labels.tsv", features, splits)
     if not data:
@@ -373,7 +372,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="export atypical-node reports from a run")
     common(p)
-    p.add_argument("--data", help="unused: dynamics only reads a finished run, it never trains")
     p.add_argument("--run", help="existing training run directory")
     p.add_argument("--k", type=int, default=20)
     return parser

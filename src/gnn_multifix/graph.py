@@ -115,11 +115,12 @@ class SparseMatrix:
         out = np.empty((self.rows, X.shape[1]), dtype=np.float64)
         if self.nnz:
             # column blocks keep the one block x nnz product under the byte
-            # cap. Each block is gathered transposed, so a cell's products lie
+            # cap and, unless one column is larger, under the size of out.
+            # Each block is gathered transposed, so a cell's products lie
             # contiguous. reduceat sums each segment pairwise (in order below
             # 8 products), in an order set by the row's length alone: the
             # bits do not depend on the block width or the operand's layout
-            width = max(1, _MATMUL_TMP_BYTES // (8 * self.nnz))
+            width = max(1, min(_MATMUL_TMP_BYTES // 8, out.size) // self.nnz)
             # np.take copies a read-only index on every call; copy it once
             col_idx = self.col_idx.copy()
             for j in range(0, X.shape[1], width):

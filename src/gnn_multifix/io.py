@@ -19,7 +19,6 @@ Dynamics     "checkpoint_index,epoch,node_id,loss" (evaluation.import_dynamics);
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 
@@ -51,25 +50,36 @@ def _parse(kind, tokens, path, line_no, message):
         raise DatasetParseError(path, line_no, message) from None
 
 
+def _bulk_parse(path, comments, **loadtxt_args):
+    """np.loadtxt of an ASCII text file that holds data, or None if it refuses.
+
+    Non-ASCII text is never parsed in bulk: np.loadtxt reads some non-digit
+    characters as digits. With ``comments`` a file that holds '#' is not
+    either. np.loadtxt reads the file itself, in chunks, so no copy of the
+    text lives beside its parse.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if not (text.isascii() and text.strip()) or (comments and "#" in text):
+        return None
+    del text
+    try:
+        return np.loadtxt(path, comments=None, ndmin=2, encoding="ascii", **loadtxt_args)
+    except ValueError:
+        return None
+
+
 def read_edge_file(path) -> np.ndarray:
     """Parse an edge list into an (m, 2) int64 array of (u, v) rows, in file order.
 
     An ASCII file without '#' is parsed in bulk; anything that parse refuses
     (a comment, a malformed or negative id, a wrong field count) is read
     again line by line, so every file gets the line scanner's edges or its
-    error and line number. Non-ASCII text always goes to the scanner:
-    np.loadtxt reads some non-digit characters as digits.
+    error and line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.isascii() and "#" not in text and text.strip():
-        try:
-            edges = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if edges.shape[1] == 2 and not (edges < 0).any():
-                return edges
+    edges = _bulk_parse(path, comments=True, dtype=np.int64)
+    if edges is not None and edges.shape[1] == 2 and not (edges < 0).any():
+        return edges
     edges = []
     for line_no, line in _records(path):
         parts = line.split()
@@ -119,7 +129,13 @@ def read_label_file(path):
 
 
 def read_feature_file(path) -> np.ndarray:
-    """Read a CSV or binary feature file; a non-finite value is refused."""
+    """Read a CSV or binary feature file; a non-finite value is refused.
+
+    An ASCII CSV is parsed in bulk; anything that parse refuses (a
+    malformed value, a ragged row) or that holds a non-finite value is read
+    again line by line, so every file gets the line scanner's array or its
+    error and line number.
+    """
     path = Path(path)
     if path.suffix == ".bin":
         blob = path.read_bytes()
@@ -132,6 +148,9 @@ def read_feature_file(path) -> np.ndarray:
         features = np.frombuffer(blob[8:], dtype="<f8").reshape(n, d).copy()
         if not np.isfinite(features).all():
             raise DatasetParseError(path, 1, "binary feature payload holds a non-finite value")
+        return features
+    features = _bulk_parse(path, comments=False, delimiter=",")
+    if features is not None and np.isfinite(features).all():
         return features
     rows = []
     for line_no, line in _records(path, comments=False):

@@ -191,8 +191,8 @@ def _constant_input(model: MultiFixModel, reps: Representations, rows=None):
     of ``reps`` joined once in readout order, zero columns wide when F is
     the only block. P is the linear variant's projection when Z leads with
     the unprojected feature_dim-wide features, else None. With ``rows``, a
-    boolean node mask, F and Z hold only the masked rows, sliced before Z
-    is joined.
+    boolean node mask, F and Z hold only the masked rows, which are written
+    into Z block by block.
     """
     c = model.config
     linear = c.variant == "linear"
@@ -221,12 +221,19 @@ def _constant_input(model: MultiFixModel, reps: Representations, rows=None):
     ns = {b.shape[0] for b in blocks}
     if len(ns) != 1:
         raise ShapeError(f"enabled blocks disagree on node count: {sorted(ns)}")
-    if rows is not None:
-        if rows.shape != (ns.pop(),):
-            raise ShapeError("node mask length does not match the blocks' node count")
-        blocks = [b[rows] for b in blocks]
+    n = ns.pop()
+    if rows is not None and rows.shape != (n,):
+        raise ShapeError("node mask length does not match the blocks' node count")
     F = blocks.pop(0) if c.enable_fr and not linear else None
-    Z = np.hstack(blocks) if blocks else np.empty((len(F), 0))
+    if F is not None and rows is not None:
+        F = F[rows]
+    # each block's rows are written into Z in turn, so at most one block's
+    # row copy exists beside Z
+    Z = np.empty((n if rows is None else int(rows.sum()), sum(b.shape[1] for b in blocks)))
+    at = 0
+    for b in blocks:
+        Z[:, at : at + b.shape[1]] = b if rows is None else b[rows]
+        at += b.shape[1]
     return F, Z, P
 
 

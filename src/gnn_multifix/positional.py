@@ -78,11 +78,12 @@ def generate_walks(graph: Graph, walk_len: int, walks_per_node: int, seed: int) 
     degree = graph.deg
     dtype = _index_dtype(n - 1)
     moving = degree[starts] > 0
-    cur = starts[moving]
-    walks = np.empty((len(cur), walk_len), dtype=dtype)
-    walks[:, 0] = cur
-    draws = steps[cur, passes[moving]].T
-    for t, u in enumerate(draws, start=1):
+    origin, passes = starts[moving], passes[moving]
+    walks = np.empty((len(origin), walk_len), dtype=dtype)
+    walks[:, 0] = cur = origin
+    for t in range(1, walk_len):
+        # step t's variates, read in place rather than from a gathered copy
+        u = steps[origin, passes, t - 1]
         cur = graph.col_idx[graph.row_ptr[cur] + (u * degree[cur]).astype(np.int64)]
         walks[:, t] = cur
     return WalkCorpus(walks=walks, isolated=starts[~moving].astype(dtype))
@@ -139,6 +140,8 @@ def kept_pairs(pairs: PairTable, window: int, seed: int) -> np.ndarray:
     L, per_walk = pairs.walk_len, pairs.per_walk
     rows = len(pairs.walks) // L
     reach = substream(seed, "sgns-window").integers(1, window + 1, size=(rows, L))
+    # one byte per reach while window <= 255; the int64 draw is freed here
+    reach = reach.astype(np.min_scalar_type(window))
     # a center at position p keeps min(reach, p) contexts before it and
     # min(reach, L - 1 - p) after it
     pos = np.arange(L)

@@ -1,3 +1,4 @@
+import math
 import weakref
 from dataclasses import replace
 
@@ -190,6 +191,36 @@ def scan_edge_file(path):
                 raise DatasetParseError(path, line_no, "node ids must be non-negative")
             edges.append((u, v))
     return edges
+
+
+def scan_feature_file(path):
+    """The rows of a feature CSV as float lists, read line by line.
+
+    Blank lines are skipped; any other line must hold comma-separated values
+    that float() accepts, as many as the first row, or DatasetParseError
+    names it. A non-finite value is refused at its line once every line has
+    been read.
+    """
+    rows, non_finite = [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            try:
+                row = [float(t) for t in line.split(",")]
+            except ValueError:
+                raise DatasetParseError(path, line_no, f"non-numeric feature value in {line!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise DatasetParseError(path, line_no, f"row has {len(row)} columns, expected {len(rows[0])}")
+            if non_finite is None and not all(math.isfinite(v) for v in row):
+                non_finite = line_no
+            rows.append(row)
+    if not rows:
+        raise DatasetParseError(path, 1, "empty feature file")
+    if non_finite is not None:
+        raise DatasetParseError(path, non_finite, "non-finite feature value")
+    return rows
 
 
 def dense_propagation_oracle(P, Y_padded, N):

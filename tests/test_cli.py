@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gnn_multifix import cli, load_dataset, make_dataset, make_splits, save_dataset
+from gnn_multifix.io import write_feature_file
 from gnn_multifix.cli import (
     DATA_KEYS,
     NULL_DEFAULT_SAMPLES,
@@ -254,11 +255,13 @@ def test_dynamics_missing_run_dir_fails(tmp_path, capsys):
 
 
 def test_dynamics_with_data_does_not_train_a_missing_run(tmp_path, capsys):
+    # dynamics only reads a finished run, so argparse refuses --data
     data = write_toy_dataset(tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    rc = main(["dynamics", "--run", str(tmp_path / "nope"), "--data", str(data)])
-    assert rc == 1
-    assert "does not exist" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["dynamics", "--run", str(tmp_path / "nope"), "--data", str(data)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --data" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -677,6 +680,23 @@ def test_data_dir_with_file_paths_is_refused_before_any_file(tmp_path, capsys, c
         argv = [arg for arg in argv if arg not in ("--n-splits", "1")] + ["--probs", "p.csv"]
     assert main(argv) == 1
     message = "the data section takes dir, or edges and labels, not both"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--n-splits", "1"],
+    ["baseline", "--method", "majority_vote", "--n-splits", "1"],
+    ["eval", "--probs", "p.csv"],
+], ids=["train", "baseline", "eval"])
+def test_data_dir_with_two_feature_files_is_refused_before_any_file(tmp_path, capsys, argv):
+    data = write_toy_dataset(tmp_path)
+    features = np.ones((20, 1))
+    write_feature_file(features, data / "features.csv")
+    write_feature_file(features, data / "features.bin")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    message = f"data directory {data} holds both features.csv and features.bin; keep one"
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -219,6 +220,24 @@ def test_matmul_dense_column_blocks_are_bit_identical(empty_rows):
         op.matmul_dense(X[:, 0])
 
 
+@pytest.mark.parametrize("width", [256, 700])
+def test_matmul_dense_temporary_is_no_larger_than_its_product(width):
+    op = sym_norm_adjacency(build_random_graph(500, 2500, seed=4))
+    X = np.random.default_rng(4).normal(size=(op.cols, width))
+    tracemalloc.start()
+    try:
+        out = op.matmul_dense(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, row_major_matmul(op, X))
+    # a block's nnz products stay under the cap and, past one column, under
+    # the product; beside them live one block of X's or out's rows (at most
+    # rows / nnz of the products) and a copy of the index
+    block = max(op.nnz * 8, min(graph_module._MATMUL_TMP_BYTES, out.nbytes))
+    assert peak - out.nbytes <= block * (1 + op.rows / op.nnz) + op.col_idx.nbytes + 4096
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     counts=st.lists(st.integers(1, 300), min_size=1, max_size=6),
@@ -230,7 +249,8 @@ def test_matmul_dense_column_blocks_are_bit_identical(empty_rows):
 )
 def test_matmul_dense_matches_row_major_oracle(counts, cols, block, width, layout, seed):
     # rows of up to 300 entries, which reduceat sums pairwise beyond 8; a
-    # byte cap of nnz x block floats makes the kernel's blocks `block` wide
+    # byte cap of nnz x block floats makes the kernel's blocks at most
+    # `block` wide, and narrower where the product holds fewer floats
     rng = np.random.default_rng(seed)
     row_ptr = np.concatenate([[0], np.cumsum(counts)])
     rows = np.repeat(np.arange(len(counts)), counts)

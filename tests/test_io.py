@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from gnn_multifix import load_dataset, make_splits, read_probability_csv, save_d
 from gnn_multifix.errors import DatasetIndexError, DatasetParseError, ShapeError
 from gnn_multifix.io import read_edge_file, read_feature_file, write_feature_file
 
-from conftest import build_random_dataset, scan_edge_file
+from conftest import build_random_dataset, scan_edge_file, scan_feature_file
 
 
 def write(tmp_path, name, text):
@@ -247,6 +249,87 @@ def test_edge_parser_matches_line_scanner(tmp_path_factory, lines, eol, final_eo
     edges = read_edge_file(path)
     assert edges.dtype == np.int64 and edges.shape == expected.shape
     assert np.array_equal(edges, expected)
+
+
+def feature_value():
+    """A value as a feature file may spell it: repr of a float, a signed zero, an exponent."""
+    mantissa = st.sampled_from(["1", "2.5", "-7", ".5", "5.", "+3.25", "-0.0"])
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["0", "-0", "-0.0", "+0.0", "0.0", "-0e5"]),
+        st.tuples(mantissa, st.sampled_from(["e", "E"]), st.integers(-330, 310)).map(
+            lambda t: f"{t[0]}{t[1]}{t[2]}"
+        ),
+    )
+
+
+def feature_rows(rows, cols):
+    pad = st.sampled_from(["", " ", "\t"])
+    cell = st.tuples(pad, feature_value(), pad).map("".join)
+    line = st.lists(cell, min_size=cols, max_size=cols).map(",".join)
+    return st.lists(line, min_size=rows, max_size=rows)
+
+
+ODD_FEATURE_LINE = st.sampled_from([
+    "", "   ", "\t", "\x0c", "nan", "1,nan", "inf,1", "-inf", "Infinity", "1e999,1", "1,,2", "1,2,",
+    ",", "1_0,2", "0x1", "1;2", "1 2", "abc", "# 1,2", "1,2 # c", "\u0663,1", "1\u00a0,2", "1\x1c,2",
+    "1\x0b,2", "\x00", "1,2,3", "7",
+])
+FEATURE_FILE_LINES = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 5)).flatmap(lambda shape: feature_rows(*shape)),
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.one_of(feature_rows(1, cols).map(lambda r: r[0]), ODD_FEATURE_LINE),
+                              max_size=8)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=FEATURE_FILE_LINES,
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_eol=st.booleans(),
+)
+def test_feature_parser_matches_line_scanner(tmp_path_factory, lines, eol, final_eol):
+    # the bulk parse must give the line scanner's array bytes (negative zero
+    # included) or its refusal, message and line
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    path.write_bytes((eol.join(lines) + (eol if final_eol and lines else "")).encode("utf-8"))
+    try:
+        expected = np.array(scan_feature_file(path), dtype=np.float64)
+    except DatasetParseError as err:
+        with pytest.raises(DatasetParseError) as got:
+            read_feature_file(path)
+        assert (got.value.line_no, str(got.value)) == (err.line_no, str(err))
+        return
+    features = read_feature_file(path)
+    assert features.dtype == np.float64 and features.shape == expected.shape
+    assert features.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, shape", [("1.5,-0.0,2e-3\n", (1, 3)), ("1.5\n-0.0\n2e-3\n", (3, 1))])
+def test_feature_parser_keeps_one_row_and_one_column(tmp_path, text, shape):
+    features = read_feature_file(write(tmp_path, "f.csv", text))
+    assert features.shape == shape
+    assert features.tobytes() == np.array([1.5, -0.0, 2e-3]).reshape(shape).tobytes()
+
+
+def test_bulk_parse_holds_no_copy_of_the_text_beside_its_result(tmp_path):
+    rng = np.random.default_rng(5)
+    edges = tmp_path / "edges.tsv"
+    np.savetxt(edges, rng.integers(0, 10**6, size=(40_000, 2)), fmt="%d", delimiter="\t")
+    features = tmp_path / "features.csv"
+    write_feature_file(rng.normal(size=(4000, 10)), features)
+    for read, path in ((read_edge_file, edges), (read_feature_file, features)):
+        tracemalloc.start()
+        try:
+            result = read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the text is read once as bytes and once decoded, to be checked,
+        # and is freed before np.loadtxt reads the file itself in chunks
+        assert peak <= result.nbytes + 2 * path.stat().st_size
 
 
 def test_edge_parser_refuses_ids_beyond_64_bits_by_line(tmp_path):

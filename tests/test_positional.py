@@ -33,7 +33,7 @@ from gnn_multifix.positional import (
 )
 from gnn_multifix.rng import substream
 
-from conftest import build_random_graph, pair_array_skipgram
+from conftest import build_random_graph, pair_array_skipgram, shrunk_window_pairs
 
 
 def clique_edges(nodes):
@@ -577,6 +577,46 @@ def test_skipgram_peak_stays_below_the_pair_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < pair_array_bytes
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the bytes it allocated, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_kept_pairs_holds_one_byte_per_reach():
+    walks = np.random.default_rng(3).integers(0, 1000, size=(50_000, 10), dtype=np.int32)
+    table = PairTable(WalkCorpus(walks=walks, isolated=np.empty(0, np.int32)), 5)
+    kept, peak = traced_peak(lambda: kept_pairs(table, 5, seed=7))
+    # beside the ids, one byte per (walk, position) for its reach; each chunk
+    # of slots adds a gather, a mask, its ids and the comparison's buffers
+    assert peak <= kept.nbytes + walks.size + 32 * positional._KEEP_CHUNK
+
+
+def test_kept_pairs_with_a_window_beyond_one_byte_matches_an_int64_reach():
+    # reaches up to 300 need two bytes: one would wrap 256..300 to 0..44
+    g = build_random_graph(4, 6, seed=2)
+    corpus = generate_walks(g, 320, 1, seed=2)
+    assert corpus.walks.shape == (4, 320)
+    kept = kept_pairs(PairTable(corpus, 300), 300, seed=2)
+    assert np.array_equal(corpus_pairs(corpus, 300)[kept], shrunk_window_pairs(corpus, 300, 2))
+
+
+def test_generate_walks_reads_the_step_draws_in_place():
+    n, walks_per_node, walk_len = 2000, 5, 40
+    g = build_random_graph(n, 8000, seed=3)
+    corpus, peak = traced_peak(lambda: generate_walks(g, walk_len, walks_per_node, seed=3))
+    steps = n * walks_per_node * (walk_len - 1) * 8
+    walk_vector = 8 * (len(corpus.walks) + len(corpus.isolated))
+    # the start order, the passes and one step's temporaries are a few
+    # walk-long vectors; a gathered copy of the draws would be walk_len - 1
+    assert peak <= steps + corpus.walks.nbytes + 16 * walk_vector
 
 
 def test_unigram_table_counts_without_an_intp_copy_of_the_corpus():
