@@ -56,11 +56,6 @@ class Graph:
         keep = rows < self.col_idx
         return np.column_stack([rows[keep], self.col_idx[keep]])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph from an (m, 2) array or a sequence of (u, v) pairs.
@@ -165,9 +160,6 @@ class Dataset:
     @property
     def n_labels(self) -> int:
         return int(self.labels.shape[1])
-
-    def label_set(self, v: int) -> set[int]:
-        return set(np.flatnonzero(self.labels[v]).tolist())
 
     def with_masks(self, train_mask, val_mask, test_mask) -> "Dataset":
         return replace(

@@ -409,18 +409,36 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     projected. Otherwise X is propagated, and A^K · X is kept as it is with
     P beside it.
     The walk embedding is trained deterministically from config.seed.
-    Blocks that config disables are None. A fitted block that holds a
-    non-finite value raises TrainingDivergedError naming the block, so the
+    Blocks that config disables are None. Each fitted block is checked as
+    soon as it exists: one that holds a non-finite value raises
+    TrainingDivergedError naming the block, so no later stage runs and the
     readout never trains on it.
 
-    No operand built here is bound to a name: P under the identity policy,
-    the substituted features and the initial label matrix are built inside
-    the propagation call, which lets go of its operand after the first hop,
-    so each is freed then. A dataset's own features stay alive with it.
+    The stages run one at a time and keep only their blocks: the walk
+    corpus goes straight into skip-gram and is freed with it, and only then
+    is the adjacency built and H_f and H_l propagated over it. Each block
+    draws from its own named substream, so the order moves no byte. No
+    operand built here is bound to a name: P under the identity policy, the
+    substituted features and the initial label matrix are built inside the
+    propagation call, which lets go of its operand after the first hop, so
+    each is freed then. A dataset's own features stay alive with it.
     """
     H_f = H_l = pe = P = None
     feature_dim = 0
-    adj = None
+    if config.enable_fr and dataset.features is None and config.feature_policy == "none":
+        substitute_features(dataset, "none")  # refuses before any stage runs
+    if config.enable_pe:
+        pe = train_skipgram(
+            generate_walks(dataset.graph, config.walk_len, config.walks_per_node, config.seed),
+            dataset.n,
+            config.pe_dim,
+            config.window,
+            config.neg_samples,
+            config.pe_epochs,
+            config.pe_lr,
+            config.seed,
+        )
+        _check_finite("positional", pe)
     if config.enable_fr or config.enable_lr:
         adj = sym_norm_adjacency(dataset.graph)
     if config.enable_fr:
@@ -440,26 +458,16 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
             feature_dim = H_f.shape[1]
             if linear:
                 P = _feature_projection(config, feature_dim)
+        _check_finite("feature", H_f)
     if config.enable_lr:
         H_l = propagate_labels(adj, init_label_matrix(dataset, config.padding), config.N)
-    if config.enable_pe:
-        corpus = generate_walks(
-            dataset.graph, config.walk_len, config.walks_per_node, config.seed
-        )
-        pe = train_skipgram(
-            corpus,
-            dataset.n,
-            config.pe_dim,
-            config.window,
-            config.neg_samples,
-            config.pe_epochs,
-            config.pe_lr,
-            config.seed,
-        )
-    for name, block in (("feature", H_f), ("label", H_l), ("positional", pe)):
-        if block is not None and not np.isfinite(block).all():
-            raise TrainingDivergedError(0, f"the fitted {name} block is not finite")
+        _check_finite("label", H_l)
     return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim, P=P)
+
+
+def _check_finite(name: str, block: np.ndarray) -> None:
+    if not np.isfinite(block).all():
+        raise TrainingDivergedError(0, f"the fitted {name} block is not finite")
 
 
 def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_path=None):

@@ -324,14 +324,16 @@ def _cell_width(dim):
 
 def _batch_workspace(batch_size, dim, dtype=np.float64):
     """Buffers for every batch-sized array of _apply_batch, made once, in the
-    dtype of the tables they will serve.
+    dtype of the tables they will serve: two (B, d) buffers for the gathered
+    centers and contexts, which also hold the context and center steps, the
+    (B, S) negative scores and the scatter's flat cell indices.
 
     Fresh arrays of these sizes on each batch may be mapped and unmapped by
     the allocator every time, a page fault per page; whether they are
     depends on malloc's heuristics and on what ran before.
     """
     rows = (batch_size, dim)
-    work = {name: np.empty(rows, dtype=dtype) for name in ("vc", "ux", "step_vc")}
+    work = {name: np.empty(rows, dtype=dtype) for name in ("vc", "ux")}
     work["s_neg"] = np.empty((batch_size, SHARED_NEGATIVES), dtype=dtype)
     work["idx"] = np.empty(batch_size * _cell_width(dim), dtype=np.int64)
     return work
@@ -366,7 +368,10 @@ def _apply_batch(emb_in, emb_out, c, x, negatives, weight, lr, work):
     the negative gradients are s U_S for the centers and sᵀ V_c for the S
     negative rows. The step size is folded into the (B,) and (B, S)
     coefficients, so no pass scales a B x d gradient, and the gathered rows
-    are scaled in place into the positive steps. Works in the tables' dtype.
+    are scaled in place into the positive steps. The centers' buffer becomes
+    the context step, scattered into emb_out, then the center step,
+    scattered into emb_in; the negative rows' step goes into emb_out last.
+    So two B x d buffers serve the three steps. Works in the tables' dtype.
     """
     w = {name: buf[: len(c)] for name, buf in work.items()}
     # mode="clip" lets take write straight into its buffer; it never clips,
@@ -382,14 +387,15 @@ def _apply_batch(emb_in, emb_out, c, x, negatives, weight, lr, work):
     s_neg = _sigmoid(np.matmul(vc, us.T, out=w["s_neg"]), out=w["s_neg"])
     s_neg *= -lr * weight
 
-    # the negative-row step reads vc before vc becomes the context step
+    # the negative-row step reads vc before vc becomes the context step;
+    # once that step is scattered, vc holds the center step
     step_us = s_neg.T @ vc
-    step_vc = np.matmul(s_neg, us, out=w["step_vc"])
+    vc *= g_pos[:, None]
+    _scatter_add(emb_out, x, vc, work["idx"])
+    step_vc = np.matmul(s_neg, us, out=vc)
     ux *= g_pos[:, None]
     step_vc += ux
-    vc *= g_pos[:, None]
     _scatter_add(emb_in, c, step_vc, work["idx"])
-    _scatter_add(emb_out, x, vc, work["idx"])
     _scatter_add(emb_out, negatives, step_us, work["idx"])
 
 

@@ -146,6 +146,49 @@ def pair_array_skipgram(corpus, n, dim, window, neg_samples, epochs, lr, seed,
     return emb_in.astype(np.float64), trace
 
 
+def three_buffer_apply_batch(emb_in, emb_out, c, x, negatives, weight, lr):
+    """positional._apply_batch by the step that the two-buffer one replaced.
+
+    It forms the center step in a third (B, d) buffer and scatters it into
+    emb_in first; emb_out then takes the context rows and the negative rows.
+    """
+    rows = (len(c), emb_in.shape[1])
+    w = {name: np.empty(rows, dtype=emb_in.dtype) for name in ("vc", "ux", "step_vc")}
+    w["s_neg"] = np.empty((len(c), positional.SHARED_NEGATIVES), dtype=emb_in.dtype)
+    cells = max(len(c), positional.SHARED_NEGATIVES) * positional._cell_width(rows[1])
+    idx = np.empty(cells, dtype=np.int64)
+    vc = np.take(emb_in, c, axis=0, out=w["vc"], mode="clip")
+    ux = np.take(emb_out, x, axis=0, out=w["ux"], mode="clip")
+    us = emb_out[negatives]
+
+    dots = np.einsum("ij,ij->i", vc, ux)
+    g_pos = positional._sigmoid(np.negative(dots, out=dots), out=dots)
+    g_pos *= lr
+    s_neg = positional._sigmoid(np.matmul(vc, us.T, out=w["s_neg"]), out=w["s_neg"])
+    s_neg *= -lr * weight
+
+    step_us = s_neg.T @ vc
+    step_vc = np.matmul(s_neg, us, out=w["step_vc"])
+    ux *= g_pos[:, None]
+    step_vc += ux
+    vc *= g_pos[:, None]
+    positional._scatter_add(emb_in, c, step_vc, idx)
+    positional._scatter_add(emb_out, x, vc, idx)
+    positional._scatter_add(emb_out, negatives, step_us, idx)
+
+
+def has_edge(graph, u, v):
+    """Whether u and v are adjacent, by a binary search of u's neighbor list."""
+    nb = graph.neighbors(u)
+    i = np.searchsorted(nb, v)
+    return i < len(nb) and nb[i] == v
+
+
+def label_set(dataset, v):
+    """The labels of node v, as a set of label indices."""
+    return set(np.flatnonzero(dataset.labels[v]).tolist())
+
+
 def clustering_coefficient(graph):
     """Mean local clustering coefficient; nodes with degree < 2 contribute 0."""
     if graph.n == 0:

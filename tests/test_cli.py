@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gnn_multifix import cli, load_dataset, make_dataset, make_splits, save_dataset
+from gnn_multifix import model as model_module
 from gnn_multifix.io import write_feature_file
 from gnn_multifix.cli import (
     DATA_KEYS,
@@ -321,13 +322,23 @@ def test_train_divergence_exit_names_split_and_epoch(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_walk_embedding_exit_names_the_block(tmp_path, capsys):
+def test_non_finite_walk_embedding_exit_names_the_block(tmp_path, capsys, monkeypatch):
     # skip-gram's float32 tables overflow at this step size
     data = write_toy_dataset(tmp_path)
     out = tmp_path / "run"
+    # the walk embedding is checked before the adjacency is built
+    adjacency_calls = []
+    sym_norm_adjacency = model_module.sym_norm_adjacency
+
+    def counted(graph):
+        adjacency_calls.append(graph)
+        return sym_norm_adjacency(graph)
+
+    monkeypatch.setattr(model_module, "sym_norm_adjacency", counted)
     rc = main(["train", "--data", str(data), "--out", str(out), "--seed", "3", "--n-splits", "1",
                *SMALL_MODEL, "--set", "model.pe_lr=1000"])
     assert rc == 1
+    assert adjacency_calls == []
     assert capsys.readouterr().err == "split 0: the fitted positional block is not finite\n"
     log = (out / "run.log").read_text()
     assert re.search(r"^\S+ split 0: the fitted positional block is not finite$", log, re.M)

@@ -23,6 +23,8 @@ from conftest import (
     build_random_dataset,
     build_random_graph,
     clustering_coefficient,
+    has_edge,
+    label_set,
     row_major_matmul,
     row_sums,
     rw_transition,
@@ -34,7 +36,7 @@ def test_from_edges_symmetrizes_and_dedups():
     g = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
     assert g.n_edges == 1
     assert list(g.deg) == [1, 1]
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,7 +143,7 @@ def test_label_homophily_skips_empty_label_sets():
 def _brute_force_homophily(dataset):
     total, count = 0.0, 0
     for u, v in dataset.graph.edge_array():
-        su, sv = dataset.label_set(u), dataset.label_set(v)
+        su, sv = label_set(dataset, u), label_set(dataset, v)
         if not su or not sv:
             continue
         total += len(su & sv) / len(su | sv)

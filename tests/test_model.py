@@ -1,6 +1,7 @@
 import math
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -434,6 +435,48 @@ def test_compute_representations_lets_go_of_the_operands_it_builds(
     reps = compute_representations(ds, cfg)
     assert reps.feature_dim == feature_dim
     assert previous_operand_alive == [False, False, False]
+
+
+def test_skipgram_ends_and_its_corpus_is_freed_before_the_adjacency_is_built(monkeypatch):
+    # the fit's stages do not overlap: a corpus bound to a name, or skip-gram
+    # moved after propagation, fails here
+    corpus_walks, returned = [], []
+    generate_walks = model_module.generate_walks
+    train_skipgram = model_module.train_skipgram
+    sym_norm_adjacency = model_module.sym_norm_adjacency
+
+    def walks(*args, **kwargs):
+        corpus = generate_walks(*args, **kwargs)
+        corpus_walks.append(weakref.ref(corpus.walks))
+        return corpus
+
+    def skipgram(*args, **kwargs):
+        pe = train_skipgram(*args, **kwargs)
+        returned.append(True)
+        return pe
+
+    def adjacency(graph):
+        assert returned == [True]
+        assert corpus_walks[0]() is None
+        return sym_norm_adjacency(graph)
+
+    monkeypatch.setattr(model_module, "generate_walks", walks)
+    monkeypatch.setattr(model_module, "train_skipgram", skipgram)
+    monkeypatch.setattr(model_module, "sym_norm_adjacency", adjacency)
+    ds = make_splits(build_random_dataset(60, 3, seed=4), 0.6, 0.2, seed=4)
+    reps = compute_representations(ds, small_config())
+    assert reps.H_f is not None and reps.H_l is not None and reps.pe is not None
+    assert len(corpus_walks) == 1
+
+
+def test_featureless_none_policy_is_refused_before_skipgram(monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("skip-gram ran before the refusal")
+
+    monkeypatch.setattr(model_module, "generate_walks", no_walks)
+    ds = featureless_with_isolated_nodes(30, 2, seed=1)
+    with pytest.raises(ValueError, match="substitution policy is 'none'"):
+        compute_representations(ds, small_config(feature_policy="none"))
 
 
 @pytest.mark.parametrize("K", [0, 1, 2])

@@ -33,7 +33,13 @@ from gnn_multifix.positional import (
 )
 from gnn_multifix.rng import substream
 
-from conftest import build_random_graph, pair_array_skipgram, shrunk_window_pairs
+from conftest import (
+    build_random_graph,
+    has_edge,
+    pair_array_skipgram,
+    shrunk_window_pairs,
+    three_buffer_apply_batch,
+)
 
 
 def clique_edges(nodes):
@@ -90,7 +96,7 @@ def test_walk_steps_are_edges(seed):
     assert len(corpus.walks) + len(corpus.isolated) == 2 * n
     for walk in walk_lists(corpus):
         for a, b in zip(walk[:-1], walk[1:]):
-            assert g.has_edge(int(a), int(b))
+            assert has_edge(g, int(a), int(b))
 
 
 def test_walks_and_embeddings_are_deterministic():
@@ -359,6 +365,34 @@ def test_float32_shared_negative_update_matches_pair_by_pair_loop():
         assert emb_in.dtype == emb_out.dtype == np.float32
         assert np.abs(emb_in - ref_in).max() < bound
         assert np.abs(emb_out - ref_out).max() < bound
+
+
+@pytest.mark.parametrize("dim", [7, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_buffer_batch_step_keeps_the_three_buffer_bytes(dtype, dim):
+    # a 7-node vocabulary, so the shared negatives coincide with contexts and
+    # the order in which emb_out's cells take their updates shows in the bytes
+    n, batch_size = 7, 64
+    weight = 5 / SHARED_NEGATIVES
+    rng = np.random.default_rng(13)
+    emb_in = ((rng.random((n, dim)) - 0.5) / dim).astype(dtype)
+    emb_out = (rng.random((n, dim)) * 0.1).astype(dtype)
+    ref_in, ref_out = emb_in.copy(), emb_out.copy()
+    work = _batch_workspace(batch_size, dim, dtype)
+    for m, lr in ((64, 0.025), (64, 0.02), (23, 0.015), (64, 0.01)):
+        pairs = rng.integers(0, n, (m, 2))
+        negs = rng.integers(0, n, SHARED_NEGATIVES)
+        assert np.isin(negs, pairs[:, 1]).all()
+        _apply_batch(emb_in, emb_out, pairs[:, 0], pairs[:, 1], negs, weight, lr, work)
+        three_buffer_apply_batch(ref_in, ref_out, pairs[:, 0], pairs[:, 1], negs, weight, lr)
+        assert emb_in.dtype == emb_out.dtype == dtype
+        assert emb_in.tobytes() == ref_in.tobytes()
+        assert emb_out.tobytes() == ref_out.tobytes()
+
+
+def test_batch_workspace_holds_two_row_buffers():
+    work = _batch_workspace(64, 8, np.float32)
+    assert [buf.shape for buf in work.values()].count((64, 8)) == 2
 
 
 def test_skipgram_trains_float32_and_returns_float64():
