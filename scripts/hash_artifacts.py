@@ -19,8 +19,10 @@ the copy with splits.tsv and on the copy with label-only nodes, `train`
 (linear) under the degree policy on the position benchmark, `train`
 (linear) on the first dataset with 2 skip-gram epochs, `eval` of the first
 linear run's split_0/probs.csv, and `dynamics` on that run. Every training
-run takes 2 splits, 60 epochs and 3 walks per node, with GMFX_THREADS=1,
-and all but the 2-epoch one take 1 skip-gram epoch. Three more seed-4
+run takes 2 splits, 60 epochs and 3 walks per node, and all but the
+2-epoch one take 1 skip-gram epoch. GMFX_THREADS is 1 unless the
+environment sets it, so a run with GMFX_THREADS=2 shows which artifacts
+depend on the BLAS thread count. Three more seed-4
 `generate` runs cover the generator paths that n=300 at the default
 homophily misses: the n=3000 default, which tunes on a reduced edge budget
 before it builds the full graph, and n=300 at target homophily 1.0 (the
@@ -33,6 +35,7 @@ CPU may round differently.
 
 Usage:
     PYTHONPATH=src python scripts/hash_artifacts.py --out runs/hashes
+    GMFX_THREADS=2 PYTHONPATH=src python scripts/hash_artifacts.py --out runs/hashes-2
 """
 
 import argparse
@@ -42,7 +45,7 @@ import os
 import sys
 from pathlib import Path
 
-os.environ["GMFX_THREADS"] = "1"
+os.environ.setdefault("GMFX_THREADS", "1")
 
 # gnn_multifix first: GMFX_THREADS caps the BLAS pool only if set before NumPy loads
 from gnn_multifix import save_dataset

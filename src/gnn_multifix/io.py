@@ -54,13 +54,15 @@ def _bulk_parse(path, comments, **loadtxt_args):
     """np.loadtxt of an ASCII text file that holds data, or None if it refuses.
 
     Non-ASCII text is never parsed in bulk: np.loadtxt reads some non-digit
-    characters as digits. With ``comments`` a file that holds '#' is not
-    either. np.loadtxt reads the file itself, in chunks, so no copy of the
-    text lives beside its parse.
+    characters as digits. Nor is text with a separator \\x1c-\\x1f, which
+    np.loadtxt strips as whitespace and int() and float() refuse. With
+    ``comments`` a file that holds '#' is not either. np.loadtxt reads the
+    file itself, in chunks, so no copy of the text lives beside its parse.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if not (text.isascii() and text.strip()) or (comments and "#" in text):
+    separator = any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+    if not (text.isascii() and text.strip()) or (comments and "#" in text) or separator:
         return None
     del text
     try:

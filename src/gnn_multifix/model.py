@@ -8,7 +8,7 @@ readout trained with binary cross entropy. Variants:
           projection P of the propagated features to hidden width, one
           affine readout layer; the whole map from representations to logits
           is linear. P is part of the representations, not of the model:
-          :func:`compute_representations` draws it, and checkpoints hold
+          :func:`fit_split_free` draws it, and checkpoints hold
           only trained parameters. Features other than the identity stay
           unprojected beside P, and the readout applies P to its weight
           instead (A^K·X·P·W = A^K·X·(P·W)), so its input is D wide, not
@@ -24,9 +24,10 @@ Disabled blocks are absent from the concatenation (the readout narrows).
 The representations are fitted once per dataset split by
 :func:`compute_representations` into a frozen :class:`Representations`
 value, which :func:`forward`, :func:`model_loss_and_grads`, :func:`train`
-and :func:`predict` take whole; :func:`substitute_features` and
-:func:`compute_representations` alone decide what a featureless dataset
-gets. The readout input is Z, or hstack([ft(F), Z]) for the mlp variants
+and :func:`predict` take whole: :func:`fit_split_free` fits the blocks
+that no split reads, with :func:`substitute_features` alone deciding what
+a featureless dataset gets, then :func:`fit_label_block` the split's H_l.
+The readout input is Z, or hstack([ft(F), Z]) for the mlp variants
 with the feature block on: F is the operand of the feature transform ``ft``
 and Z every other enabled block, joined once, with the linear variant's P
 when its features come unprojected. Training reads only the rows
@@ -44,13 +45,13 @@ import math
 import struct
 import tempfile
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import CompatibilityError, ShapeError, TrainingDivergedError
 from .evaluation import DynamicsLog, average_precision, checkpoint_epochs
-from .graph import Dataset, sym_norm_adjacency
+from .graph import Dataset, SparseMatrix, sym_norm_adjacency
 from .positional import _sigmoid, generate_walks, train_skipgram
 from .propagation import init_label_matrix, propagate_features, propagate_labels
 from .rng import substream
@@ -383,7 +384,7 @@ def substitute_features(dataset: Dataset, policy: str) -> Dataset:
 
     "identity" assigns one-hot identity rows (an n x n array), "degree" the
     node degree as one column, and "none" refuses. A dataset that carries
-    features is returned unchanged. :func:`compute_representations` calls
+    features is returned unchanged. :func:`fit_split_free` calls
     this for every case but the linear variant under "identity", whose
     feature block it builds as A^K · P without the identity.
     """
@@ -399,7 +400,12 @@ def substitute_features(dataset: Dataset, policy: str) -> Dataset:
 
 
 def compute_representations(dataset: Dataset, config: ModelConfig) -> Representations:
-    """Fit the enabled representations for a dataset, once per split.
+    """Fit the enabled representations for one split: :func:`fit_split_free`, then :func:`fit_label_block`."""
+    return fit_label_block(*fit_split_free(dataset, config), dataset, config)
+
+
+def fit_split_free(dataset: Dataset, config: ModelConfig) -> tuple[Representations, SparseMatrix | None]:
+    """(reps, adj): the blocks that no split reads, with H_l None, and the normalised adjacency.
 
     Features are substituted by config.feature_policy when the dataset has
     none. The linear variant's P, its seeded projection to hidden_dim, is
@@ -407,23 +413,22 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
     propagated instead of the n x n identity (A^K · I · P = A^K · P), so
     the block takes n x hidden_dim memory, not n x n, and arrives
     projected. Otherwise X is propagated, and A^K · X is kept as it is with
-    P beside it.
-    The walk embedding is trained deterministically from config.seed.
-    Blocks that config disables are None. Each fitted block is checked as
-    soon as it exists: one that holds a non-finite value raises
+    P beside it. The walk embedding is trained deterministically from
+    config.seed. Blocks that config disables are None. Each fitted block is
+    checked as soon as it exists: one that holds a non-finite value raises
     TrainingDivergedError naming the block, so no later stage runs and the
     readout never trains on it.
 
     The stages run one at a time and keep only their blocks: the walk
     corpus goes straight into skip-gram and is freed with it, and only then
-    is the adjacency built and H_f and H_l propagated over it. Each block
-    draws from its own named substream, so the order moves no byte. No
-    operand built here is bound to a name: P under the identity policy, the
-    substituted features and the initial label matrix are built inside the
-    propagation call, which lets go of its operand after the first hop, so
-    each is freed then. A dataset's own features stay alive with it.
+    is adj built (unless H_f and H_l are both off) and H_f propagated over
+    it. No mask is read. Each block draws from its own named substream, so
+    the order moves no byte. No operand built here is bound to a name: P
+    under the identity policy and the substituted features are built inside
+    the propagation call, which lets go of its operand after the first hop,
+    so each is freed then. A dataset's own features stay alive with it.
     """
-    H_f = H_l = pe = P = None
+    H_f = pe = P = adj = None
     feature_dim = 0
     if config.enable_fr and dataset.features is None and config.feature_policy == "none":
         substitute_features(dataset, "none")  # refuses before any stage runs
@@ -459,10 +464,17 @@ def compute_representations(dataset: Dataset, config: ModelConfig) -> Representa
             if linear:
                 P = _feature_projection(config, feature_dim)
         _check_finite("feature", H_f)
-    if config.enable_lr:
-        H_l = propagate_labels(adj, init_label_matrix(dataset, config.padding), config.N)
-        _check_finite("label", H_l)
-    return Representations(H_f=H_f, H_l=H_l, pe=pe, feature_dim=feature_dim, P=P)
+    return Representations(H_f=H_f, H_l=None, pe=pe, feature_dim=feature_dim, P=P), adj
+
+
+def fit_label_block(reps: Representations, adj, dataset: Dataset, config: ModelConfig) -> Representations:
+    """``reps`` with H_l, the split's labels propagated over ``adj``, or ``reps`` itself with it off."""
+    if not config.enable_lr:
+        return reps
+    # the initial label matrix lives only in the propagation call, which frees it after the first hop
+    H_l = propagate_labels(adj, init_label_matrix(dataset, config.padding), config.N)
+    _check_finite("label", H_l)
+    return replace(reps, H_l=H_l)
 
 
 def _check_finite(name: str, block: np.ndarray) -> None:
@@ -473,8 +485,8 @@ def _check_finite(name: str, block: np.ndarray) -> None:
 def train(dataset: Dataset, config: ModelConfig, reps: Representations, metrics_path=None):
     """Train the readout (and feature transform) on the train-node BCE.
 
-    ``reps`` are the split's representations from
-    :func:`compute_representations`. Only the blocks that config enables are
+    ``reps`` are the split's representations, fitted by :func:`fit_split_free`
+    and :func:`fit_label_block`. Only the blocks that config enables are
     read, so one fit with every block on serves each ablation of its config.
     The input blocks that do not train are built once for the train rows
     and once for the validation rows; no other row is read. Each epoch runs
@@ -584,7 +596,7 @@ def save_model(model: MultiFixModel, path):
     """Versioned binary checkpoint: magic, JSON header, float64 LE blobs.
 
     It holds the trained parameters only; the linear variant's projection is
-    redrawn from the seed by :func:`compute_representations`.
+    redrawn from the seed by :func:`fit_split_free`.
     """
     manifest = [[k, list(v.shape)] for k, v in sorted(model.params.items())]
     header = json.dumps(

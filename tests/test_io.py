@@ -314,6 +314,17 @@ def test_feature_parser_keeps_one_row_and_one_column(tmp_path, text, shape):
     assert features.tobytes() == np.array([1.5, -0.0, 2e-3]).reshape(shape).tobytes()
 
 
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_bulk_parse_leaves_separator_characters_to_the_line_scanner(tmp_path, sep):
+    # np.loadtxt strips these as whitespace, float() refuses them and
+    # str.split() splits on them, so only the line scanner reads them right
+    with pytest.raises(DatasetParseError, match="non-numeric feature value") as err:
+        read_feature_file(write(tmp_path, "features.csv", f"3,4\n1{sep},2\n"))
+    assert err.value.line_no == 2
+    edges = write(tmp_path, "edges.tsv", f"0\t1\n2{sep}3\n")
+    assert np.array_equal(read_edge_file(edges), np.array(scan_edge_file(edges)).reshape(-1, 2))
+
+
 def test_bulk_parse_holds_no_copy_of_the_text_beside_its_result(tmp_path):
     rng = np.random.default_rng(5)
     edges = tmp_path / "edges.tsv"

@@ -27,6 +27,8 @@ from gnn_multifix import (
     sym_norm_adjacency,
     train,
 )
+from gnn_multifix import cli
+from gnn_multifix.baselines import TRAINED_BASELINES
 from gnn_multifix.errors import CompatibilityError, ShapeError, TrainingDivergedError
 from gnn_multifix.rng import substream
 from gnn_multifix import model as model_module
@@ -37,6 +39,8 @@ from gnn_multifix.model import (
     _feature_projection,
     _glorot,
     _readout,
+    fit_label_block,
+    fit_split_free,
     init_model,
     _sigmoid,
 )
@@ -477,6 +481,73 @@ def test_featureless_none_policy_is_refused_before_skipgram(monkeypatch):
     ds = featureless_with_isolated_nodes(30, 2, seed=1)
     with pytest.raises(ValueError, match="substitution policy is 'none'"):
         compute_representations(ds, small_config(feature_policy="none"))
+
+
+def same_bytes(a, b):
+    return a is b is None or (a is not None and b is not None and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("variant", ["linear", "mlp1"])
+@pytest.mark.parametrize("features", ["real", "identity", "degree"])
+def test_split_free_stage_reads_no_mask(variant, features):
+    # two splits and the unsplit dataset (every mask False) get the same
+    # blocks and adjacency, so one split-free fit could serve every split
+    unsplit = build_random_dataset(40, 3, seed=5)
+    if features == "real":
+        unsplit = unsplit.with_features(np.random.default_rng(5).normal(size=(40, 6)))
+    splits = [make_splits(unsplit, 0.5, 0.25, seed=s) for s in (1, 2)]
+    cfg = small_config(variant=variant, feature_policy="identity" if features == "real" else features)
+    (ref, ref_adj), *others = [fit_split_free(ds, cfg) for ds in (unsplit, *splits)]
+    assert ref.H_l is None and ref.H_f is not None and ref.pe is not None
+    for reps, adj in others:
+        assert reps.H_l is None and reps.feature_dim == ref.feature_dim
+        for name in ("H_f", "P", "pe"):
+            assert same_bytes(getattr(reps, name), getattr(ref, name))
+        for name in ("row_ptr", "col_idx", "values"):
+            assert same_bytes(getattr(adj, name), getattr(ref_adj, name))
+    # the full fits of the two splits differ in H_l only
+    fits = [compute_representations(ds, cfg) for ds in splits]
+    for reps in fits:
+        assert reps.feature_dim == ref.feature_dim
+        for name in ("H_f", "P", "pe"):
+            assert same_bytes(getattr(reps, name), getattr(ref, name))
+    assert not np.array_equal(fits[0].H_l, fits[1].H_l)
+
+
+STAGE_PRESETS = {"full": {}, **cli.ABLATIONS, **TRAINED_BASELINES}
+
+
+@pytest.mark.parametrize("preset", STAGE_PRESETS)
+def test_each_stage_runs_only_what_its_config_enables(monkeypatch, preset):
+    calls = []
+    for name in ("train_skipgram", "sym_norm_adjacency", "propagate_features", "propagate_labels"):
+        def counted(*args, _name=name, _fn=getattr(model_module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, name, counted)
+    cfg = small_config(**STAGE_PRESETS[preset])
+    ds = make_splits(build_random_dataset(40, 3, seed=6), 0.5, 0.25, seed=6)
+    reps, adj = fit_split_free(ds, cfg)
+    assert calls == [
+        name
+        for name, enabled in (
+            ("train_skipgram", cfg.enable_pe),
+            ("sym_norm_adjacency", cfg.enable_fr or cfg.enable_lr),
+            ("propagate_features", cfg.enable_fr),
+        )
+        if enabled
+    ]
+    assert (adj is None) == (not (cfg.enable_fr or cfg.enable_lr)) == (preset == "deepwalk")
+    assert reps.H_l is None
+    assert (reps.pe is not None) == cfg.enable_pe and (reps.H_f is not None) == cfg.enable_fr
+    calls.clear()
+    fitted = fit_label_block(reps, adj, ds, cfg)
+    if cfg.enable_lr:
+        assert calls == ["propagate_labels"] and fitted.H_l is not None
+        assert all(getattr(fitted, name) is getattr(reps, name) for name in ("H_f", "P", "pe"))
+    else:
+        assert fitted is reps and calls == []
 
 
 @pytest.mark.parametrize("K", [0, 1, 2])
